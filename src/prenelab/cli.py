@@ -22,7 +22,6 @@ import argparse
 import base64
 import binascii
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -45,24 +44,24 @@ __all__ = ["main"]
 # flag value parsers: argparse reports failures as exit-2 usage errors
 # that name the flag
 
-def _u64(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("must be an unsigned 64-bit integer")
-    return value
+def _bounded_int(low: int, high: Optional[int], message: str):
+    """Parser for a base-10 integer in [low, high); high=None is unbounded."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _u32(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2**32:
-        raise argparse.ArgumentTypeError("must be an unsigned 32-bit integer")
-    return value
+_u64 = _bounded_int(0, 2**64, "must be an unsigned 64-bit integer")
+_u32 = _bounded_int(0, 2**32, "must be an unsigned 32-bit integer")
+_positive_int = _bounded_int(1, None, "must be >= 1")
 
 
 def _fraction(text: str) -> Fraction:
@@ -73,29 +72,6 @@ def _fraction(text: str) -> Fraction:
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError("must lie in [0, 1]")
     return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _threads() -> int:
-    raw = os.environ.get("PRENELAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"PRENELAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("PRENELAB_THREADS must be >= 1")
-    return n
 
 
 # artifact writers: explicit LF endings, header always present
@@ -127,6 +103,15 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def _config_echo(serialized: str) -> dict:
+    """Echo a serialized `key = value` config as a dict of strings."""
+    echo = {}
+    for line in serialized.splitlines():
+        key, _, value = line.partition(" = ")
+        echo[key] = value
+    return echo
 
 
 def _read_text(path: str) -> str:
@@ -180,7 +165,7 @@ def _cmd_lifespan_table(args) -> int:
 def _cmd_lifespan_sweep(args) -> int:
     started = time.monotonic()
     grid = [Fraction(i, args.steps) for i in range(args.steps + 1)]
-    result = lifespan.optimality_sweep(grid, threads=_threads())
+    result = lifespan.optimality_sweep(grid)
     rows = []
     for sp, table, rate in result.rows:
         g = sp.gene_number
@@ -223,14 +208,6 @@ def _cmd_lifespan_growth(args) -> int:
 
 # replicator
 
-def _escape_config_echo(config: replicator.EscapeConfig) -> dict:
-    echo = {}
-    for line in serialize_escape_config(config).splitlines():
-        key, _, value = line.partition(" = ")
-        echo[key] = value
-    return echo
-
-
 def _cmd_replicator_run(args) -> int:
     started = time.monotonic()
     text = _read_text(args.config) if args.config else ""
@@ -267,7 +244,7 @@ def _cmd_replicator_run(args) -> int:
         _write_lines(events_path, lines)
         artifacts.append(str(events_path))
 
-    echo = _escape_config_echo(config)
+    echo = _config_echo(serialize_escape_config(config))
     echo["hot_wins"] = report.hot_wins
     echo["fidelity_wins"] = report.fidelity_wins
     echo["ties"] = report.ties
@@ -276,14 +253,6 @@ def _cmd_replicator_run(args) -> int:
 
 
 # soup
-
-def _soup_config_echo(config: soup.SoupConfig) -> dict:
-    echo = {}
-    for line in serialize_soup_config(config).splitlines():
-        key, _, value = line.partition(" = ")
-        echo[key] = value
-    return echo
-
 
 def _cmd_soup_run(args) -> int:
     started = time.monotonic()
@@ -315,7 +284,7 @@ def _cmd_soup_run(args) -> int:
             ],
             rows,
         )
-        echo = _soup_config_echo(config)
+        echo = _config_echo(serialize_soup_config(config))
         echo["treatment_wins"] = report.treatment_wins
         echo["control_wins"] = report.control_wins
         echo["ties"] = report.ties
@@ -347,7 +316,7 @@ def _cmd_soup_run(args) -> int:
         ["t", "free_A", "free_C", "free_G", "free_U", "n_species", "n_P", "n_AAA_enders"],
         rows,
     )
-    echo = _soup_config_echo(config)
+    echo = _config_echo(serialize_soup_config(config))
     echo["samples"] = args.samples
     return _report(args, echo, [str(out)], started)
 

@@ -1,108 +1,28 @@
-"""Hot per-site mutation kernel, with numba and pure-numpy backends.
+"""Hot per-site mutation kernel.
 
 The only loop in the package that touches ~1e8 array elements per call is
 the Bernoulli scan that decides, site by site, whether a replicating
-sequence miscopies.  Both backends consume the generator's bit stream in
-exactly the same order (row-major site scan, then one draw per flip for
-the replacement letter), so they produce bit-identical results for the
-same seed; see tests/test_kernels.py for the parity check and
-benchmarks/bench_mutation.py for the speed comparison.
-
-Backend selection: environment variable PRENELAB_BACKEND = "numba" or
-"numpy".  Default is numba when importable, else numpy.
+sequence miscopies.  The generator's bit stream is consumed in a fixed
+order (row-major site scan, then one draw per flip for the replacement
+letter), so the result depends only on the seed; tests/test_kernels.py
+freezes one such result.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_FLAG = "PRENELAB_BACKEND"
-
-
-def active_backend() -> str:
-    """Resolve the backend name from the environment ("numba" or "numpy")."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"{_ENV_FLAG} must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-@njit(cache=True)
-def _scan_sites_numba(codes, site_prob, gen):
-    n, length = codes.shape
-    cap = 1024
-    rows = np.empty(cap, np.int64)
-    cols = np.empty(cap, np.int64)
-    count = 0
-    for i in range(n):
-        for j in range(length):
-            if gen.random() < site_prob[j]:
-                if count == cap:
-                    cap *= 2
-                    grown_r = np.empty(cap, np.int64)
-                    grown_r[:count] = rows
-                    rows = grown_r
-                    grown_c = np.empty(cap, np.int64)
-                    grown_c[:count] = cols
-                    cols = grown_c
-                rows[count] = i
-                cols[count] = j
-                count += 1
-    return rows[:count], cols[:count]
-
-
-@njit(cache=True)
-def _apply_flips_numba(codes, rows, cols, gen):
-    nflips = rows.shape[0]
-    old = np.empty(nflips, np.uint8)
-    new = np.empty(nflips, np.uint8)
-    for k in range(nflips):
-        o = codes[rows[k], cols[k]]
-        # one of the 3 other letters, uniformly; gen.random() < 1 always
-        c = np.uint8(gen.random() * 3.0)
-        if c >= o:
-            c = np.uint8(c + 1)
-        old[k] = o
-        new[k] = c
-        codes[rows[k], cols[k]] = c
-    return old, new
-
 
 # Row chunking keeps the uniform buffer ~tens of MB; it does not change the
 # order in which the bit stream is consumed.
-_NUMPY_CHUNK_ROWS = 512
+_CHUNK_ROWS = 512
 
 
-def _scan_sites_numpy(codes, site_prob, gen):
+def _scan_sites(codes, site_prob, gen):
     n, length = codes.shape
     rows_parts = []
     cols_parts = []
-    for start in range(0, n, _NUMPY_CHUNK_ROWS):
-        stop = min(start + _NUMPY_CHUNK_ROWS, n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
         u = gen.random((stop - start, length))
         r, c = np.nonzero(u < site_prob)
         rows_parts.append(r.astype(np.int64) + start)
@@ -112,8 +32,9 @@ def _scan_sites_numpy(codes, site_prob, gen):
     return np.empty(0, np.int64), np.empty(0, np.int64)
 
 
-def _apply_flips_numpy(codes, rows, cols, gen):
+def _apply_flips(codes, rows, cols, gen):
     old = codes[rows, cols]
+    # one of the 3 other letters, uniformly; gen.random() < 1 always
     c = (gen.random(rows.shape[0]) * 3.0).astype(np.uint8)
     new = np.where(c >= old, c + 1, c).astype(np.uint8)
     codes[rows, cols] = new
@@ -135,10 +56,6 @@ def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Genera
         raise ValueError(
             f"site_prob length {site_prob.shape} does not match sequence length {codes.shape[1]}"
         )
-    if active_backend() == "numba":
-        rows, cols = _scan_sites_numba(codes, site_prob, gen)
-        old, new = _apply_flips_numba(codes, rows, cols, gen)
-    else:
-        rows, cols = _scan_sites_numpy(codes, site_prob, gen)
-        old, new = _apply_flips_numpy(codes, rows, cols, gen)
+    rows, cols = _scan_sites(codes, site_prob, gen)
+    old, new = _apply_flips(codes, rows, cols, gen)
     return rows, cols, old, new

@@ -401,28 +401,18 @@ class SweepResult:
     argmax: list[TreeSpecies]
 
 
-def optimality_sweep(
-    g_grid: Iterable, threads: int = 1
-) -> SweepResult:
+def optimality_sweep(g_grid: Iterable) -> SweepResult:
     """lambda(g) over a grid, with exact tie reporting in the argmax set.
 
     lambda is piecewise constant in g (schedules only change at integer-day
     thresholds), so grid points sharing a schedule tie exactly; the rates
-    are memoized per schedule to make those ties bit-identical.  Grid
-    points are independent pure computations and may be evaluated in
-    parallel.
+    are memoized per schedule to make those ties bit-identical.
     """
     species = [g if isinstance(g, TreeSpecies) else TreeSpecies(_as_exact(g)) for g in g_grid]
     if not species:
         raise ValueError("empty sweep grid")
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tables = list(pool.map(life_table, species))
-    else:
-        tables = [life_table(sp) for sp in species]
+    tables = [life_table(sp) for sp in species]
 
     rate_by_schedule: dict[tuple, GrowthRate] = {}
     rows = []

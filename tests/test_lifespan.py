@@ -265,12 +265,6 @@ class TestSweep:
         }
         assert len(rates) == 1
 
-    def test_threaded_sweep_matches_serial(self):
-        serial = optimality_sweep(self._grid(), threads=1)
-        threaded = optimality_sweep(self._grid(), threads=4)
-        for (s1, t1, r1), (s2, t2, r2) in zip(serial.rows, threaded.rows):
-            assert s1 == s2 and t1 == t2 and r1 == r2
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimality_sweep([])
