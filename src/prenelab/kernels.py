@@ -24,9 +24,9 @@ def _scan_sites(codes, site_prob, gen):
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
         u = gen.random((stop - start, length))
-        r, c = np.nonzero(u < site_prob)
-        rows_parts.append(r.astype(np.int64) + start)
-        cols_parts.append(c.astype(np.int64))
+        r, c = np.divmod(np.flatnonzero(u < site_prob), length)  # row-major
+        rows_parts.append(r + start)
+        cols_parts.append(c)
     if rows_parts:
         return np.concatenate(rows_parts), np.concatenate(cols_parts)
     return np.empty(0, np.int64), np.empty(0, np.int64)

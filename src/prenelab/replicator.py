@@ -57,6 +57,9 @@ __all__ = [
 LETTERS = "ACGU"
 _CODE_TO_ASCII = bytes.maketrans(bytes([0, 1, 2, 3]), LETTERS.encode())
 _ASCII_TO_CODE = bytes.maketrans(LETTERS.encode(), bytes([0, 1, 2, 3]))
+# letter code -> UCS4 code point, so a coat matrix indexes straight into a
+# fixed-width unicode array
+_CODE_TO_UCS4 = np.array([ord(c) for c in LETTERS], dtype=np.uint32)
 
 DEFAULT_IMMUNE_DELAY = 3
 DEFAULT_KILL_PROBABILITY = 0.5
@@ -308,6 +311,8 @@ class PopulationState:
             raise ValueError("need at least one founder")
         if immune_delay < 0:
             raise ValueError("immune delay must be >= 0")
+        if not 0.0 <= kill_probability <= 1.0:
+            raise ValueError("kill probability must lie in [0, 1]")
         founder.region_slice(coat_region)  # raises MissingRegion early
         self.regions = founder.regions
         self.coat_span = founder.regions[coat_region]
@@ -340,8 +345,8 @@ class PopulationState:
 
     def _signatures(self) -> list[str]:
         start, stop = self.coat_span
-        coat = np.ascontiguousarray(self.codes[:, start:stop])
-        return [_codes_to_str(row) for row in coat]
+        coat = _CODE_TO_UCS4[self.codes[:, start:stop]]  # fresh C-contiguous copy
+        return coat.view(f"U{stop - start}").ravel().tolist()
 
     def _log(self, **event) -> None:
         if self.record_events:
@@ -383,29 +388,40 @@ def immune_step(state: PopulationState) -> PopulationState:
     A virion is killable only by the poster whose signature equals its
     current coat; poster creation this day precedes kills, so with zero
     delay a poster can fire the day it appears.
+
+    RNG use: one uniform per virion whose poster is active (kill
+    probability 0 included), drawn as one batch in population order; the
+    virion dies when its uniform is below the poster's kill probability.
+    Nothing is drawn when no poster is active.
     """
     sigs = state._signatures()
+    posters = state.posters
+    day = state.day
+    active: dict[str, float] = {}  # signature -> kill probability
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
-        if sig not in state.posters:
-            poster = Poster(
-                sig,
-                state.day,
-                state.day + state.immune_delay,
-                state.kill_probability,
-            )
-            state.posters[sig] = poster
-            state._log(
-                kind="poster", day=state.day, signature=sig,
-                activation=poster.activation_day,
-            )
-    if state.population == 0:
+        poster = posters.get(sig)
+        if poster is None:
+            poster = Poster(sig, day, day + state.immune_delay, state.kill_probability)
+            posters[sig] = poster
+            if state.record_events:
+                state._log(
+                    kind="poster", day=day, signature=sig,
+                    activation=poster.activation_day,
+                )
+        if poster.active(day):
+            active[sig] = poster.kill_probability
+    if not active:
         return state
+    kill_prob = np.array([active.get(sig, -1.0) for sig in sigs])  # -1: no active poster
+    shot = np.flatnonzero(kill_prob >= 0.0)
+    dead = shot[state.gen.random(shot.size) < kill_prob[shot]]
+    if dead.size == 0:
+        return state
+    if state.record_events:
+        for i in dead.tolist():
+            state._log(kind="kill", day=day, id=int(state.ids[i]), signature=sigs[i])
     keep = np.ones(state.population, dtype=bool)
-    for i, sig in enumerate(sigs):
-        poster = state.posters[sig]
-        if poster.active(state.day) and state.gen.random() < poster.kill_probability:
-            keep[i] = False
-            state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
+    keep[dead] = False
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
     state.parent_ids = state.parent_ids[keep]
@@ -413,13 +429,17 @@ def immune_step(state: PopulationState) -> PopulationState:
 
 
 def cull_to_capacity(state: PopulationState) -> None:
-    """Uniform random bottleneck down to carrying capacity."""
+    """Uniform random bottleneck down to carrying capacity.
+
+    RNG use: one `gen.choice(n, capacity, replace=False)` call when the
+    population n exceeds capacity, nothing otherwise.
+    """
     n = state.population
     if n <= state.capacity:
         return
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
-    removed = np.setdiff1d(np.arange(n), keep)
-    state._log(kind="cull", day=state.day, removed=[int(state.ids[i]) for i in removed])
+    if state.record_events:
+        state._log(kind="cull", day=state.day, removed=np.delete(state.ids, keep).tolist())
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
     state.parent_ids = state.parent_ids[keep]

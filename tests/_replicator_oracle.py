@@ -1,0 +1,58 @@
+"""Scalar reference versions of the replicator's immune step and cull.
+
+These are the straightforward per-virion loops that `immune_step` and
+`cull_to_capacity` replaced: one Python string per coat, one `Poster.active`
+check and one scalar `gen.random()` per virion with an active poster, and
+the cull's removed-id list built on every call.  The vectorised functions
+must leave a state exactly as these do, down to the generator position.
+"""
+
+import numpy as np
+
+from prenelab.replicator import LETTERS, Poster
+
+
+def signatures(state) -> list[str]:
+    start, stop = state.coat_span
+    return ["".join(LETTERS[c] for c in row.tolist()) for row in state.codes[:, start:stop]]
+
+
+def immune_step(state):
+    sigs = signatures(state)
+    for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
+        if sig not in state.posters:
+            poster = Poster(
+                sig,
+                state.day,
+                state.day + state.immune_delay,
+                state.kill_probability,
+            )
+            state.posters[sig] = poster
+            state._log(
+                kind="poster", day=state.day, signature=sig,
+                activation=poster.activation_day,
+            )
+    if state.population == 0:
+        return state
+    keep = np.ones(state.population, dtype=bool)
+    for i, sig in enumerate(sigs):
+        poster = state.posters[sig]
+        if poster.active(state.day) and state.gen.random() < poster.kill_probability:
+            keep[i] = False
+            state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
+    state.codes = state.codes[keep]
+    state.ids = state.ids[keep]
+    state.parent_ids = state.parent_ids[keep]
+    return state
+
+
+def cull_to_capacity(state) -> None:
+    n = state.population
+    if n <= state.capacity:
+        return
+    keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
+    removed = np.setdiff1d(np.arange(n), keep)
+    state._log(kind="cull", day=state.day, removed=[int(state.ids[i]) for i in removed])
+    state.codes = state.codes[keep]
+    state.ids = state.ids[keep]
+    state.parent_ids = state.parent_ids[keep]

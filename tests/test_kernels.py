@@ -66,6 +66,35 @@ def test_frozen_golden_mutation():
     assert hashlib.sha256(codes.tobytes()).hexdigest() == GOLDEN_CODES_SHA256
 
 
+# mutate_sites on the 1100x16 codes of rng.stream(902, 1) with p = 0.05 and
+# draws from rng.stream(902, 2), frozen: three row chunks, so the chunk row
+# offset is exercised; sha256 of the flipped sites (row * 16 + col, <i8),
+# of the letter codes before and after, and of the mutated matrix
+GOLDEN_MULTI_CHUNK = {
+    "flips": 869,
+    "sites": "461a3e1b1b7b01ea1c28c5966d3c70ed3cf52eb996014a456b4d12108e9cecb0",
+    "old": "f5c8bcb55661c32abb5b9faed5036b4528369d3512be83fc010637fa1ecea95d",
+    "new": "c9073813d38eed570ca8c6d4d3a1c8465a8334bc0faf4ea36ea0705e7ddaf4d9",
+    "codes": "31baac7e42d161a9548648c65afcdb65204a3c1403292ba04965de3e679015c6",
+}
+
+
+def test_frozen_golden_multi_chunk():
+    codes = rng.stream(902, 1).integers(0, 4, size=(1100, 16), dtype=np.uint8)
+    assert codes.shape[0] > 2 * kernels._CHUNK_ROWS
+    rows, cols, old, new = kernels.mutate_sites(codes, np.full(16, 0.05), rng.stream(902, 2))
+    assert rows.max() >= 2 * kernels._CHUNK_ROWS
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    assert rows.size == GOLDEN_MULTI_CHUNK["flips"]
+    assert sha((rows * 16 + cols).astype("<i8")) == GOLDEN_MULTI_CHUNK["sites"]
+    assert sha(old) == GOLDEN_MULTI_CHUNK["old"]
+    assert sha(new) == GOLDEN_MULTI_CHUNK["new"]
+    assert sha(codes) == GOLDEN_MULTI_CHUNK["codes"]
+
+
 def test_zero_probability_is_identity():
     codes = _fresh(11)
     before = codes.copy()

@@ -1,5 +1,8 @@
 """Replication-error profiles, immune escape, and antibody generation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,11 @@ def _founder_state(**kw):
 
 
 class TestImmuneStep:
+    @pytest.mark.parametrize("kill_probability", [1.5, -0.1, float("nan")])
+    def test_kill_probability_checked_at_construction(self, kill_probability):
+        with pytest.raises(ValueError, match="kill probability"):
+            _founder_state(kill_probability=kill_probability)
+
     def test_empty_population_no_change(self):
         state = _founder_state()
         state.codes = state.codes[:0]
@@ -334,6 +342,31 @@ class TestEscapeExperiment:
         b = _run_arm(cfg, profile, rng.stream(9, 0), record_events=True)
         assert a.events == b.events
         assert len(a.events) > 0
+
+
+# sha256 of the canonical JSONL event trace (sorted keys, compact
+# separators, one line per event) of _run_arm for EscapeConfig(horizon=15,
+# master_seed=9) on rng.stream(9, 0), frozen: any change in the number or
+# order of RNG draws changes these.
+# hot: 3510 births, 887 posters, 770 kills, 11 culls; fidelity: 466 births,
+# 1 poster, 243 kills, extinct on day 10.
+GOLDEN_TRACE_SHA256 = {
+    "hot": "5a5898faf9dc60d3476a83c8bb39cd5e5121ef840404bc5dd6353928b32597d0",
+    "fidelity": "964c4860fd607c435d2a0148d2fed47c0052e9436d6b70623e99cc12106217b1",
+}
+
+
+@pytest.mark.parametrize("arm", sorted(GOLDEN_TRACE_SHA256))
+def test_frozen_event_trace(arm):
+    from prenelab.replicator import _run_arm
+
+    cfg = EscapeConfig(horizon=15, master_seed=9)
+    profile = cfg.hot_profile() if arm == "hot" else cfg.fidelity_profile()
+    state = _run_arm(cfg, profile, rng.stream(9, 0), record_events=True)
+    text = "".join(
+        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in state.events
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACE_SHA256[arm]
 
 
 class TestSignTest:
