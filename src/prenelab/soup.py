@@ -12,17 +12,35 @@ both reagents come from the same pool, so the pair count is
 free(x)*(free(x)-1) rather than the mass-action product of two
 independent pools.
 
-The integrator is the exact Gillespie direct method; per-letter mass
-(free + bound) is recomputed and asserted after every event.  A fixed
-step tau-leap variant exists for speed; it approximates event counts but
-applies the same exact per-event bookkeeping, so it too conserves mass
-exactly.
+The integrator is the exact Gillespie direct method (Gillespie 1977).
+An event costs O(log S) in plain Python ints, S the number of species:
+
+- Running totals.  `_add` and `_remove` keep the number of strands,
+  catalysts and AAA-enders and the bound mass of each letter, so the
+  three channel totals need no sum over the species table.
+- Fenwick picks.  Three integer Fenwick trees over the species rows (all
+  strands, catalysts, AAA-enders; an index tree as in Gibson & Bruck
+  2000) find the smallest row whose exact integer prefix sum exceeds
+  the float threshold u * total.  That is the row a float cumulative sum
+  and `searchsorted(..., side="right")` would pick, so every draw and
+  every pick is the same as with a plain cumulative-sum search.
+- Two audit levels.  `audit()` runs after every event and is O(1): free
+  plus running bound mass must equal the conserved mass, per letter.
+  `recount()` is O(S): it recounts the mass, every running total and
+  every tree from the species table; `run_until` calls it at each
+  sample time and before it returns.
+
+A fixed step tau-leap variant exists for speed; it approximates event
+counts but applies the same exact per-event bookkeeping and ends each
+leap with a `recount()`, so it too conserves mass exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+import math
+import operator
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,19 +116,69 @@ class Reaction:
     target: Optional[str] = None
 
 
-def _letter_counts(seq: str) -> np.ndarray:
-    row = np.zeros(4, dtype=np.int64)
-    for c in seq:
-        row[_LETTER_INDEX[c]] += 1
+def _is_count(n) -> bool:
+    """A non-negative integer; floats such as 2.0 or 2.7 are refused."""
+    try:
+        return operator.index(n) >= 0
+    except TypeError:
+        return False
+
+
+# Integer Fenwick (binary indexed) trees over species rows, 1-based, with
+# a power-of-two capacity: tree[i] holds the weight sum of rows
+# (i - lowbit(i), i], so a point update or a prefix search is O(log S).
+
+def _fenwick(weights: list[int]) -> list[int]:
+    """Tree over `weights`, whose length (the capacity) is a power of two."""
+    tree = [0, *weights]
+    for i in range(1, len(tree)):
+        parent = i + (i & -i)
+        if parent < len(tree):
+            tree[parent] += tree[i]
+    return tree
+
+
+def _fenwick_add(tree: list[int], row: int, n: int) -> None:
+    i = row + 1
+    size = len(tree)
+    while i < size:
+        tree[i] += n
+        i += i & -i
+
+
+def _fenwick_pick(tree: list[int], base: int, threshold: float) -> int:
+    """Smallest row with base + (weight of rows 0..row) > threshold.
+
+    This is the index `searchsorted(base + cumsum(w), threshold,
+    side="right")` returns: the prefix sums stay exact ints and Python
+    compares an int with a float exactly.  Returns the capacity when no
+    row qualifies.
+    """
+    capacity = len(tree) - 1
+    row, acc, step = 0, base, capacity
+    while step:
+        nxt = row + step
+        if nxt <= capacity and acc + tree[nxt] <= threshold:
+            row = nxt
+            acc += tree[nxt]
+        step >>= 1
     return row
+
+
+_FIRST_CAPACITY = 16
 
 
 class ReactorState:
     """Free monomer pools plus a canonical polymer species table.
 
-    Species rows are stored in parallel arrays; rows whose count reaches
-    zero are removed immediately, so two states with the same contents
-    compare equal regardless of the order reactions happened to run in.
+    Species rows live in columns padded to a power-of-two capacity that
+    doubles when full, with one Fenwick tree per pickable weight: all
+    strands, catalysts, AAA-enders.  A row whose count reaches zero is
+    removed at once by moving the last row into it, so two states with
+    the same contents compare equal regardless of the order reactions
+    happened to run in.  `_add` and `_remove` keep the running totals
+    (strands, catalysts, AAA-enders, bound mass per letter) that the
+    channel totals and the per-event `audit` read.
     """
 
     def __init__(
@@ -122,15 +190,17 @@ class ReactorState:
         k_cat: float,
         catalyst_rule: CatalystRule = CatalystRule(),
     ):
-        if min(k_on, k_off, k_cat) < 0:
-            raise ValueError("rate constants must be >= 0")
+        if not all(math.isfinite(k) and k >= 0 for k in (k_on, k_off, k_cat)):
+            raise ValueError("rate constants must be finite and >= 0")
         self.free = np.zeros(4, dtype=np.int64)
+        # the same four cells, read and written as Python ints per event
+        self._free = memoryview(self.free)
         for letter, n in free.items():
             if letter not in _LETTER_INDEX:
                 raise ValueError(f"unknown monomer letter {letter!r}")
-            if n < 0:
-                raise ValueError("counts must be >= 0")
-            self.free[_LETTER_INDEX[letter]] = n
+            if not _is_count(n):
+                raise ValueError(f"counts must be integers >= 0, got {n!r}")
+            self._free[_LETTER_INDEX[letter]] = operator.index(n)
         self.k_on = float(k_on)
         self.k_off = float(k_off)
         self.k_cat = float(k_cat)
@@ -139,89 +209,164 @@ class ReactorState:
         self.n_events = 0
 
         self.seqs: list[str] = []
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.letters = np.zeros((0, 4), dtype=np.int64)
-        self.ends_aaa = np.zeros(0, dtype=bool)
-        self.is_catalyst = np.zeros(0, dtype=bool)
         self._row: dict[str, int] = {}
+        cap = _FIRST_CAPACITY
+        self._count = [0] * cap
+        self._letters = [(0, 0, 0, 0)] * cap
+        self._is_cat = [False] * cap
+        self._ends_aaa = [False] * cap
+        self._all, self._cat, self._aaa = (_fenwick([0] * cap) for _ in range(3))
+        self._n_strands = self._n_cat = self._n_aaa = 0
+        self._bound = [0, 0, 0, 0]
         for seq, n in sorted(polymers.items()):
             if len(seq) < 2:
                 raise ValueError(f"polymer {seq!r} shorter than 2; monomers go in free")
             if not set(seq) <= set(SOUP_LETTERS):
                 raise ValueError(f"polymer {seq!r} uses letters outside {SOUP_LETTERS}")
-            if n < 0:
-                raise ValueError("counts must be >= 0")
+            if not _is_count(n):
+                raise ValueError(f"counts must be integers >= 0, got {n!r}")
             if n > 0:
-                self._add(seq, n)
+                self._add(seq, operator.index(n))
         self.conserved = self.mass_by_letter()
 
     # species table bookkeeping
+
+    def _grow(self) -> None:
+        """Double the capacity.  The new root covers the old rows and the
+        empty new ones, so it starts as the old root; other new nodes are 0."""
+        cap = len(self._count)
+        self._count += [0] * cap
+        self._letters += [(0, 0, 0, 0)] * cap
+        self._is_cat += [False] * cap
+        self._ends_aaa += [False] * cap
+        for tree in (self._all, self._cat, self._aaa):
+            tree += [0] * cap
+            tree[2 * cap] = tree[cap]
+
+    def _shift(self, row: int, n: int) -> None:
+        """Add n strands of `row` to the running totals and the trees."""
+        self._n_strands += n
+        _fenwick_add(self._all, row, n)
+        if self._is_cat[row]:
+            self._n_cat += n
+            _fenwick_add(self._cat, row, n)
+        if self._ends_aaa[row]:
+            self._n_aaa += n
+            _fenwick_add(self._aaa, row, n)
+        self._bound = [b + n * k for b, k in zip(self._bound, self._letters[row])]
 
     def _add(self, seq: str, n: int = 1) -> None:
         row = self._row.get(seq)
         if row is None:
             row = len(self.seqs)
+            if row == len(self._count):
+                self._grow()
             self.seqs.append(seq)
-            self.counts = np.append(self.counts, 0)
-            self.letters = np.vstack([self.letters, _letter_counts(seq)])
-            self.ends_aaa = np.append(self.ends_aaa, seq.endswith("AAA"))
-            self.is_catalyst = np.append(self.is_catalyst, self.catalyst_rule(seq))
             self._row[seq] = row
-        self.counts[row] += n
+            self._letters[row] = tuple(seq.count(c) for c in SOUP_LETTERS)
+            self._is_cat[row] = self.catalyst_rule(seq)
+            self._ends_aaa[row] = seq.endswith("AAA")
+        self._count[row] += n
+        self._shift(row, n)
 
     def _remove(self, seq: str, n: int = 1) -> None:
         row = self._row[seq]
-        if self.counts[row] < n:
-            raise ValueError(f"cannot remove {n} of {seq!r}, only {self.counts[row]} present")
-        self.counts[row] -= n
-        if self.counts[row] == 0:
+        if self._count[row] < n:
+            raise ValueError(f"cannot remove {n} of {seq!r}, only {self._count[row]} present")
+        self._count[row] -= n
+        self._shift(row, -n)
+        if self._count[row] == 0:
             last = len(self.seqs) - 1
             if row != last:
-                moved = self.seqs[last]
-                self.seqs[row] = moved
-                self.counts[row] = self.counts[last]
-                self.letters[row] = self.letters[last]
-                self.ends_aaa[row] = self.ends_aaa[last]
-                self.is_catalyst[row] = self.is_catalyst[last]
+                moved, m = self.seqs[last], self._count[last]
+                self._shift(last, -m)
+                columns = (self.seqs, self._count, self._letters, self._is_cat, self._ends_aaa)
+                for column in columns:
+                    column[row] = column[last]
                 self._row[moved] = row
+                self._shift(row, m)
+                self._count[last] = 0
             self.seqs.pop()
-            self.counts = self.counts[:last]
-            self.letters = self.letters[:last]
-            self.ends_aaa = self.ends_aaa[:last]
-            self.is_catalyst = self.is_catalyst[:last]
             del self._row[seq]
 
     # views
 
     @property
+    def counts(self) -> np.ndarray:
+        """Strand count per species, in row order."""
+        return np.array(self._count[: len(self.seqs)], dtype=np.int64)
+
+    @property
     def species(self) -> dict[str, int]:
-        return {s: int(self.counts[self._row[s]]) for s in self.seqs}
+        return dict(zip(self.seqs, self._count))
 
     def count_of(self, seq: str) -> int:
         row = self._row.get(seq)
-        return 0 if row is None else int(self.counts[row])
+        return 0 if row is None else self._count[row]
 
     def free_of(self, letter: str) -> int:
-        return int(self.free[_LETTER_INDEX[letter]])
+        return self._free[_LETTER_INDEX[letter]]
+
+    def _recounted_bound(self) -> list[int]:
+        return [
+            sum(n * seq.count(c) for seq, n in zip(self.seqs, self._count))
+            for c in SOUP_LETTERS
+        ]
 
     def mass_by_letter(self) -> np.ndarray:
-        """free + bound occurrences, per letter; the conserved quantity."""
-        return self.free + self.counts @ self.letters
+        """free + bound occurrences, per letter, recounted from the species
+        table; the conserved quantity."""
+        return self.free + np.array(self._recounted_bound(), dtype=np.int64)
 
     def total_strands(self) -> int:
-        return int(self.counts.sum())
+        return self._n_strands
 
     def n_catalysts(self) -> int:
-        return int(self.counts[self.is_catalyst].sum())
+        return self._n_cat
 
     def n_aaa_enders(self) -> int:
-        return int(self.counts[self.ends_aaa].sum())
+        return self._n_aaa
 
     def audit(self) -> None:
-        if not np.array_equal(self.mass_by_letter(), self.conserved):
-            raise ConservationError(
-                f"mass drifted: {self.mass_by_letter()} != {self.conserved}"
-            )
+        """Per-event check, O(1): free + running bound mass == conserved."""
+        mass = [f + b for f, b in zip(self._free, self._bound)]
+        if mass != self.conserved.tolist():
+            raise ConservationError(f"mass drifted: {mass} != {self.conserved.tolist()}")
+
+    def recount(self) -> None:
+        """Full check, O(S): recount the mass, every running total, every
+        row column and every tree from the species names and counts."""
+        n = len(self.seqs)
+        count = self._count[:n]
+        is_cat = [self.catalyst_rule(s) for s in self.seqs]
+        ends_aaa = [s.endswith("AAA") for s in self.seqs]
+        cat = [k if flag else 0 for k, flag in zip(count, is_cat)]
+        aaa = [k if flag else 0 for k, flag in zip(count, ends_aaa)]
+        pad = [0] * (len(self._count) - n)
+        bound = self._recounted_bound()
+        expected = (
+            [tuple(s.count(c) for c in SOUP_LETTERS) for s in self.seqs],
+            is_cat,
+            ends_aaa,
+            {s: i for i, s in enumerate(self.seqs)},
+            bound,
+            (sum(count), sum(cat), sum(aaa)),
+            (_fenwick(count + pad), _fenwick(cat + pad), _fenwick(aaa + pad)),
+        )
+        held = (
+            self._letters[:n],
+            self._is_cat[:n],
+            self._ends_aaa[:n],
+            self._row,
+            self._bound,
+            (self._n_strands, self._n_cat, self._n_aaa),
+            (self._all, self._cat, self._aaa),
+        )
+        if held != expected or 0 in count or any(self._count[n:]):
+            raise ConservationError("running totals disagree with the species table")
+        mass = [f + b for f, b in zip(self._free, bound)]
+        if mass != self.conserved.tolist():
+            raise ConservationError(f"mass drifted: {mass} != {self.conserved.tolist()}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -236,7 +381,7 @@ class ReactorState:
     # propensity channel totals
 
     def _extend_total(self) -> float:
-        f = int(self.free.sum())
+        f = sum(self._free)
         return self.k_on * f * (f + self.total_strands() - 1) if f else 0.0
 
     def _detach_total(self) -> float:
@@ -250,23 +395,18 @@ def enumerate_reactions(state: ReactorState) -> list[Reaction]:
     """Every possible reaction with its propensity, in a stable order."""
     out: list[Reaction] = []
     k_on, k_off, k_cat = state.k_on, state.k_off, state.k_cat
+    free = state.free.tolist()
     if k_on > 0:
         for i, seed in enumerate(SOUP_LETTERS):
             for j, letter in enumerate(SOUP_LETTERS):
-                pairs = (
-                    int(state.free[i]) * (int(state.free[i]) - 1)
-                    if i == j
-                    else int(state.free[i]) * int(state.free[j])
-                )
+                pairs = free[i] * (free[i] - 1) if i == j else free[i] * free[j]
                 if pairs > 0:
                     out.append(Reaction("extend", seed, k_on * pairs, letter=letter))
         for seq in state.seqs:
             n = state.count_of(seq)
             for j, letter in enumerate(SOUP_LETTERS):
-                if n > 0 and state.free[j] > 0:
-                    out.append(
-                        Reaction("extend", seq, k_on * n * int(state.free[j]), letter=letter)
-                    )
+                if n > 0 and free[j] > 0:
+                    out.append(Reaction("extend", seq, k_on * n * free[j], letter=letter))
     if k_off > 0:
         for seq in state.seqs:
             n = state.count_of(seq)
@@ -275,11 +415,11 @@ def enumerate_reactions(state: ReactorState) -> list[Reaction]:
     if k_cat > 0:
         for cat in state.seqs:
             nc = state.count_of(cat)
-            if not (state.is_catalyst[state._row[cat]] and nc > 0):
+            if not (state._is_cat[state._row[cat]] and nc > 0):
                 continue
             for target in state.seqs:
                 nt = state.count_of(target)
-                if state.ends_aaa[state._row[target]] and nt > 0:
+                if state._ends_aaa[state._row[target]] and nt > 0:
                     out.append(
                         Reaction("catalyze", cat, k_cat * nc * nt, target=target)
                     )
@@ -287,24 +427,23 @@ def enumerate_reactions(state: ReactorState) -> list[Reaction]:
 
 
 def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
-    j = _LETTER_INDEX[letter]
+    free = state._free
     if len(seed) == 1:
-        state.free[_LETTER_INDEX[seed]] -= 1
-        state.free[j] -= 1
-        state._add(seed + letter)
+        free[_LETTER_INDEX[seed]] -= 1
     else:
         state._remove(seed)
-        state.free[j] -= 1
-        state._add(seed + letter)
-    if state.free.min() < 0:
+    free[_LETTER_INDEX[letter]] -= 1
+    state._add(seed + letter)
+    if min(free) < 0:
         raise ConservationError("free pool went negative")
 
 
 def _apply_detach(state: ReactorState, seq: str) -> None:
     state._remove(seq)
-    state.free[_LETTER_INDEX[seq[-1]]] += 1
+    free = state._free
+    free[_LETTER_INDEX[seq[-1]]] += 1
     if len(seq) == 2:
-        state.free[_LETTER_INDEX[seq[0]]] += 1
+        free[_LETTER_INDEX[seq[0]]] += 1
     else:
         state._add(seq[:-1])
 
@@ -317,25 +456,34 @@ def _apply_catalyze(state: ReactorState, catalyst: str, target: str) -> None:
         raise AssertionError("catalyze target does not end in AAA")
     state._remove(target)
     state._add(target[:-1])
-    state.free[_LETTER_INDEX["A"]] += 1
+    state._free[_LETTER_INDEX["A"]] += 1
 
 
-def _weighted_pick(weights: np.ndarray, u: float) -> int:
-    """Index i with probability weights[i]/sum, u uniform in [0,1)."""
-    cum = np.cumsum(weights, dtype=np.float64)
-    return int(np.searchsorted(cum, u * cum[-1], side="right"))
+def _pick_letter(free: list[int], threshold: float) -> int:
+    """Smallest letter index whose cumulative free count exceeds threshold,
+    or 4 if none does."""
+    acc = 0
+    for i, n in enumerate(free):
+        acc += n
+        if acc > threshold:
+            return i
+    return 4
 
 
 def _sample_extend(state: ReactorState, gen: np.random.Generator) -> tuple[str, str]:
-    free = state.free.astype(np.float64)
-    seed_weights = np.concatenate([free, state.counts.astype(np.float64)])
+    # seeds: the four free pools, then every strand row after them
+    free = state._free.tolist()
+    n_free = sum(free)
     while True:
-        si = _weighted_pick(seed_weights, gen.random())
-        li = _weighted_pick(free, gen.random())
+        threshold = gen.random() * float(n_free + state.total_strands())
+        si = _pick_letter(free, threshold)
+        if si == 4:
+            si += _fenwick_pick(state._all, n_free, threshold)
+        li = _pick_letter(free, gen.random() * float(n_free))
         if si < 4:
             if si == li:
                 # same-pool pair: thin free*free down to free*(free-1)
-                if gen.random() >= (state.free[si] - 1) / state.free[si]:
+                if gen.random() >= (free[si] - 1) / free[si]:
                     continue
             return SOUP_LETTERS[si], SOUP_LETTERS[li]
         return state.seqs[si - 4], SOUP_LETTERS[li]
@@ -365,26 +513,33 @@ def run_until(
     on_sample(t, state) fires once per sample time, with the state as of
     that time (the state is piecewise constant between events).  Stops
     early if the reactor goes quiescent, still flushing sample times.
+    Every event is audited in O(1); the full `recount` runs at each
+    sample time and before returning.
     """
     pending = sorted(sample_times)
     pos = 0
+
+    def sample(t: float) -> None:
+        state.recount()
+        if on_sample is not None:
+            on_sample(t, state)
+
     while state.time < horizon:
         try:
             a = _peek_next_time(state, gen)
         except Quiescent:
             break
         while pos < len(pending) and pending[pos] < min(a.next_time, horizon):
-            if on_sample is not None:
-                on_sample(pending[pos], state)
+            sample(pending[pos])
             pos += 1
         if a.next_time >= horizon:
             state.time = horizon
             break
         _apply_peeked(state, a)
     while pos < len(pending) and pending[pos] <= horizon:
-        if on_sample is not None:
-            on_sample(pending[pos], state)
+        sample(pending[pos])
         pos += 1
+    state.recount()
     return state
 
 
@@ -407,12 +562,10 @@ def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> _Peeked:
     if u < a_extend:
         return _Peeked(next_time, "extend", _sample_extend(state, gen))
     if u < a_extend + a_detach:
-        row = _weighted_pick(state.counts.astype(np.float64), gen.random())
+        row = _fenwick_pick(state._all, 0, gen.random() * float(state.total_strands()))
         return _Peeked(next_time, "detach", (state.seqs[row],))
-    cat_weights = np.where(state.is_catalyst, state.counts, 0).astype(np.float64)
-    tgt_weights = np.where(state.ends_aaa, state.counts, 0).astype(np.float64)
-    cat = state.seqs[_weighted_pick(cat_weights, gen.random())]
-    tgt = state.seqs[_weighted_pick(tgt_weights, gen.random())]
+    cat = state.seqs[_fenwick_pick(state._cat, 0, gen.random() * float(state.n_catalysts()))]
+    tgt = state.seqs[_fenwick_pick(state._aaa, 0, gen.random() * float(state.n_aaa_enders()))]
     return _Peeked(next_time, "catalyze", (cat, tgt))
 
 
@@ -475,7 +628,7 @@ def tau_leap_step(state: ReactorState, tau: float, gen: np.random.Generator) -> 
                 break
             state.n_events += 1
     state.time += tau
-    state.audit()
+    state.recount()
     return state
 
 
@@ -500,23 +653,21 @@ class SoupConfig:
         free = dict(self.initial_free)
         if set(free) - set(SOUP_LETTERS):
             bad("initial_free", f"letters must be among {SOUP_LETTERS}")
-        if any(v < 0 for v in free.values()):
-            bad("initial_free", "counts must be >= 0")
+        if not all(_is_count(v) for v in free.values()):
+            bad("initial_free", "counts must be integers >= 0")
         for seq, n in self.initial_polymers:
             if len(seq) < 2 or not set(seq) <= set(SOUP_LETTERS):
                 bad("initial_polymers", f"bad polymer {seq!r}")
-            if n < 0:
-                bad("initial_polymers", "counts must be >= 0")
-        if self.k_on < 0:
-            bad("k_on", "must be >= 0")
-        if self.k_off < 0:
-            bad("k_off", "must be >= 0")
-        if self.k_cat < 0:
-            bad("k_cat", "must be >= 0")
+            if not _is_count(n):
+                bad("initial_polymers", "counts must be integers >= 0")
+        for name in ("k_on", "k_off", "k_cat"):
+            k = getattr(self, name)
+            if not (math.isfinite(k) and k >= 0):
+                bad(name, "must be finite and >= 0")
         if not self.motif or not set(self.motif) <= set(SOUP_LETTERS):
             bad("motif", f"must be a non-empty string over {SOUP_LETTERS}")
-        if self.horizon <= 0:
-            bad("horizon", "must be > 0")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            bad("horizon", "must be finite and > 0")
         if self.n_replicates < 1:
             bad("n_replicates", "must be >= 1")
         if not 0 <= self.master_seed < 2**64:

@@ -1,0 +1,65 @@
+"""Reference event selection for the soup: float cumulative sums over NumPy arrays.
+
+This is the selection the running totals and Fenwick picks replaced:
+every channel total is a fresh sum over the species columns, and every
+pick is a float `cumsum` searched with `searchsorted(..., side="right")`.
+`peek` reads only the public view of a state (free pools, row order,
+counts, catalyst rule) and must consume the same draws from the
+generator and name the same event as the package's `_peek_next_time`.
+"""
+
+import numpy as np
+
+from prenelab.soup import SOUP_LETTERS, Quiescent
+
+
+def weighted_pick(weights: np.ndarray, u: float) -> int:
+    """Index i with probability weights[i]/sum, u uniform in [0,1)."""
+    cum = np.cumsum(weights, dtype=np.float64)
+    return int(np.searchsorted(cum, u * cum[-1], side="right"))
+
+
+def _columns(state):
+    counts = state.counts
+    is_catalyst = np.array([state.catalyst_rule(s) for s in state.seqs], dtype=bool)
+    ends_aaa = np.array([s.endswith("AAA") for s in state.seqs], dtype=bool)
+    return counts, is_catalyst, ends_aaa
+
+
+def sample_extend(state, counts, gen) -> tuple[str, str]:
+    free = state.free.astype(np.float64)
+    seed_weights = np.concatenate([free, counts.astype(np.float64)])
+    while True:
+        si = weighted_pick(seed_weights, gen.random())
+        li = weighted_pick(free, gen.random())
+        if si < 4:
+            if si == li:
+                if gen.random() >= (state.free[si] - 1) / state.free[si]:
+                    continue
+            return SOUP_LETTERS[si], SOUP_LETTERS[li]
+        return state.seqs[si - 4], SOUP_LETTERS[li]
+
+
+def peek(state, gen) -> tuple[float, str, tuple]:
+    """(next_time, kind, args) of the next event, drawing from gen."""
+    counts, is_catalyst, ends_aaa = _columns(state)
+    f = int(state.free.sum())
+    strands = int(counts.sum())
+    a_extend = state.k_on * f * (f + strands - 1) if f else 0.0
+    a_detach = state.k_off * strands
+    a_cat = state.k_cat * int(counts[is_catalyst].sum()) * int(counts[ends_aaa].sum())
+    a_total = a_extend + a_detach + a_cat
+    if a_total <= 0.0:
+        raise Quiescent("total propensity is zero")
+    next_time = state.time + gen.standard_exponential() / a_total
+    u = gen.random() * a_total
+    if u < a_extend:
+        return next_time, "extend", sample_extend(state, counts, gen)
+    if u < a_extend + a_detach:
+        row = weighted_pick(counts.astype(np.float64), gen.random())
+        return next_time, "detach", (state.seqs[row],)
+    cat_weights = np.where(is_catalyst, counts, 0).astype(np.float64)
+    tgt_weights = np.where(ends_aaa, counts, 0).astype(np.float64)
+    cat = state.seqs[weighted_pick(cat_weights, gen.random())]
+    tgt = state.seqs[weighted_pick(tgt_weights, gen.random())]
+    return next_time, "catalyze", (cat, tgt)

@@ -1,5 +1,10 @@
 """Reactor propensities, exact conservation, and the catalysis experiment."""
 
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -71,6 +76,69 @@ class TestReactorState:
         state.free[0] -= 1
         with pytest.raises(ConservationError):
             state.audit()
+
+    @pytest.mark.parametrize(
+        "rates", [(float("nan"), 0.1, 0), (0.1, float("inf"), 0), (0, 0, float("nan"))]
+    )
+    def test_non_finite_rate_constants_rejected(self, rates):
+        with pytest.raises(ValueError, match="finite"):
+            ReactorState({"A": 5}, {"AC": 2}, *rates)
+
+    @pytest.mark.parametrize(
+        "free,polymers",
+        [({"A": 2.7}, {}), ({}, {"AC": 1.5}), ({"A": 2.0}, {}), ({}, {"AC": "3"})],
+    )
+    def test_non_integer_counts_rejected(self, free, polymers):
+        with pytest.raises(ValueError, match="integers"):
+            ReactorState(free, polymers, 0.1, 0.1, 0)
+
+    def test_numpy_integer_counts_accepted(self):
+        state = ReactorState({"A": np.int64(3)}, {"AC": np.int32(2)}, 0, 0, 0)
+        assert state.free_of("A") == 3 and state.species == {"AC": 2}
+
+
+class TestRecount:
+    """The O(S) recount sees a species table corrupted behind the running
+    totals, which the O(1) per-event audit cannot."""
+
+    @staticmethod
+    def _corrupted(how):
+        state = ReactorState({"A": 30, "C": 30}, {"GAAG": 3, "GGAAA": 4}, 0.01, 0.2, 0.3)
+        row = state._row["GAAG"]
+        if how == "count":
+            state._count[row] += 1
+        else:
+            state._is_cat[row] = False
+        return state
+
+    @pytest.mark.parametrize("how", ["count", "flag"])
+    def test_per_event_audit_passes_recount_fails(self, how):
+        state = self._corrupted(how)
+        state.audit()
+        with pytest.raises(ConservationError):
+            state.recount()
+
+    @pytest.mark.parametrize("how", ["count", "flag"])
+    def test_run_until_recounts_before_returning(self, how):
+        state = self._corrupted(how)
+        with pytest.raises(ConservationError):
+            run_until(state, 0.5, rng.stream(69, 0))
+        assert state.n_events > 0
+
+    def test_run_until_recounts_at_sample_times(self):
+        rows = []
+        with pytest.raises(ConservationError):
+            run_until(
+                self._corrupted("count"), 0.5, rng.stream(69, 1),
+                sample_times=[0.0], on_sample=lambda t, s: rows.append(t),
+            )
+        assert rows == []
+
+    def test_quiescent_run_still_recounts(self):
+        state = ReactorState({"A": 5}, {"AC": 2}, 0, 0, 0)
+        state._count[0] += 1
+        with pytest.raises(ConservationError):
+            run_until(state, 1.0, rng.stream(69, 2))
 
 
 class TestEnumerateReactions:
@@ -276,6 +344,22 @@ class TestRunUntil:
 
 
 class TestCatalysisExperiment:
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"k_on": float("nan")}, "k_on"),
+            ({"k_off": float("inf")}, "k_off"),
+            ({"k_cat": float("nan")}, "k_cat"),
+            ({"horizon": float("inf")}, "horizon"),
+            ({"horizon": float("nan")}, "horizon"),
+            ({"initial_free": (("A", 2.7),)}, "initial_free"),
+            ({"initial_polymers": (("AC", 1.5),)}, "initial_polymers"),
+        ],
+    )
+    def test_config_rejects_non_finite_and_non_integer(self, kwargs, field):
+        with pytest.raises(SoupConfigError, match=field):
+            SoupConfig(**kwargs)
+
     def test_config_validation_names_field(self):
         with pytest.raises(SoupConfigError, match="k_cat"):
             SoupConfig(k_cat=-1)
@@ -319,3 +403,59 @@ class TestCatalysisExperiment:
     def test_deterministic(self):
         cfg = SoupConfig(n_replicates=4, master_seed=6)
         assert run_catalysis_experiment(cfg) == run_catalysis_experiment(cfg)
+
+
+# Frozen soup goldens, generated before the running-total bookkeeping
+# replaced the cumulative-sum picks: any change in the number or order of
+# RNG draws, or in what an event does, changes these digests.
+
+def _cli_csv_sha256(tmp_path, args, config_text=None):
+    from prenelab.cli import main
+
+    extra = []
+    if config_text is not None:
+        (tmp_path / "soup.cfg").write_text(config_text)
+        extra = ["--config", str(tmp_path / "soup.cfg")]
+    out = tmp_path / "out.csv"
+    with redirect_stdout(io.StringIO()):
+        assert main([*args, *extra, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_frozen_time_series(tmp_path):
+    # 21 sample rows at the default scenario (horizon 10)
+    digest = _cli_csv_sha256(tmp_path, ["soup", "run", "--seed", "5", "--samples", "20"])
+    assert digest == "5f149a46784e832152f5df95398a91f23cd1f214087a42ed1f04f7224b8186d0"
+
+
+def test_frozen_experiment(tmp_path):
+    digest = _cli_csv_sha256(
+        tmp_path,
+        ["soup", "run", "--seed", "5", "--experiment"],
+        "n_replicates = 6\nhorizon = 5.0\n",
+    )
+    assert digest == "6e81bbc6f770ae1d45987c5ccd49af67233dd25a920e232f8ed7d34f19de0cfd"
+
+
+def test_frozen_scaled_reactor():
+    # 100x the default pools for 10,000 events: the species table grows
+    # to 185 rows, past several capacity doublings of the pick trees
+    cfg = SoupConfig()
+    state = ReactorState(
+        {letter: 100 * n for letter, n in cfg.initial_free},
+        {seq: 100 * n for seq, n in cfg.initial_polymers},
+        cfg.k_on, cfg.k_off, cfg.k_cat, CatalystRule(cfg.motif),
+    )
+    gen = rng.stream(77, 3)
+    run_events(state, 10_000, gen)
+    summary = {
+        "time": repr(state.time),
+        "free": [int(x) for x in state.free],
+        "species": sorted(state.species.items()),
+        "next_draw": repr(gen.random()),
+    }
+    text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    assert len(state.seqs) == 185
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "74b52164c06f7b3e910b9558bbfccdd6bbc2137140fc995bbb9ecf9536ef860d"
+    )
