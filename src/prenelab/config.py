@@ -202,35 +202,13 @@ def _fmt(value) -> str:
 
 def serialize_escape_config(config: EscapeConfig) -> str:
     """Canonical text form; master_seed is a flag, not a config key."""
-    pairs = {
-        "genome_length": config.genome_length,
-        "coat_start": config.coat_span[0],
-        "coat_stop": config.coat_span[1],
-        "base_rate": config.base_rate,
-        "hot_factor": config.hot_factor,
-        "fidelity_rate": config.fidelity_rate,
-        "offspring_per_virion": config.offspring_per_virion,
-        "capacity": config.capacity,
-        "immune_delay": config.immune_delay,
-        "kill_probability": config.kill_probability,
-        "horizon": config.horizon,
-        "n_founders": config.n_founders,
-        "n_pairs": config.n_pairs,
-    }
+    pairs = {key: getattr(config, attr) for key, (_, attr) in _ESCAPE_SCHEMA.items() if attr}
+    pairs["coat_start"], pairs["coat_stop"] = config.coat_span
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))
 
 
 def serialize_soup_config(config: SoupConfig) -> str:
-    pairs: dict[str, object] = {
-        "k_on": config.k_on,
-        "k_off": config.k_off,
-        "k_cat": config.k_cat,
-        "motif": config.motif,
-        "horizon": config.horizon,
-        "n_replicates": config.n_replicates,
-    }
-    for letter, n in config.initial_free:
-        pairs[f"free.{letter}"] = n
-    for seq, n in config.initial_polymers:
-        pairs[f"polymer.{seq}"] = n
+    pairs = {key: getattr(config, attr) for key, (_, attr) in _SOUP_SCHEMA.items()}
+    pairs.update((f"free.{letter}", n) for letter, n in config.initial_free)
+    pairs.update((f"polymer.{seq}", n) for seq, n in config.initial_polymers)
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))

@@ -34,7 +34,6 @@ __all__ = [
     "classify",
     "extinct",
     "lineage",
-    "shared_substrings",
     "longest_shared",
 ]
 
@@ -327,29 +326,6 @@ def _normalized_contents(
 
 def _substrings_of_length(content: bytes, k: int) -> set[bytes]:
     return {content[i : i + k] for i in range(len(content) - k + 1)}
-
-
-def shared_substrings(
-    objects: Sequence[StoredObject] | Sequence[bytes], min_length: int = 1
-) -> set[bytes]:
-    """All substrings of length >= min_length common to every content."""
-    if not objects:
-        raise ValueError("need at least one object")
-    if min_length < 1:
-        raise ValueError("min_length must be >= 1")
-    contents = _normalized_contents(objects)
-    shortest = min(contents, key=len)
-    out: set[bytes] = set()
-    for k in range(min_length, len(shortest) + 1):
-        candidates = _substrings_of_length(shortest, k)
-        for other in contents:
-            if other is shortest:
-                continue
-            candidates &= _substrings_of_length(other, k)
-            if not candidates:
-                break
-        out |= candidates
-    return out
 
 
 def longest_shared(objects: Sequence[StoredObject] | Sequence[bytes]) -> bytes:

@@ -14,7 +14,6 @@ import numpy as np
 
 # Stamped into every run report so a run can be reproduced bit-exactly.
 RNG_ALGORITHM = "philox4x64-10"
-RNG_PROVIDER = f"numpy-{np.__version__}"
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

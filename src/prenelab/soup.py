@@ -29,10 +29,6 @@ An event costs O(log S) in plain Python ints, S the number of species:
   `recount()` is O(S): it recounts the mass, every running total and
   every tree from the species table; `run_until` calls it at each
   sample time and before it returns.
-
-A fixed step tau-leap variant exists for speed; it approximates event
-counts but applies the same exact per-event bookkeeping and ends each
-leap with a `recount()`, so it too conserves mass exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from . import rng as rng_mod
 __all__ = [
     "SOUP_LETTERS",
     "CatalystRule",
-    "Reaction",
     "ReactorState",
     "Quiescent",
     "ConservationError",
@@ -57,11 +52,9 @@ __all__ = [
     "SoupConfig",
     "ReplicateOutcome",
     "CatalysisReport",
-    "enumerate_reactions",
     "step",
     "run_events",
     "run_until",
-    "tau_leap_step",
     "run_catalysis_experiment",
 ]
 
@@ -97,23 +90,6 @@ class CatalystRule:
 
     def __call__(self, seq: str) -> bool:
         return self.motif in seq and not seq.endswith("AAA")
-
-
-@dataclass(frozen=True)
-class Reaction:
-    """One reaction channel with its current propensity.
-
-    kind "extend": species (a strand, or a single letter acting as seed)
-    gains `letter` at its end.  kind "detach": the terminal letter of
-    `species` returns to solution.  kind "catalyze": `species` (the
-    catalyst) chops the terminal A off `target`.
-    """
-
-    kind: str
-    species: str
-    propensity: float
-    letter: Optional[str] = None
-    target: Optional[str] = None
 
 
 def _is_count(n) -> bool:
@@ -300,10 +276,6 @@ class ReactorState:
     def species(self) -> dict[str, int]:
         return dict(zip(self.seqs, self._count))
 
-    def count_of(self, seq: str) -> int:
-        row = self._row.get(seq)
-        return 0 if row is None else self._count[row]
-
     def free_of(self, letter: str) -> int:
         return self._free[_LETTER_INDEX[letter]]
 
@@ -389,41 +361,6 @@ class ReactorState:
 
     def _catalyze_total(self) -> float:
         return self.k_cat * self.n_catalysts() * self.n_aaa_enders()
-
-
-def enumerate_reactions(state: ReactorState) -> list[Reaction]:
-    """Every possible reaction with its propensity, in a stable order."""
-    out: list[Reaction] = []
-    k_on, k_off, k_cat = state.k_on, state.k_off, state.k_cat
-    free = state.free.tolist()
-    if k_on > 0:
-        for i, seed in enumerate(SOUP_LETTERS):
-            for j, letter in enumerate(SOUP_LETTERS):
-                pairs = free[i] * (free[i] - 1) if i == j else free[i] * free[j]
-                if pairs > 0:
-                    out.append(Reaction("extend", seed, k_on * pairs, letter=letter))
-        for seq in state.seqs:
-            n = state.count_of(seq)
-            for j, letter in enumerate(SOUP_LETTERS):
-                if n > 0 and free[j] > 0:
-                    out.append(Reaction("extend", seq, k_on * n * free[j], letter=letter))
-    if k_off > 0:
-        for seq in state.seqs:
-            n = state.count_of(seq)
-            if n > 0:
-                out.append(Reaction("detach", seq, k_off * n))
-    if k_cat > 0:
-        for cat in state.seqs:
-            nc = state.count_of(cat)
-            if not (state._is_cat[state._row[cat]] and nc > 0):
-                continue
-            for target in state.seqs:
-                nt = state.count_of(target)
-                if state._ends_aaa[state._row[target]] and nt > 0:
-                    out.append(
-                        Reaction("catalyze", cat, k_cat * nc * nt, target=target)
-                    )
-    return out
 
 
 def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
@@ -514,8 +451,11 @@ def run_until(
     that time (the state is piecewise constant between events).  Stops
     early if the reactor goes quiescent, still flushing sample times.
     Every event is audited in O(1); the full `recount` runs at each
-    sample time and before returning.
+    sample time and before returning.  Raises ValueError unless the
+    horizon is finite and not before the reactor's current time.
     """
+    if not (math.isfinite(horizon) and horizon >= state.time):
+        raise ValueError(f"horizon must be finite and >= time {state.time!r}, got {horizon!r}")
     pending = sorted(sample_times)
     pos = 0
 
@@ -579,57 +519,6 @@ def _apply_peeked(state: ReactorState, peeked: _Peeked) -> None:
         _apply_catalyze(state, *peeked.args)
     state.n_events += 1
     state.audit()
-
-
-def tau_leap_step(state: ReactorState, tau: float, gen: np.random.Generator) -> ReactorState:
-    """Fixed-step approximate leap: Poisson event counts per channel.
-
-    Event counts are approximate (that is the speed trade); every applied
-    event uses the same exact bookkeeping as step(), and events that the
-    depleted state can no longer support are dropped, so mass conservation
-    holds exactly.  Raises Quiescent when nothing can fire.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    reactions = enumerate_reactions(state)
-    if not reactions:
-        raise Quiescent("total propensity is zero")
-    counts = gen.poisson([r.propensity * tau for r in reactions])
-    for reaction, n in zip(reactions, counts):
-        for _ in range(int(n)):
-            try:
-                if reaction.kind == "extend":
-                    if len(reaction.species) == 1:
-                        i = _LETTER_INDEX[reaction.species]
-                        j = _LETTER_INDEX[reaction.letter]
-                        have = (
-                            state.free[i] >= 2 if i == j
-                            else state.free[i] >= 1 and state.free[j] >= 1
-                        )
-                        if not have:
-                            break
-                    elif state.count_of(reaction.species) == 0 or state.free[
-                        _LETTER_INDEX[reaction.letter]
-                    ] == 0:
-                        break
-                    _apply_extend(state, reaction.species, reaction.letter)
-                elif reaction.kind == "detach":
-                    if state.count_of(reaction.species) == 0:
-                        break
-                    _apply_detach(state, reaction.species)
-                else:
-                    if (
-                        state.count_of(reaction.species) == 0
-                        or state.count_of(reaction.target) == 0
-                    ):
-                        break
-                    _apply_catalyze(state, reaction.species, reaction.target)
-            except ValueError:
-                break
-            state.n_events += 1
-    state.time += tau
-    state.recount()
-    return state
 
 
 @dataclass(frozen=True)

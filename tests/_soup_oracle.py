@@ -6,7 +6,14 @@ pick is a float `cumsum` searched with `searchsorted(..., side="right")`.
 `peek` reads only the public view of a state (free pools, row order,
 counts, catalyst rule) and must consume the same draws from the
 generator and name the same event as the package's `_peek_next_time`.
+
+`enumerate_reactions` lists every reaction channel pair by pair, from the
+same public view; its per-kind sums are the oracle for the three running
+channel totals.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,3 +70,48 @@ def peek(state, gen) -> tuple[float, str, tuple]:
     cat = state.seqs[weighted_pick(cat_weights, gen.random())]
     tgt = state.seqs[weighted_pick(tgt_weights, gen.random())]
     return next_time, "catalyze", (cat, tgt)
+
+
+@dataclass(frozen=True)
+class Reaction:
+    """One reaction channel with its propensity.
+
+    kind "extend": species (a strand, or a single letter acting as seed)
+    gains `letter` at its end.  kind "detach": the terminal letter of
+    `species` returns to solution.  kind "catalyze": `species` (the
+    catalyst) chops the terminal A off `target`.
+    """
+
+    kind: str
+    species: str
+    propensity: float
+    letter: Optional[str] = None
+    target: Optional[str] = None
+
+
+def enumerate_reactions(state) -> list[Reaction]:
+    """Every possible reaction with its propensity, in a stable order."""
+    out: list[Reaction] = []
+    k_on, k_off, k_cat = state.k_on, state.k_off, state.k_cat
+    free = state.free.tolist()
+    species = state.species
+    if k_on > 0:
+        for i, seed in enumerate(SOUP_LETTERS):
+            for j, letter in enumerate(SOUP_LETTERS):
+                pairs = free[i] * (free[i] - 1) if i == j else free[i] * free[j]
+                if pairs > 0:
+                    out.append(Reaction("extend", seed, k_on * pairs, letter=letter))
+        for seq, n in species.items():
+            for j, letter in enumerate(SOUP_LETTERS):
+                if free[j] > 0:
+                    out.append(Reaction("extend", seq, k_on * n * free[j], letter=letter))
+    if k_off > 0:
+        out += [Reaction("detach", seq, k_off * n) for seq, n in species.items()]
+    if k_cat > 0:
+        for cat, nc in species.items():
+            if not state.catalyst_rule(cat):
+                continue
+            for target, nt in species.items():
+                if target.endswith("AAA"):
+                    out.append(Reaction("catalyze", cat, k_cat * nc * nt, target=target))
+    return out

@@ -126,6 +126,16 @@ class TestEscapeConfig:
         assert keys == sorted(keys)
         assert all(" = " in line for line in text.splitlines())
 
+    def test_frozen_serialized_text(self):
+        # exact text of the hand-listed serializer, frozen before the
+        # serializers were built from the schemas
+        assert serialize_escape_config(EscapeConfig()) == (
+            "base_rate = 0.0005\ncapacity = 150\ncoat_start = 0\ncoat_stop = 60\n"
+            "fidelity_rate = 1e-09\ngenome_length = 300\nhorizon = 40\n"
+            "hot_factor = 10.0\nimmune_delay = 3\nkill_probability = 0.75\n"
+            "n_founders = 10\nn_pairs = 100\noffspring_per_virion = 2\n"
+        )
+
 
 class TestSoupConfigText:
     def test_empty_text_gives_defaults(self):
@@ -160,6 +170,21 @@ class TestSoupConfigText:
         once = soup_config_from_text(text, master_seed=2)
         twice = soup_config_from_text(serialize_soup_config(once), master_seed=2)
         assert once == twice
+
+    def test_frozen_serialized_text(self):
+        # exact text of the hand-listed serializer, frozen before the
+        # serializers were built from the schemas
+        cfg = SoupConfig(
+            initial_free=(("A", 7), ("C", 0), ("G", 11), ("U", 40)),
+            initial_polymers=(("CC", 1), ("GAAG", 4), ("GGAAA", 2)),
+            k_on=0.1, k_off=3.0000000000000004, k_cat=0.25,
+            motif="GA", horizon=12.5, n_replicates=3, master_seed=9,
+        )
+        assert serialize_soup_config(cfg) == (
+            "free.A = 7\nfree.C = 0\nfree.G = 11\nfree.U = 40\nhorizon = 12.5\n"
+            "k_cat = 0.25\nk_off = 3.0000000000000004\nk_on = 0.1\nmotif = GA\n"
+            "n_replicates = 3\npolymer.CC = 1\npolymer.GAAG = 4\npolymer.GGAAA = 2\n"
+        )
 
     def test_float_values_survive_round_trip_exactly(self):
         once = soup_config_from_text("k_on = 0.1\nk_off = 3.0000000000000004\n")

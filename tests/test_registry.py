@@ -26,7 +26,6 @@ from prenelab.registry import (
     lineage,
     longest_shared,
     normalize,
-    shared_substrings,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "registry_golden.jsonl"
@@ -294,8 +293,6 @@ class TestSharedSubstrings:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             longest_shared([])
-        with pytest.raises(ValueError):
-            shared_substrings([])
 
     def test_uses_normalized_object_contents(self):
         w = World()
@@ -303,12 +300,6 @@ class TestSharedSubstrings:
         w.create(2, "computer", b"bring")
         objs = list(w.objects.values())
         assert longest_shared(objs) == b"ring"
-
-    def test_shared_set_with_min_length(self):
-        got = shared_substrings([b"GATTACA", b"TTAC", b"ATTACG"], min_length=2)
-        assert got == {b"TT", b"TA", b"AC", b"TTA", b"TAC", b"TTAC"}
-        with pytest.raises(ValueError):
-            shared_substrings([b"A"], min_length=0)
 
     def test_matches_brute_force_on_random_cases(self):
         gen = np.random.default_rng(29)

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from _soup_oracle import enumerate_reactions
 from prenelab import rng
 from prenelab.soup import (
     CatalysisReport,
@@ -18,12 +19,10 @@ from prenelab.soup import (
     SoupConfig,
     SoupConfigError,
     _apply_catalyze,
-    enumerate_reactions,
     run_catalysis_experiment,
     run_events,
     run_until,
     step,
-    tau_leap_step,
 )
 
 
@@ -141,7 +140,23 @@ class TestRecount:
             run_until(state, 1.0, rng.stream(69, 2))
 
 
+_SMALL = (
+    {"A": 20, "C": 10, "G": 15, "U": 5},
+    {"GGAAA": 6, "GAAG": 3, "CU": 2},
+    (0.01, 0.2, 0.5),
+)
+# the benchmark's reactor: 100x the default pools at the default rates
+_DEFAULT = SoupConfig()
+_HUNDREDFOLD = (
+    {letter: 100 * n for letter, n in _DEFAULT.initial_free},
+    {seq: 100 * n for seq, n in _DEFAULT.initial_polymers},
+    (_DEFAULT.k_on, _DEFAULT.k_off, _DEFAULT.k_cat),
+)
+
+
 class TestEnumerateReactions:
+    """Channel totals against `_soup_oracle.enumerate_reactions`."""
+
     def test_empty_reactor(self):
         assert enumerate_reactions(ReactorState({}, {}, 1, 1, 1)) == []
 
@@ -173,16 +188,22 @@ class TestEnumerateReactions:
         assert len(rx) == 1
         assert rx[0].kind == "detach" and rx[0].propensity == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_channel_totals_match_enumeration(self, seed):
-        state = ReactorState(
-            {"A": 20, "C": 10, "G": 15, "U": 5},
-            {"GGAAA": 6, "GAAG": 3, "CU": 2},
-            0.01, 0.2, 0.5,
-        )
-        run_events(state, 50, rng.stream(61, seed))
-        total = state._extend_total() + state._detach_total() + state._catalyze_total()
-        assert total == pytest.approx(sum(r.propensity for r in enumerate_reactions(state)))
+    @pytest.mark.parametrize(
+        "seed,pools,events",
+        [(0, _SMALL, 50), (1, _SMALL, 50), (2, _SMALL, 50), (3, _HUNDREDFOLD, 2000)],
+        ids=["0", "1", "2", "hundredfold"],
+    )
+    def test_channel_totals_match_enumeration(self, seed, pools, events):
+        free, polymers, rates = pools
+        state = ReactorState(free, polymers, *rates)
+        run_events(state, events, rng.stream(61, seed))
+        rx = enumerate_reactions(state)
+        for kind, total in [
+            ("extend", state._extend_total()),
+            ("detach", state._detach_total()),
+            ("catalyze", state._catalyze_total()),
+        ]:
+            assert total == pytest.approx(sum(r.propensity for r in rx if r.kind == kind))
 
 
 class TestStep:
@@ -277,48 +298,6 @@ class TestWaitingTimes:
         assert abs(mean_dt - 1 / a0) / (1 / a0) < 0.05
 
 
-class TestTauLeap:
-    def test_conserves_mass(self):
-        state = ReactorState({"A": 100, "C": 100}, {"GAAG": 5}, 0.001, 0.5, 0)
-        gen = rng.stream(66, 0)
-        for _ in range(30):
-            tau_leap_step(state, 0.1, gen)
-        assert np.array_equal(state.mass_by_letter(), state.conserved)
-        assert state.free.min() >= 0
-
-    def test_advances_fixed_time(self):
-        state = ReactorState({"A": 100, "C": 100}, {}, 0.001, 0, 0)
-        tau_leap_step(state, 0.25, rng.stream(66, 1))
-        assert state.time == pytest.approx(0.25)
-
-    def test_quiescent_and_validation(self):
-        with pytest.raises(Quiescent):
-            tau_leap_step(ReactorState({}, {}, 1, 1, 1), 0.1, rng.stream(66, 2))
-        with pytest.raises(ValueError):
-            tau_leap_step(ReactorState({"A": 2}, {}, 1, 0, 0), 0.0, rng.stream(66, 3))
-
-    def test_event_rate_tracks_exact_method(self):
-        def totals(stepper, seed):
-            state = ReactorState({"A": 500, "C": 500}, {}, 1e-5, 0.2, 0)
-            stepper(state, rng.stream(67, seed))
-            return state.n_events
-
-        def exact(state, gen):
-            run_until(state, 20.0, gen)
-
-        def leap(state, gen):
-            for _ in range(200):
-                try:
-                    tau_leap_step(state, 0.1, gen)
-                except Quiescent:
-                    break
-
-        exact_counts = [totals(exact, s) for s in range(5)]
-        leap_counts = [totals(leap, s + 100) for s in range(5)]
-        em, lm = np.mean(exact_counts), np.mean(leap_counts)
-        assert abs(em - lm) / em < 0.2
-
-
 class TestRunUntil:
     def test_sample_grid_rows(self):
         state = ReactorState({"A": 60, "C": 60}, {}, 0.002, 0.1, 0)
@@ -341,6 +320,25 @@ class TestRunUntil:
             on_sample=lambda t, s: rows.append((t, s.total_strands())),
         )
         assert rows == [(50.0, 0), (99.0, 0)]
+
+    @pytest.mark.parametrize("horizon", [float("nan"), -1.0, float("inf")])
+    def test_bad_horizon_rejected(self, horizon):
+        # inf would never return: the default reactor never goes quiescent
+        state = SoupConfig().build_state()
+        with pytest.raises(ValueError, match="horizon"):
+            run_until(state, horizon, rng.stream(1, 0))
+        assert state.time == 0.0 and state.n_events == 0
+
+    def test_horizon_before_an_earlier_run_rejected(self):
+        state = SoupConfig().build_state()
+        gen = rng.stream(1, 0)
+        run_until(state, 2.0, gen)
+        events = state.n_events
+        with pytest.raises(ValueError, match="horizon"):
+            run_until(state, 1.0, gen)
+        # a repeat call at the current time is valid and runs no events
+        run_until(state, 2.0, gen)
+        assert state.time == 2.0 and state.n_events == events
 
 
 class TestCatalysisExperiment:
