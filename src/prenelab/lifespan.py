@@ -45,7 +45,6 @@ __all__ = [
     "simulate_individuals",
     "growth_rate",
     "optimality_sweep",
-    "roi_series",
 ]
 
 NEWBORN_SURVIVAL = Fraction(3)
@@ -426,19 +425,3 @@ def optimality_sweep(g_grid: Iterable) -> SweepResult:
     argmax = [sp for sp, _, r in rows if r.lambda_per_day == best]
     return SweepResult(rows, argmax)
 
-
-def roi_series(values: Sequence[int], lag: int = 1) -> list[Optional[Fraction]]:
-    """Copies-this-generation over copies-lag-generations-ago, exactly.
-
-    Entry d is values[d] / values[d - lag] for d >= lag; a zero denominator
-    yields None (absent), never a number.
-    """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if len(values) < 2:
-        raise ValueError("need at least 2 census rows")
-    out: list[Optional[Fraction]] = []
-    for d in range(lag, len(values)):
-        prev = values[d - lag]
-        out.append(Fraction(values[d], prev) if prev != 0 else None)
-    return out

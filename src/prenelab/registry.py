@@ -229,7 +229,10 @@ class World:
             kind = record["kind"]
             try:
                 if kind == "create":
-                    content = base64.b64decode(record["content_b64"] or "")
+                    try:
+                        content = base64.b64decode(record["content_b64"] or "", validate=True)
+                    except (ValueError, TypeError):  # binascii.Error is a ValueError
+                        raise LogError("content_b64 is not valid base64") from None
                     world.create(
                         record["obj"], record["substrate"], content, record.get("src")
                     )

@@ -17,8 +17,9 @@ trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +30,6 @@ __all__ = [
     "LETTERS",
     "Genome",
     "MutationProfile",
-    "Poster",
-    "Virion",
     "PopulationState",
     "Antibody",
     "EscapeConfig",
@@ -44,7 +43,6 @@ __all__ = [
     "replicate",
     "replicate_batch",
     "mutant_fraction",
-    "coat_signature",
     "immune_step",
     "cull_to_capacity",
     "run_population_day",
@@ -87,6 +85,15 @@ class ExperimentConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+
+
+def _is_int(value) -> bool:
+    """True for ints and NumPy integers; floats such as 2.0 are refused."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _codes_to_str(codes: np.ndarray) -> str:
@@ -166,7 +173,7 @@ class MutationProfile:
         p = np.asarray(site_prob, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("site probabilities must be a 1-d vector")
-        if p.size and (p.min() < 0.0 or p.max() >= 1.0):
+        if not np.all((p >= 0.0) & (p < 1.0)):  # NaN fails both comparisons
             raise ValueError("site probabilities must lie in [0, 1)")
         self.site_prob = p
         self.kind = kind
@@ -255,43 +262,12 @@ def mutant_fraction(
     return np.unique(rows).size / n
 
 
-def coat_signature(genome: Genome, region: str = "coat") -> str:
-    """The exact coat subsequence: what an immune poster matches against."""
-    return _codes_to_str(genome.region_slice(region))
-
-
-@dataclass(frozen=True)
-class Poster:
-    """Kill-on-sight notice for one exact coat subsequence."""
-
-    signature: str
-    creation_day: int
-    activation_day: int
-    kill_probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.kill_probability <= 1.0:
-            raise ValueError("kill probability must lie in [0, 1]")
-        if self.activation_day < self.creation_day:
-            raise ValueError("a poster cannot activate before it is created")
-
-    def active(self, day: int) -> bool:
-        return day >= self.activation_day
-
-
-@dataclass(frozen=True)
-class Virion:
-    genome: Genome
-    id: int
-    parent_id: Optional[int]
-
-
 class PopulationState:
     """A day-indexed virion population with its immune poster board.
 
     Virions live in parallel arrays (one codes row per virion) so the
-    mutation kernel can run on the whole population at once; the
-    `virions` property materializes object views for inspection.
+    mutation kernel can run on the whole population at once.  The board
+    `posters` maps each postered coat signature to its activation day.
     """
 
     def __init__(
@@ -305,6 +281,9 @@ class PopulationState:
         coat_region: str = "coat",
         record_events: bool = False,
     ):
+        capacity = operator.index(capacity)
+        n_founders = operator.index(n_founders)
+        immune_delay = operator.index(immune_delay)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if n_founders < 1:
@@ -314,7 +293,6 @@ class PopulationState:
         if not 0.0 <= kill_probability <= 1.0:
             raise ValueError("kill probability must lie in [0, 1]")
         founder.region_slice(coat_region)  # raises MissingRegion early
-        self.regions = founder.regions
         self.coat_span = founder.regions[coat_region]
         self.codes = np.repeat(founder.codes.reshape(1, -1), n_founders, axis=0)
         self.ids = np.arange(n_founders, dtype=np.int64)
@@ -325,7 +303,7 @@ class PopulationState:
         self.gen = gen
         self.immune_delay = immune_delay
         self.kill_probability = kill_probability
-        self.posters: dict[str, Poster] = {}
+        self.posters: dict[str, int] = {}  # coat signature -> activation day
         self.record_events = record_events
         self.events: list[dict] = []
         self.peak_population = n_founders
@@ -333,15 +311,6 @@ class PopulationState:
     @property
     def population(self) -> int:
         return self.codes.shape[0]
-
-    @property
-    def virions(self) -> list[Virion]:
-        out = []
-        for row, vid, pid in zip(self.codes, self.ids, self.parent_ids):
-            out.append(
-                Virion(Genome(row.copy(), self.regions), int(vid), None if pid < 0 else int(pid))
-            )
-        return out
 
     def _signatures(self) -> list[str]:
         start, stop = self.coat_span
@@ -385,36 +354,32 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
 def immune_step(state: PopulationState) -> PopulationState:
     """Post unseen coats, then let every active poster take its shots.
 
-    A virion is killable only by the poster whose signature equals its
-    current coat; poster creation this day precedes kills, so with zero
-    delay a poster can fire the day it appears.
+    The board maps each coat signature to its activation day; a poster is
+    active from that day on.  A virion is killable only by the poster whose
+    signature equals its current coat; poster creation this day precedes
+    kills, so with zero delay a poster can fire the day it appears.
 
     RNG use: one uniform per virion whose poster is active (kill
     probability 0 included), drawn as one batch in population order; the
-    virion dies when its uniform is below the poster's kill probability.
+    virion dies when its uniform is below the run's kill probability.
     Nothing is drawn when no poster is active.
     """
     sigs = state._signatures()
     posters = state.posters
     day = state.day
-    active: dict[str, float] = {}  # signature -> kill probability
+    active = set()
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
-        poster = posters.get(sig)
-        if poster is None:
-            poster = Poster(sig, day, day + state.immune_delay, state.kill_probability)
-            posters[sig] = poster
+        activation = posters.get(sig)
+        if activation is None:
+            activation = posters[sig] = day + state.immune_delay
             if state.record_events:
-                state._log(
-                    kind="poster", day=day, signature=sig,
-                    activation=poster.activation_day,
-                )
-        if poster.active(day):
-            active[sig] = poster.kill_probability
+                state._log(kind="poster", day=day, signature=sig, activation=activation)
+        if activation <= day:
+            active.add(sig)
     if not active:
         return state
-    kill_prob = np.array([active.get(sig, -1.0) for sig in sigs])  # -1: no active poster
-    shot = np.flatnonzero(kill_prob >= 0.0)
-    dead = shot[state.gen.random(shot.size) < kill_prob[shot]]
+    shot = np.flatnonzero([sig in active for sig in sigs])
+    dead = shot[state.gen.random(shot.size) < state.kill_probability]
     if dead.size == 0:
         return state
     if state.record_events:
@@ -478,6 +443,12 @@ class EscapeConfig:
         def bad(name, msg):
             raise ExperimentConfigError(name, msg)
 
+        for name in ("genome_length", "offspring_per_virion", "capacity", "immune_delay",
+                     "horizon", "n_founders", "n_pairs", "master_seed"):
+            if not _is_int(getattr(self, name)):
+                bad(name, "must be an integer")
+        if not all(map(_is_int, self.coat_span)):
+            bad("coat_span", "bounds must be integers")
         if self.genome_length < 1:
             bad("genome_length", "must be >= 1")
         lo, hi = self.coat_span
@@ -485,7 +456,8 @@ class EscapeConfig:
             bad("coat_span", "must be a non-empty interval inside the genome")
         if not 0.0 <= self.base_rate < 1.0:
             bad("base_rate", "must lie in [0, 1)")
-        if self.hot_factor < 0 or self.base_rate * self.hot_factor >= 1.0:
+        hot_rate = self.base_rate * self.hot_factor
+        if not (math.isfinite(self.hot_factor) and self.hot_factor >= 0 and hot_rate < 1.0):
             bad("hot_factor", "hot-region rate must stay in [0, 1)")
         if not 0.0 <= self.fidelity_rate < 1.0:
             bad("fidelity_rate", "must lie in [0, 1)")

@@ -53,7 +53,6 @@ __all__ = [
     "ReplicateOutcome",
     "CatalysisReport",
     "step",
-    "run_events",
     "run_until",
     "run_catalysis_experiment",
 ]
@@ -429,12 +428,6 @@ def _sample_extend(state: ReactorState, gen: np.random.Generator) -> tuple[str, 
 def step(state: ReactorState, gen: np.random.Generator) -> ReactorState:
     """One exact stochastic event (Gillespie direct method), in place."""
     _apply_peeked(state, _peek_next_time(state, gen))
-    return state
-
-
-def run_events(state: ReactorState, n: int, gen: np.random.Generator) -> ReactorState:
-    for _ in range(n):
-        step(state, gen)
     return state
 
 

@@ -1,15 +1,16 @@
 """Scalar reference versions of the replicator's immune step and cull.
 
 These are the straightforward per-virion loops that `immune_step` and
-`cull_to_capacity` replaced: one Python string per coat, one `Poster.active`
-check and one scalar `gen.random()` per virion with an active poster, and
-the cull's removed-id list built on every call.  The vectorised functions
-must leave a state exactly as these do, down to the generator position.
+`cull_to_capacity` replaced: one Python string per coat, one activation-day
+check and one scalar `gen.random()` per virion with an active poster,
+compared with the run's kill probability, and the cull's removed-id list
+built on every call.  The vectorised functions must leave a state exactly
+as these do, down to the generator position.
 """
 
 import numpy as np
 
-from prenelab.replicator import LETTERS, Poster
+from prenelab.replicator import LETTERS
 
 
 def signatures(state) -> list[str]:
@@ -21,23 +22,17 @@ def immune_step(state):
     sigs = signatures(state)
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
         if sig not in state.posters:
-            poster = Poster(
-                sig,
-                state.day,
-                state.day + state.immune_delay,
-                state.kill_probability,
-            )
-            state.posters[sig] = poster
+            state.posters[sig] = state.day + state.immune_delay
             state._log(
                 kind="poster", day=state.day, signature=sig,
-                activation=poster.activation_day,
+                activation=state.posters[sig],
             )
     if state.population == 0:
         return state
     keep = np.ones(state.population, dtype=bool)
     for i, sig in enumerate(sigs):
-        poster = state.posters[sig]
-        if poster.active(state.day) and state.gen.random() < poster.kill_probability:
+        active = state.posters[sig] <= state.day
+        if active and state.gen.random() < state.kill_probability:
             keep[i] = False
             state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
     state.codes = state.codes[keep]

@@ -306,6 +306,24 @@ class TestRegistryCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("content_b64", ["QUJ", "QU JD!!", "QUJD\u00e9", 5])
+    @pytest.mark.parametrize("command", ["ingest", "query"])
+    def test_bad_base64_content_is_a_log_error(self, tmp_path, command, content_b64):
+        # valid content on line 1, so the message must name line 2
+        bad = tmp_path / "bad.jsonl"
+        lines = [
+            {"i": 0, "kind": "create", "obj": 1, "substrate": "brain", "content_b64": "QUJD"},
+            {"i": 1, "kind": "create", "obj": 2, "substrate": "brain", "content_b64": content_b64},
+        ]
+        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        extra = {
+            "ingest": ["--out", str(tmp_path / "o.jsonl")],
+            "query": ["--what", "copy-number", "--content", "ABC"],
+        }[command]
+        proc = run_proc(["registry", command, "--log", str(bad), *extra])
+        assert proc.returncode == 1
+        assert proc.stderr == "prene-lab: log error: line 2: content_b64 is not valid base64\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -1,11 +1,33 @@
-"""Every name in a module's `__all__` exists, so no export outlives its code."""
+"""Every name in a module's `__all__` exists and is used by the program.
 
+A public name that only tests reach is dead weight: either the program
+uses it, or it is a feature the paper names and is kept for callers.
+"""
+
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import prenelab
 
 MODULES = [m.name for m in pkgutil.iter_modules(prenelab.__path__) if not m.name.startswith("_")]
+ROOT = Path(prenelab.__file__).resolve().parents[2]
+
+# Public names the paper describes as features, kept although only tests
+# and library callers use them.
+PAPER_FEATURES = {
+    "simulate_individuals",  # lifespan: the individual-level census oracle
+    "vdj_generate",  # replicator: antibody generation from a constant region
+    "happiness",  # replicator: per-region exact-copy counts
+    "mutant_fraction",  # replicator: share of offspring with a substitution
+    "step",  # soup: the event-by-event API
+}
+
+
+def _exports(module) -> list[str]:
+    return list(getattr(module, "__all__", ()))
 
 
 def test_every_exported_name_exists():
@@ -13,5 +35,44 @@ def test_every_exported_name_exists():
     missing = []
     for name in MODULES:
         module = importlib.import_module(f"prenelab.{name}")
-        missing += [f"{name}.{x}" for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
+        missing += [f"{name}.{x}" for x in _exports(module) if not hasattr(module, x)]
     assert missing == []
+
+
+def _references(path: Path):
+    """Names, attributes and string constants in a file, outside `__all__`.
+
+    A `def` or `class` statement names its target without referencing it,
+    and the `__all__` list is skipped, so neither counts as a use.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skip = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for sub in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_exported_name_is_used_outside_tests():
+    files = sorted((ROOT / "src" / "prenelab").glob("*.py"))
+    files += [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    assert len(files) > len(MODULES)
+    used = Counter(ref for path in files for ref in _references(path))
+    unused = [
+        f"{name}.{x}"
+        for name in MODULES
+        for x in _exports(importlib.import_module(f"prenelab.{name}"))
+        if not used[x] and x not in PAPER_FEATURES
+    ]
+    assert unused == []

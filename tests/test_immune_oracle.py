@@ -16,7 +16,6 @@ from prenelab import rng
 from prenelab.replicator import (
     Genome,
     PopulationState,
-    Poster,
     cull_to_capacity,
     immune_step,
 )
@@ -59,7 +58,7 @@ def _assert_same(new, ref):
     assert np.array_equal(new.ids, ref.ids)
     assert np.array_equal(new.parent_ids, ref.parent_ids)
     assert list(new.posters) == list(ref.posters)  # keys in creation order
-    assert new.posters == ref.posters  # creation and activation days, kill probability
+    assert new.posters == ref.posters  # activation days
     assert new.events == ref.events
     assert _position(new.gen) == _position(ref.gen)
 
@@ -83,23 +82,22 @@ def test_seeded_days_match_oracle(seed, immune_delay, kill_probability):
     assert new.gen.random() == ref.gen.random()
 
 
-def test_prefilled_board_with_mixed_activation_days():
-    new, ref = _twins(40, immune_delay=2, kill_probability=0.5)
+@pytest.mark.parametrize("kill_probability", [1.0, 0.35, 0.0])
+def test_prefilled_board_with_mixed_activation_days(kill_probability):
+    new, ref = _twins(40, immune_delay=2, kill_probability=kill_probability)
     _populate((new, ref), rng.stream(40, 1), 80, letters=3)
     day = 3
     # half of the coats present get an older poster, active before, on or
-    # after today, with kill probability 1, in between or 0
+    # after today
     present = list(dict.fromkeys(oracle.signatures(ref)))
     for k, sig in enumerate(present[::2]):
-        activation = day + (-1, 0, 1)[k % 3]
-        poster = Poster(sig, day - 1, activation, (1.0, 0.35, 0.0)[k // 3 % 3])
-        new.posters[sig] = ref.posters[sig] = poster
+        new.posters[sig] = ref.posters[sig] = day + (-1, 0, 1)[k % 3]
     new.day = ref.day = day
     immune_step(new)
     oracle.immune_step(ref)
     _assert_same(new, ref)
     kinds = {e["kind"] for e in new.events}
-    assert kinds == {"poster", "kill"}
+    assert kinds == ({"poster", "kill"} if kill_probability else {"poster"})
     assert new.gen.random() == ref.gen.random()
 
 

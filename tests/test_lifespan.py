@@ -22,7 +22,6 @@ from prenelab.lifespan import (
     growth_rate,
     life_table,
     optimality_sweep,
-    roi_series,
     simulate_census,
     simulate_individuals,
 )
@@ -269,23 +268,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             optimality_sweep([])
 
-
-class TestRoiSeries:
-    def test_doubling_series(self):
-        assert roi_series([1, 2, 4, 8]) == [2, 2, 2]
-
-    def test_zero_denominator_gives_none(self):
-        assert roi_series([0, 5, 10]) == [None, 2]
-
-    def test_lag_three_on_immortal_series(self):
-        series = simulate_census([G1], 12).series(0)
-        assert all(x == Fraction(2) for x in roi_series(series, lag=3))
-
-    def test_exact_fractions(self):
-        assert roi_series([3, 2]) == [Fraction(2, 3)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            roi_series([1, 2], lag=0)
-        with pytest.raises(ValueError):
-            roi_series([1])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from prenelab import rng
 from prenelab.replicator import (
+    LETTERS,
     Antibody,
     EscapeConfig,
     ExperimentConfigError,
@@ -17,11 +18,9 @@ from prenelab.replicator import (
     MissingRegion,
     MutationProfile,
     PopulationState,
-    Poster,
     ProfileLengthMismatch,
     RegionMapMismatch,
     SpaceExhausted,
-    coat_signature,
     happiness,
     immune_step,
     mutant_fraction,
@@ -76,6 +75,10 @@ class TestMutationProfile:
             MutationProfile.uniform(1.0, 3)
         with pytest.raises(ValueError):
             MutationProfile.uniform(-0.1, 3)
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            MutationProfile(np.array([0.1, float("nan")]))
 
     def test_region_multiplier(self):
         p = MutationProfile.region_multiplier(
@@ -150,35 +153,31 @@ class TestReplicate:
 
 
 class TestCoatSignature:
+    """The board is keyed by the exact coat subsequence of each virion."""
+
+    @staticmethod
+    def _board(*seqs):
+        state = PopulationState(
+            Genome.from_string(seqs[0], {"coat": (0, 4)}), len(seqs), 10,
+            rng.stream(30, 0), immune_delay=1,
+        )
+        for row, seq in enumerate(seqs):
+            state.codes[row] = Genome.from_string(seq).codes
+        immune_step(state)
+        return list(state.posters)
+
     def test_direct_slice(self):
-        g = Genome.from_string("ACGUUGCA", {"coat": (0, 4)})
-        assert coat_signature(g) == "ACGU"
+        assert self._board("ACGUUGCA") == ["ACGU"]
 
     def test_requires_coat_region(self):
         with pytest.raises(MissingRegion):
-            coat_signature(Genome.from_string("ACGU"))
+            PopulationState(Genome.from_string("ACGU"), 1, 10, rng.stream(30, 0))
 
     def test_coat_mutation_changes_signature(self):
-        g = Genome.from_string("AAAA" + "CCCC", {"coat": (0, 4)})
-        mutated = Genome.from_string("AAGA" + "CCCC", {"coat": (0, 4)})
-        assert coat_signature(g) != coat_signature(mutated)
+        assert self._board("AAAACCCC", "AAGACCCC") == ["AAAA", "AAGA"]
 
     def test_mutation_outside_coat_keeps_signature(self):
-        g = Genome.from_string("AAAA" + "CCCC", {"coat": (0, 4)})
-        mutated = Genome.from_string("AAAA" + "CGCC", {"coat": (0, 4)})
-        assert coat_signature(g) == coat_signature(mutated)
-
-
-class TestPoster:
-    def test_kill_probability_range(self):
-        with pytest.raises(ValueError):
-            Poster("AC", 0, 1, 1.5)
-
-    def test_activation_after_creation(self):
-        with pytest.raises(ValueError):
-            Poster("AC", 3, 2, 0.5)
-        p = Poster("AC", 3, 5, 0.5)
-        assert not p.active(4) and p.active(5)
+        assert self._board("AAAACCCC", "AAAACGCC") == ["AAAA"]
 
 
 def _founder_state(**kw):
@@ -196,6 +195,19 @@ class TestImmuneStep:
     def test_kill_probability_checked_at_construction(self, kill_probability):
         with pytest.raises(ValueError, match="kill probability"):
             _founder_state(kill_probability=kill_probability)
+
+    @pytest.mark.parametrize(
+        "field, value", [("immune_delay", 1.5), ("capacity", 20.5), ("n_founders", 2.0)]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            _founder_state(**{field: value})
+
+    def test_board_maps_coat_to_activation_day(self):
+        state = _founder_state(immune_delay=np.int64(2), kill_probability=0.0)
+        immune_step(state)  # day 0
+        assert state.posters == {"ACGU": 2}
+        assert type(state.posters["ACGU"]) is int
 
     def test_empty_population_no_change(self):
         state = _founder_state()
@@ -249,14 +261,11 @@ class TestImmuneStep:
         )
         for _ in range(6):
             run_population_day(state, profile, 3)
-        founder_sig = "A" * 10
-        survivors = state.virions
-        day = state.day
-        for v in survivors:
-            sig = coat_signature(v.genome)
-            poster = state.posters[sig]
-            assert not (poster.active(day))
-        assert all(coat_signature(v.genome) != founder_sig for v in survivors)
+        assert state.population > 0
+        for row in state.codes:
+            sig = "".join(LETTERS[c] for c in row[:10])
+            assert sig != "A" * 10
+            assert state.posters[sig] > state.day  # not yet active
 
     def test_kill_events_match_poster_signatures(self):
         state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7)
@@ -318,6 +327,23 @@ class TestEscapeExperiment:
             EscapeConfig(base_rate=0.2, hot_factor=10.0)
         with pytest.raises(ExperimentConfigError, match="horizon"):
             EscapeConfig(horizon=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hot_factor", float("nan")),
+            ("hot_factor", float("inf")),
+            ("immune_delay", 1.5),
+            ("immune_delay", float("nan")),
+            ("capacity", 20.5),
+            ("horizon", 2.5),
+            ("n_founders", 2.0),
+            ("coat_span", (0, 60.5)),
+        ],
+    )
+    def test_config_rejects_non_finite_and_non_integer(self, field, value):
+        with pytest.raises(ExperimentConfigError, match=f"^{field}: "):
+            EscapeConfig(**{field: value})
 
     def test_hot_coat_outlives_high_fidelity(self):
         report = run_escape_experiment(

@@ -20,10 +20,16 @@ from prenelab.soup import (
     SoupConfigError,
     _apply_catalyze,
     run_catalysis_experiment,
-    run_events,
     run_until,
     step,
 )
+
+
+def run_events(state, n, gen):
+    """n exact events in a row, one `step` each."""
+    for _ in range(n):
+        step(state, gen)
+    return state
 
 
 class TestCatalystRule:
