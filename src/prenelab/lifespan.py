@@ -22,10 +22,13 @@ after the parent's death day.
 Gene-numbers and accounts are exact rationals and census counts are exact
 unbounded integers: no threshold comparison is ever decided by float
 rounding.  Floating point appears only inside growth-rate root finding.
+The life-table walk scales every account by the denominator of g, so it
+compares integers; the comparisons are the rational ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,10 +50,11 @@ __all__ = [
     "optimality_sweep",
 ]
 
-NEWBORN_SURVIVAL = Fraction(3)
-DAILY_INCOME = Fraction(2)
-BIRTH_COST = Fraction(3)
-SUSTENANCE = Fraction(1)
+# The daily schedule's accounts, in energy units.
+NEWBORN_SURVIVAL = 3
+DAILY_INCOME = 2
+BIRTH_COST = 3
+SUSTENANCE = 1
 
 
 def _as_exact(value) -> Fraction:
@@ -90,7 +94,7 @@ class Tree:
 
     @classmethod
     def newborn(cls, species: TreeSpecies, birth_day: int) -> "Tree":
-        return cls(species, NEWBORN_SURVIVAL, Fraction(0), birth_day)
+        return cls(species, Fraction(NEWBORN_SURVIVAL), Fraction(0), birth_day)
 
 
 @dataclass(frozen=True)
@@ -132,25 +136,6 @@ class LifeTable:
     def is_immortal(self) -> bool:
         return self.death_age is None
 
-    def ages_up_to(self, limit: int) -> Iterator[int]:
-        """All birth ages <= limit, in increasing order."""
-        for a in self.birth_ages:
-            if a > limit:
-                return
-            yield a
-        if self.periodic is not None:
-            first, step = self.periodic
-            a = first
-            while a <= limit:
-                yield a
-                a += step
-
-    def alive_at_age(self, age: int) -> bool:
-        """Census window: a tree is counted at ages 0 .. death_age inclusive."""
-        if age < 0:
-            return False
-        return self.death_age is None or age <= self.death_age
-
     def lattice_period(self) -> int:
         """gcd of all birth ages: the census-ratio period of the schedule."""
         ages = list(self.birth_ages)
@@ -167,23 +152,30 @@ def life_table(species: TreeSpecies) -> LifeTable:
     is a fixed point of the daily update, so the tree never dies; the
     reproduction account is then simulated until its state repeats, which
     proves the birth schedule periodic from that point on.
+
+    The walk is in integers: with g = p/q every account is scaled by q, so
+    survival starts at 3q and gains p per day, reproduction gains 2q - p,
+    a birth costs 3q, and a tree with survival below q dies, else pays the
+    sustenance q.  Each comparison is the exact rational one.
     """
     g = species.gene_number
-    survival_delta = g - SUSTENANCE  # applied after each survived day
+    p, q = g.numerator, g.denominator
+    income = DAILY_INCOME * q - p
+    cost = BIRTH_COST * q
 
-    if g == 1:
+    if p == q:
         # Immortal: survival is constant, so the whole daily state is the
         # reproduction account; a repeated value proves periodicity.
         ages: list[int] = []
-        seen: dict[Fraction, int] = {}
-        reproduction = Fraction(0)
+        seen: dict[int, int] = {}
+        reproduction = 0
         day = 0
         while reproduction not in seen:
             seen[reproduction] = day
-            reproduction += DAILY_INCOME - g
+            reproduction += income
             births_today = 0
-            while reproduction >= BIRTH_COST:
-                reproduction -= BIRTH_COST
+            while reproduction >= cost:
+                reproduction -= cost
                 births_today += 1
             if births_today:
                 # one birth per cycle is all this model produces (income < cost)
@@ -198,18 +190,19 @@ def life_table(species: TreeSpecies) -> LifeTable:
         return LifeTable(prefix, None, periodic=(in_cycle[0], cycle_len))
 
     ages = []
-    survival = NEWBORN_SURVIVAL
-    reproduction = Fraction(0)
+    survival = NEWBORN_SURVIVAL * q
+    sustenance = SUSTENANCE * q
+    reproduction = 0
     age = 0
     while True:
-        survival += g
-        reproduction += DAILY_INCOME - g
-        while reproduction >= BIRTH_COST:
-            reproduction -= BIRTH_COST
+        survival += p
+        reproduction += income
+        while reproduction >= cost:
+            reproduction -= cost
             ages.append(age + 1)  # materializes tomorrow morning
-        if survival < 1:
+        if survival < sustenance:
             return LifeTable(tuple(ages), age)
-        survival -= SUSTENANCE
+        survival -= sustenance
         age += 1
 
 
@@ -219,29 +212,63 @@ class CohortState:
 
     births_by_day[d] counts trees materializing on day d (the founder is a
     birth on day 0).  Each day's births follow from the life table:
-    births(d) = sum over birth ages a of births(d - a).
+    births(d) = sum over birth ages a of births(d - a), the discrete
+    renewal equation.  Two running sums make a day O(1) big-int additions
+    instead of a rescan:
+
+    - the periodic tail (first, step) contributes
+      T(d) = births(d - first) + T(d - step), kept per day;
+    - the prefix sum P(k) is births(0) + ... + births(k - 1), so the census
+      of day d, the births in [d - death_age, d], is
+      P(d + 1) - P(max(0, d - death_age)), and P(d + 1) for an immortal
+      species.
+
+    A state built from a given history (births_by_day with one count per
+    day 0..current_day) derives both sums from it.
     """
 
     table: LifeTable
     births_by_day: list[int] = field(default_factory=lambda: [1])
     current_day: int = 0
+    _tail_by_day: list[int] = field(init=False, repr=False)
+    _prefix_births: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.births_by_day) != self.current_day + 1:
+            raise ValueError("births_by_day must hold one count per day 0..current_day")
+        self._prefix_births = list(itertools.accumulate(self.births_by_day, initial=0))
+        self._tail_by_day = []
+        if self.table.periodic is not None:
+            for d in range(self.current_day + 1):
+                self._tail_by_day.append(self._periodic_tail(d))
+
+    def _periodic_tail(self, d: int) -> int:
+        first, step = self.table.periodic
+        tail = self.births_by_day[d - first] if d >= first else 0
+        if d >= step:
+            tail += self._tail_by_day[d - step]
+        return tail
 
     def step(self) -> None:
         d = self.current_day + 1
-        total = sum(
-            self.births_by_day[d - a] for a in self.table.ages_up_to(d) if d - a >= 0
-        )
-        self.births_by_day.append(total)
+        births = self.births_by_day
+        total = sum(births[d - a] for a in self.table.birth_ages if a <= d)
+        if self.table.periodic is not None:
+            tail = self._periodic_tail(d)
+            self._tail_by_day.append(tail)
+            total += tail
+        births.append(total)
+        self._prefix_births.append(self._prefix_births[-1] + total)
         self.current_day = d
 
     def census(self, day: int) -> int:
         if not 0 <= day <= self.current_day:
             raise ValueError(f"day {day} outside simulated range")
-        return sum(
-            n
-            for born, n in enumerate(self.births_by_day[: day + 1])
-            if self.table.alive_at_age(day - born)
-        )
+        prefix = self._prefix_births
+        death_age = self.table.death_age
+        if death_age is None or day <= death_age:
+            return prefix[day + 1]
+        return prefix[day + 1] - prefix[day - death_age]
 
 
 @dataclass

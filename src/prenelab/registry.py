@@ -11,15 +11,16 @@ once.
 
 Queries are pure reads against the immutable log; the brute-force
 versions in the test suite rescan the whole log and must agree with the
-incremental answers here.
+incremental answers here.  Each object's normalized content is computed
+once, when the object is created, so a query only runs the recognizer.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "SUBSTRATES",
@@ -46,7 +47,9 @@ class LogError(ValueError):
 
 def check_substrate(substrate: str) -> str:
     if substrate in SUBSTRATES or (
-        substrate.startswith("other:") and len(substrate) > len("other:")
+        isinstance(substrate, str)
+        and substrate.startswith("other:")
+        and len(substrate) > len("other:")
     ):
         return substrate
     raise LogError(
@@ -81,7 +84,7 @@ class Prene:
         return bool(self.recognizer(normalize(content, substrate)))
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredObject:
     id: int
     substrate: str
@@ -89,13 +92,14 @@ class StoredObject:
     created_at: int
     destroyed_at: Optional[int] = None
     source: Optional[int] = None
+    # normalize(content, substrate), fixed at creation; queries read only this
+    _normalized: bytes = field(init=False, repr=False, compare=False)
 
-    def alive_at(self, t: int) -> bool:
-        return self.created_at <= t and (self.destroyed_at is None or self.destroyed_at > t)
+    def __post_init__(self):
+        self._normalized = normalize(self.content, self.substrate)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One log entry; unused fields are None for the given kind."""
 
     i: int
@@ -138,7 +142,7 @@ class World:
         src: Optional[int] = None,
     ) -> Event:
         return self._append(
-            Event(len(self.events), "create", obj_id, check_substrate(substrate), bytes(content), src)
+            Event(len(self.events), "create", obj_id, substrate, bytes(content), src)
         )
 
     def destroy(self, obj_id: int) -> Event:
@@ -146,39 +150,37 @@ class World:
 
     def transcribe(self, src_id: int, new_id: int, substrate: str) -> Event:
         return self._append(
-            Event(len(self.events), "transcribe", new_id, check_substrate(substrate), None, src_id)
+            Event(len(self.events), "transcribe", new_id, substrate, None, src_id)
         )
 
     def _append(self, event: Event) -> Event:
-        if event.i != len(self.events):
-            raise LogError(f"event index {event.i} breaks append-only order")
-        now = event.i
-        if event.kind == "create":
-            if event.obj in self.objects:
-                raise LogError(f"object id {event.obj} already exists")
-            if event.src is not None:
-                self._require_alive(event.src, now)
-            self.objects[event.obj] = StoredObject(
-                event.obj, event.substrate, event.content, now, source=event.src
-            )
-        elif event.kind == "destroy":
-            target = self.objects.get(event.obj)
+        """The one place an event is validated and applied."""
+        now, kind, obj_id, substrate, content, src = event
+        if now != len(self.events):
+            raise LogError(f"event index {now} breaks append-only order")
+        objects = self.objects
+        if kind == "create":
+            check_substrate(substrate)
+            if obj_id in objects:
+                raise LogError(f"object id {obj_id} already exists")
+            if src is not None:
+                self._require_alive(src, now)
+            objects[obj_id] = StoredObject(obj_id, substrate, content, now, source=src)
+        elif kind == "destroy":
+            target = objects.get(obj_id)
             if target is None or target.destroyed_at is not None:
-                raise LogError(f"destroy of missing or dead object {event.obj}")
+                raise LogError(f"destroy of missing or dead object {obj_id}")
             target.destroyed_at = now
-        elif event.kind == "transcribe":
-            source = self._require_alive(event.src, now)
-            if event.obj in self.objects:
-                raise LogError(f"object id {event.obj} already exists")
-            if event.substrate == source.substrate:
-                raise LogError(
-                    f"transcription must change substrate, both are {event.substrate!r}"
-                )
-            self.objects[event.obj] = StoredObject(
-                event.obj, event.substrate, source.content, now, source=event.src
-            )
+        elif kind == "transcribe":
+            check_substrate(substrate)
+            source = self._require_alive(src, now)
+            if obj_id in objects:
+                raise LogError(f"object id {obj_id} already exists")
+            if substrate == source.substrate:
+                raise LogError(f"transcription must change substrate, both are {substrate!r}")
+            objects[obj_id] = StoredObject(obj_id, substrate, source.content, now, source=src)
         else:
-            raise LogError(f"unknown event kind {event.kind!r}")
+            raise LogError(f"unknown event kind {kind!r}")
         self.events.append(event)
         return event
 
@@ -204,7 +206,11 @@ class World:
 
     def alive_objects(self, t: Optional[int] = None) -> list[StoredObject]:
         at = self._resolve_t(t)
-        return [o for o in self.objects.values() if o.alive_at(at)]
+        return [
+            o
+            for o in self.objects.values()
+            if o.created_at <= at and (o.destroyed_at is None or o.destroyed_at > at)
+        ]
 
     # serialization
 
@@ -213,42 +219,104 @@ class World:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "World":
+        """Replay a log in the to_jsonl format, rejecting its first bad line.
+
+        Each line is one JSON object; every event is built once and
+        validated by _append.  _parse_lines parses many lines per
+        `json.loads` call without changing any `line N:` message.
+        """
         world = cls()
-        for lineno, line in enumerate(text.splitlines()):
-            if not line.strip():
-                raise LogError(f"line {lineno + 1}: blank line in event log")
+        events = world.events
+        for lineno, record in enumerate(_parse_lines(text), 1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogError(f"line {lineno + 1}: not valid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise LogError(f"line {lineno + 1}: event must be a JSON object")
-            missing = {"i", "kind", "obj"} - record.keys()
-            if missing:
-                raise LogError(f"line {lineno + 1}: missing fields {sorted(missing)}")
-            kind = record["kind"]
-            try:
+                if not isinstance(record, dict):
+                    raise LogError("event must be a JSON object")
+                _require(record, _EVENT_FIELDS)
+                kind = record["kind"]
                 if kind == "create":
                     try:
-                        content = base64.b64decode(record["content_b64"] or "", validate=True)
+                        content = base64.b64decode(record.get("content_b64") or "", validate=True)
                     except (ValueError, TypeError):  # binascii.Error is a ValueError
                         raise LogError("content_b64 is not valid base64") from None
-                    world.create(
-                        record["obj"], record["substrate"], content, record.get("src")
+                    _require(record, _CREATE_FIELDS)
+                    event = Event(
+                        len(events), kind, record["obj"], record["substrate"], content,
+                        record.get("src"),
                     )
-                elif kind == "destroy":
-                    world.destroy(record["obj"])
                 elif kind == "transcribe":
-                    world.transcribe(record["src"], record["obj"], record["substrate"])
+                    _require(record, _TRANSCRIBE_FIELDS)
+                    event = Event(
+                        len(events), kind, record["obj"], record["substrate"], None, record["src"]
+                    )
                 else:
-                    raise LogError(f"unknown event kind {kind!r}")
+                    event = Event(len(events), kind, record["obj"])
+                world._append(event)
+                if event.i != record["i"]:
+                    raise LogError(f"index {record['i']} breaks append-only order")
             except LogError as exc:
-                raise LogError(f"line {lineno + 1}: {exc}") from None
-            if world.events[-1].i != record["i"]:
-                raise LogError(
-                    f"line {lineno + 1}: index {record['i']} breaks append-only order"
-                )
+                raise LogError(f"line {lineno}: {exc}") from None
         return world
+
+
+_EVENT_FIELDS = frozenset(("i", "kind", "obj"))
+_CREATE_FIELDS = frozenset(("content_b64", "substrate"))
+_TRANSCRIBE_FIELDS = frozenset(("src", "substrate"))
+
+
+def _require(record: dict, fields: frozenset) -> None:
+    if not record.keys() >= fields:
+        raise LogError(f"missing fields {sorted(fields - record.keys())}")
+
+
+# Lines per guarded parse: bounds how many parsed records are held at once.
+_PARSE_CHUNK = 1024
+
+
+def _parse_lines(text: str) -> Iterator:
+    """The JSON value of each line of a log, in order, parsed as needed.
+
+    A log without '[' or ']' is parsed a chunk of lines per call, as the
+    array of one-element rows "[[" + "]\\n,[".join(chunk) + "]]".  The
+    result is used only when it has one row per line and each row holds
+    exactly one value: without brackets in the text each row is
+    self-contained, and strict JSON forbids a raw newline inside a
+    string, so no string can run from one row into the next; a
+    one-element row is then exactly the value `json.loads(line)` returns.
+    In every other case (a blank line, a line holding two values, bad
+    JSON, brackets anywhere) the chunk's lines are parsed one at a time
+    as the replay reaches them, so every error names the same line, with
+    the same message, as a per-line loader.
+    """
+    lines = text.splitlines()
+    guarded = "[" not in text and "]" not in text
+    for start in range(0, len(lines), _PARSE_CHUNK):
+        chunk = lines[start : start + _PARSE_CHUNK]
+        rows = _parse_rows(chunk) if guarded else None
+        if rows is None:
+            yield from _parse_each(chunk, start)
+        else:
+            for (value,) in rows:
+                yield value
+
+
+def _parse_rows(chunk: list[str]) -> Optional[list]:
+    try:
+        rows = json.loads("[[" + "]\n,[".join(chunk) + "]]")
+    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
+        return None
+    if len(rows) == len(chunk) and all(type(row) is list and len(row) == 1 for row in rows):
+        return rows
+    return None
+
+
+def _parse_each(lines: list[str], offset: int) -> Iterator:
+    for lineno, line in enumerate(lines, offset + 1):
+        if not line.strip():
+            raise LogError(f"line {lineno}: blank line in event log")
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogError(f"line {lineno}: not valid JSON ({exc.msg})") from None
 
 
 # queries
@@ -256,9 +324,8 @@ class World:
 
 def copy_number(world: World, prene: Prene, t: Optional[int] = None) -> int:
     """How many distinct alive objects store this prene at t."""
-    return sum(
-        1 for o in world.alive_objects(t) if prene.accepts(o.content, o.substrate)
-    )
+    accepts = prene.recognizer
+    return sum(1 for o in world.alive_objects(t) if accepts(o._normalized))
 
 
 @dataclass(frozen=True)
@@ -277,11 +344,8 @@ def classify(world: World, prene: Prene, t: Optional[int] = None) -> Classificat
     Flags may overlap; copies on document or other substrates keep a
     prene alive without earning any flag.
     """
-    present = {
-        o.substrate
-        for o in world.alive_objects(t)
-        if prene.accepts(o.content, o.substrate)
-    }
+    accepts = prene.recognizer
+    present = {o.substrate for o in world.alive_objects(t) if accepts(o._normalized)}
     return Classification(
         gene="nucleic_acid" in present,
         meme="brain" in present,
@@ -300,9 +364,8 @@ def lineage(world: World, prene: Prene) -> tuple[list[int], list[tuple[int, int]
     exists where the child's source link points at another accepting
     object.  Acyclic because sources must predate their copies.
     """
-    accepted = [
-        o.id for o in world.objects.values() if prene.accepts(o.content, o.substrate)
-    ]
+    accepts = prene.recognizer
+    accepted = [o.id for o in world.objects.values() if accepts(o._normalized)]
     node_set = set(accepted)
     edges = [
         (o.id, o.source)
@@ -321,7 +384,7 @@ def _normalized_contents(
     out = []
     for obj in objects:
         if isinstance(obj, StoredObject):
-            out.append(normalize(obj.content, obj.substrate))
+            out.append(obj._normalized)
         else:
             out.append(bytes(obj))
     return out

@@ -107,10 +107,14 @@ def _str_to_codes(seq: str) -> np.ndarray:
 
 
 def _check_regions(regions: dict, length: int) -> dict:
-    """Regions must sit inside the strand and be pairwise disjoint."""
+    """Regions must sit inside the strand and be pairwise disjoint.
+
+    Bounds are integers (NumPy integers too); a float bound raises
+    TypeError rather than being truncated.
+    """
     clean = {}
     for name, (start, stop) in sorted(regions.items()):
-        start, stop = int(start), int(stop)
+        start, stop = operator.index(start), operator.index(stop)
         if not (0 <= start < stop <= length):
             raise ValueError(f"region {name!r} [{start},{stop}) outside strand of length {length}")
         clean[name] = (start, stop)

@@ -324,6 +324,29 @@ class TestRegistryCli:
         assert proc.returncode == 1
         assert proc.stderr == "prene-lab: log error: line 2: content_b64 is not valid base64\n"
 
+    @pytest.mark.parametrize(
+        "record, missing",
+        [
+            ({"i": 1, "kind": "create", "obj": 2}, ["content_b64", "substrate"]),
+            ({"i": 1, "kind": "create", "obj": 2, "content_b64": "QUJD"}, ["substrate"]),
+            ({"i": 1, "kind": "create", "obj": 2, "substrate": "brain"}, ["content_b64"]),
+            ({"i": 1, "kind": "transcribe", "obj": 2, "substrate": "computer"}, ["src"]),
+            ({"i": 1, "kind": "transcribe", "obj": 2, "src": 1}, ["substrate"]),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "query"])
+    def test_missing_kind_fields_are_a_log_error(self, tmp_path, capsys, command, record, missing):
+        log = tmp_path / "bad.jsonl"
+        first = {"i": 0, "kind": "create", "obj": 1, "substrate": "brain", "content_b64": "QUJD"}
+        log.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n")
+        extra = {
+            "ingest": ["--out", str(tmp_path / "o.jsonl")],
+            "query": ["--what", "copy-number", "--content", "ABC"],
+        }[command]
+        code, _ = run_cli(["registry", command, "--log", str(log), *extra], tmp_path, check=False)
+        assert code == 1
+        assert capsys.readouterr().err == f"prene-lab: log error: line 2: missing fields {missing}\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _lifespan_oracle import alive_at_age, ages_up_to, fraction_life_table, rescan_census
 from prenelab.lifespan import (
     CohortState,
     GrowthRate,
@@ -94,7 +95,7 @@ class TestLifeTable:
         assert t.is_immortal
         assert t.birth_ages == ()
         assert t.periodic == (3, 3)
-        assert list(t.ages_up_to(12)) == [3, 6, 9, 12]
+        assert list(ages_up_to(t, 12)) == [3, 6, 9, 12]
 
     def test_only_full_saver_is_immortal_on_fine_grid(self):
         for k in range(100):
@@ -103,8 +104,8 @@ class TestLifeTable:
 
     def test_alive_window_includes_death_day(self):
         t = life_table(GHALF)
-        assert t.alive_at_age(6) and not t.alive_at_age(7)
-        assert not t.alive_at_age(-1)
+        assert alive_at_age(t, 6) and not alive_at_age(t, 7)
+        assert not alive_at_age(t, -1)
 
     def test_lattice_periods(self):
         assert life_table(GHALF).lattice_period() == 2
@@ -203,6 +204,50 @@ class TestCohortAgainstIndividuals:
             assert isinstance(tree.survival, Fraction)
             assert isinstance(tree.reproduction, Fraction)
             assert 0 <= tree.reproduction < 3
+
+
+class TestAgainstReferenceWalks:
+    """The running-sum census and the integer life table against the
+    straightforward rescan and Fraction walk in _lifespan_oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=rational_gene(), days=st.integers(min_value=0, max_value=200))
+    def test_census_matches_rescan_and_individuals(self, g, days):
+        sp = TreeSpecies(g)
+        fast = simulate_census([sp], days).series(0)
+        assert fast == rescan_census(fraction_life_table(sp), days)
+        slow = simulate_individuals([sp], days, cap=1000)
+        assert slow.census.series(0) == fast[: slow.completed_days + 1]
+
+    def test_census_matches_rescan_on_default_pair(self):
+        table = simulate_census([G1, GHALF], 400)
+        for index, sp in enumerate((G1, GHALF)):
+            assert table.series(index) == rescan_census(fraction_life_table(sp), 400)
+
+    @pytest.mark.parametrize("sp", [G1, GHALF, TreeSpecies(Fraction(1, 7))], ids=str)
+    @pytest.mark.parametrize("history", [[1, 2], [1, 0, 0, 5, 3]], ids=str)
+    def test_state_built_from_a_history_continues_it(self, sp, history):
+        table = life_table(sp)
+        state = CohortState(table, list(history), current_day=len(history) - 1)
+        for _ in range(60):
+            state.step()
+        expected = rescan_census(table, state.current_day, history)
+        assert tuple(state.census(d) for d in range(state.current_day + 1)) == expected
+
+    def test_state_history_must_match_current_day(self):
+        with pytest.raises(ValueError, match="one count per day"):
+            CohortState(life_table(G1), [1, 2], current_day=0)
+
+    def test_life_table_matches_fraction_walk_on_sweep_grid(self):
+        for i in range(4001):
+            sp = TreeSpecies(Fraction(i, 4000))
+            assert life_table(sp) == fraction_life_table(sp), sp.label
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.fractions(min_value=0, max_value=1, max_denominator=1000))
+    def test_life_table_matches_fraction_walk(self, g):
+        sp = TreeSpecies(g)
+        assert life_table(sp) == fraction_life_table(sp)
 
 
 class TestGrowthRate:

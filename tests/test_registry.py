@@ -1,10 +1,12 @@
 """Event-log validation, recognizer queries, and taxonomy operations."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import _registry_oracle
 from _world_gen import (
     CONTENT_POOL,
     FIXED_POINT_POOL,
@@ -15,6 +17,7 @@ from _world_gen import (
     random_faithful_world,
     random_world,
 )
+from prenelab import registry
 from prenelab.registry import (
     Classification,
     LogError,
@@ -132,6 +135,140 @@ class TestSerialization:
     def test_malformed_lines_named(self, bad_line):
         with pytest.raises(LogError, match="line 1"):
             World.from_jsonl(bad_line + "\n")
+
+
+def _record(i, kind, obj, substrate=None, content_b64=None, src=None) -> str:
+    fields = {"i": i, "kind": kind, "obj": obj, "substrate": substrate,
+              "content_b64": content_b64, "src": src}
+    return json.dumps(fields, separators=(",", ":"))
+
+
+def _long_log(n_events: int) -> list[str]:
+    """A valid log longer than one parse chunk: creates, transcribes, destroys."""
+    w = World()
+    for i in range(n_events):
+        if i % 3 == 2:
+            w.transcribe(i - 1, i, "computer")
+        elif i % 3 == 1:
+            w.create(i, "document", b"Some  Text %d" % (i % 7))
+        elif i >= 3:
+            w.destroy(i - 2)
+        else:
+            w.create(i, "brain", b"x")
+    return w.to_jsonl().splitlines()
+
+
+def _corruptions(lines: list[str], k: int) -> dict[str, list[str]]:
+    """Ways to break line k (0-based) of a valid log, each a whole new log."""
+    record = json.loads(lines[k])
+    i = record["i"]
+    out = {
+        "blank": [""],
+        "spaces": ["   "],
+        "bad json": ["{not json"],
+        "string": ['"just a string"'],
+        "number": ["5"],
+        "null": ["null"],
+        "two values": [lines[k] + "," + lines[k]],
+        "missing i": [json.dumps({key: v for key, v in record.items() if key != "i"})],
+        "missing obj and kind": [json.dumps({"i": i})],
+        "order break": [_record(i + 5, "create", 10**6, "brain", "eA==")],
+        "unknown kind": [_record(i, "vanish", 10**6)],
+        "bad base64": [_record(i, "create", 10**6, "brain", "!!")],
+        "bad substrate": [_record(i, "create", 10**6, "tablet", "eA==")],
+        "missing source": [_record(i, "transcribe", 10**6, "computer", src=-7)],
+        "destroy missing": [_record(i, "destroy", 10**6)],
+        "string across lines": [lines[k][:-1] + ',"pad":"x', 'y"}'],
+    }
+    if k > 3:
+        out["duplicate id"] = [_record(i, "create", 0, "brain", "eA==")]
+        out["dead source"] = [_record(i, "transcribe", 10**6, "computer", src=1)]  # destroyed at 3
+    # same substrate as its source: line k - 1 created obj k - 1 on "document"
+    if record["kind"] == "transcribe":
+        out["same substrate"] = [_record(i, "transcribe", 10**6, "document", src=i - 1)]
+    return {name: lines[:k] + bad + lines[k + 1 :] for name, bad in out.items()}
+
+
+def _message(load, text):
+    with pytest.raises(LogError) as info:
+        load(text)
+    return str(info.value)
+
+
+class TestLoader:
+    """The chunked loader must reject exactly what the per-line loader
+    rejects, with the same message, and accept the same logs."""
+
+    def test_corrupted_logs_match_per_line_loader(self):
+        lines = _long_log(2600)
+        for k in (0, 1, 2, 1023, 1024, 1025, 2048, 2599):
+            for name, bad in _corruptions(lines, k).items():
+                text = "\n".join(bad) + "\n"
+                expected = _message(_registry_oracle.load, text)
+                assert _message(World.from_jsonl, text) == expected, (k, name)
+                assert expected.startswith(f"line {k + 1}: "), (k, name, expected)
+
+    def test_bracket_free_misaligned_log_rejected(self):
+        ev0 = _record(0, "create", 1, "brain", "eA==")
+        ev1 = _record(1, "create", 2, "brain", "eA==")
+        pad = _record(2, "create", 3, "brain", "eA==")[:-1] + ',"pad":"x'
+        text = f"{ev0},{ev1}\n{pad}\ny\"}}\n"
+        assert "[" not in text and "]" not in text
+        # joined with bare commas, the three lines parse as three plausible events
+        assert len(json.loads("[" + ",".join(text.splitlines()) + "]")) == 3
+        message = _message(World.from_jsonl, text)
+        assert message == _message(_registry_oracle.load, text)
+        assert message == "line 1: not valid JSON (Extra data)"
+
+    def test_log_with_brackets_loads_through_fallback(self):
+        w = World()
+        w.create(1, "other:[vault]", b"x")
+        w.transcribe(1, 2, "brain")
+        w.destroy(1)
+        text = w.to_jsonl()
+        assert World.from_jsonl(text).to_jsonl() == text
+        assert copy_number(World.from_jsonl(text), Prene.exact(b"x")) == 1
+        bad = text + '{"i":3,"kind":"destroy","obj":1,"substrate":"other:[x]"}\n'
+        assert _message(World.from_jsonl, bad) == _message(_registry_oracle.load, bad)
+
+    def test_bracketed_log_never_parsed_as_one_array(self):
+        # as one array of rows this reads as three rows of one value each
+        e = [_record(i, "create", i, "brain", "eA==") for i in range(4)]
+        text = f"{e[0]}],[{e[1]}\n[[{e[2]}\n{e[3]}]]\n"
+        message = _message(World.from_jsonl, text)
+        assert message == _message(_registry_oracle.load, text)
+        assert message == "line 1: not valid JSON (Extra data)"
+
+    def test_clean_log_parsed_in_chunks(self, monkeypatch):
+        calls = []
+        loads = registry.json.loads
+
+        def counting(text, *args, **kwargs):
+            calls.append(len(text))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(registry.json, "loads", counting)
+        text = "\n".join(_long_log(2600)) + "\n"
+        world = World.from_jsonl(text)
+        assert len(world.events) == 2600
+        # one guarded parse per chunk, no per-line fallback
+        assert len(calls) == -(-2600 // registry._PARSE_CHUNK)
+
+    def test_valid_logs_load_like_per_line_loader(self):
+        gen = np.random.default_rng(3)
+        texts = [w.to_jsonl() for w in (random_world(gen, 80) for _ in range(10))]
+        texts += ["", "\n".join(_long_log(2600)) + "\n", GOLDEN.read_text().replace("\n", "\r\n")]
+        for text in texts:
+            got, expected = World.from_jsonl(text), _registry_oracle.load(text)
+            assert got.events == expected.events
+            assert got.objects == expected.objects
+
+    def test_non_string_substrate_is_a_log_error(self):
+        text = _record(0, "create", 1, None, "eA==") + "\n"
+        assert _message(World.from_jsonl, text) == (
+            "line 1: substrate must be one of ('nucleic_acid', 'brain', 'computer', "
+            "'document') or 'other:<name>', got None"
+        )
 
 
 class TestCopyNumber:

@@ -56,6 +56,16 @@ class TestGenome:
         with pytest.raises(ValueError):
             Genome.from_string("ACGUACGU", {"a": (0, 4), "b": (3, 6)})
 
+    @pytest.mark.parametrize("bounds", [(0, 2.5), (0.0, 2), (0.9, 3)])
+    def test_float_region_bounds_rejected(self, bounds):
+        with pytest.raises(TypeError):
+            Genome.from_string("ACGUACGU", {"coat": bounds})
+
+    def test_numpy_integer_region_bounds_accepted(self):
+        g = Genome.from_string("ACGUACGU", {"coat": (np.int64(1), np.uint8(3))})
+        assert g.regions == {"coat": (1, 3)}
+        assert all(type(b) is int for b in g.regions["coat"])
+
     def test_adjacent_regions_allowed(self):
         g = Genome.from_string("ACGUACGU", {"a": (0, 4), "b": (4, 8)})
         assert g.regions == {"a": (0, 4), "b": (4, 8)}
@@ -87,6 +97,10 @@ class TestMutationProfile:
         assert np.allclose(p.site_prob[2:5], 0.01)
         assert np.allclose(p.site_prob[:2], 0.001)
         assert np.allclose(p.site_prob[5:], 0.001)
+
+    def test_region_multiplier_float_bounds_rejected(self):
+        with pytest.raises(TypeError):
+            MutationProfile.region_multiplier(0.01, 8, {"coat": (0.9, 3)}, {"coat": 2.0})
 
     def test_region_multiplier_unknown_region(self):
         with pytest.raises(MissingRegion):
