@@ -6,8 +6,9 @@ Subcommands:
     soup run
     registry ingest | query
 
-Every run prints a JSON run report to stdout (tool version, echoed
-config, RNG algorithm, seed, wall time, artifact paths).  Artifact files
+Every successful run prints one JSON run report to stdout, last (tool
+version, echoed config, RNG algorithm, seed, wall time, artifact paths);
+a failed run prints only its error line to stderr.  Artifact files
 are byte-deterministic for a given command line; the report is not,
 because it carries the wall time.  CSV artifacts always have a header
 row and LF line endings.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import base64
 import binascii
+import dataclasses
 import json
 import sys
 import time
@@ -121,95 +123,54 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"{path} is not valid UTF-8")
 
 
-def _report(args, config_echo: dict, artifacts: list[str], started: float) -> int:
-    report = {
-        "tool": "prene-lab",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "rng_algorithm": rng.RNG_ALGORITHM,
-        "seed": getattr(args, "seed", None),
-        "config": config_echo,
-        "wall_time_s": round(time.monotonic() - started, 6),
-        "artifacts": artifacts,
-    }
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
 # lifespan
 
-def _ages_text(table: lifespan.LifeTable) -> str:
-    parts = [str(a) for a in table.birth_ages]
+def _lambda_row(
+    species: lifespan.TreeSpecies, table: lifespan.LifeTable, rate: lifespan.GrowthRate, *extra
+) -> list:
+    """g as p/q, lambda, `extra`, then birth ages ("a;b;first+stepk") and death age."""
+    g = species.gene_number
+    ages = [str(a) for a in table.birth_ages]
     if table.periodic is not None:
         first, step = table.periodic
-        parts.append(f"{first}+{step}k")
-    return ";".join(parts)
+        ages.append(f"{first}+{step}k")
+    death = "inf" if table.death_age is None else str(table.death_age)
+    return [g.numerator, g.denominator, rate.lambda_per_day, *extra, ";".join(ages), death]
 
 
-def _death_text(table: lifespan.LifeTable) -> str:
-    return "inf" if table.death_age is None else str(table.death_age)
-
-
-def _cmd_lifespan_table(args) -> int:
-    started = time.monotonic()
+def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
     genes = args.g if args.g else [Fraction(1), Fraction(1, 2)]
     species = [lifespan.TreeSpecies(g) for g in genes]
     census = lifespan.simulate_census(species, args.days)
     rows = [[day, label, count] for day, label, count in census.csv_rows()]
     out = Path(args.out)
     _write_table(out, args.format, ["day", "species_g", "alive"], rows)
-    echo = {"days": args.days, "g": [str(g) for g in genes]}
-    return _report(args, echo, [str(out)], started)
+    return {"days": args.days, "g": [str(g) for g in genes]}, [str(out)]
 
 
-def _cmd_lifespan_sweep(args) -> int:
-    started = time.monotonic()
+def _cmd_lifespan_sweep(args) -> tuple[dict, list[str]]:
     grid = [Fraction(i, args.steps) for i in range(args.steps + 1)]
     result = lifespan.optimality_sweep(grid)
-    rows = []
-    for sp, table, rate in result.rows:
-        g = sp.gene_number
-        rows.append(
-            [g.numerator, g.denominator, rate.lambda_per_day, _ages_text(table), _death_text(table)]
-        )
+    rows = [_lambda_row(*row) for row in result.rows]
     out = Path(args.out)
-    _write_table(
-        out, args.format, ["g_num", "g_den", "lambda", "birth_ages", "death_age"], rows
-    )
-    echo = {"steps": args.steps, "argmax_g": [sp.label for sp in result.argmax]}
-    return _report(args, echo, [str(out)], started)
+    _write_table(out, args.format, ["g_num", "g_den", "lambda", "birth_ages", "death_age"], rows)
+    return {"steps": args.steps, "argmax_g": [sp.label for sp in result.argmax]}, [str(out)]
 
 
-def _cmd_lifespan_growth(args) -> int:
-    started = time.monotonic()
+def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
     species = lifespan.TreeSpecies(args.g)
     table = lifespan.life_table(species)
     rate = lifespan.growth_rate(table)
-    g = species.gene_number
-    rows = [
-        [
-            g.numerator,
-            g.denominator,
-            rate.lambda_per_day,
-            rate.residual,
-            _ages_text(table),
-            _death_text(table),
-        ]
-    ]
+    rows = [_lambda_row(species, table, rate, rate.residual)]
+    header = ["g_num", "g_den", "lambda", "residual", "birth_ages", "death_age"]
     out = Path(args.out)
-    _write_table(
-        out,
-        args.format,
-        ["g_num", "g_den", "lambda", "residual", "birth_ages", "death_age"],
-        rows,
-    )
-    return _report(args, {"g": str(g)}, [str(out)], started)
+    _write_table(out, args.format, header, rows)
+    return {"g": str(species.gene_number)}, [str(out)]
 
 
 # replicator
 
-def _cmd_replicator_run(args) -> int:
-    started = time.monotonic()
+def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
     text = _read_text(args.config) if args.config else ""
     config = escape_config_from_text(text, master_seed=args.seed)
     report = replicator.run_escape_experiment(config)
@@ -249,47 +210,27 @@ def _cmd_replicator_run(args) -> int:
     echo["fidelity_wins"] = report.fidelity_wins
     echo["ties"] = report.ties
     echo["sign_test_p"] = repr(report.p_value)
-    return _report(args, echo, artifacts, started)
+    return echo, artifacts
 
 
 # soup
 
-def _cmd_soup_run(args) -> int:
-    started = time.monotonic()
+def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     text = _read_text(args.config) if args.config else ""
     config = soup_config_from_text(text, master_seed=args.seed)
     out = Path(args.out)
+    echo = _config_echo(serialize_soup_config(config))
 
     if args.experiment:
         report = soup.run_catalysis_experiment(config)
-        rows = [
-            [
-                o.replicate,
-                o.treatment_free_a,
-                o.control_free_a,
-                o.treatment_p_count,
-                o.control_p_count,
-            ]
-            for o in report.outcomes
-        ]
-        _write_table(
-            out,
-            args.format,
-            [
-                "replicate",
-                "treatment_free_a",
-                "control_free_a",
-                "treatment_p_count",
-                "control_p_count",
-            ],
-            rows,
-        )
-        echo = _config_echo(serialize_soup_config(config))
+        header = [f.name for f in dataclasses.fields(soup.ReplicateOutcome)]
+        rows = [dataclasses.astuple(o) for o in report.outcomes]
+        _write_table(out, args.format, header, rows)
         echo["treatment_wins"] = report.treatment_wins
         echo["control_wins"] = report.control_wins
         echo["ties"] = report.ties
         echo["sign_test_p"] = repr(report.p_value)
-        return _report(args, echo, [str(out)], started)
+        return echo, [str(out)]
 
     grid = [config.horizon * j / args.samples for j in range(args.samples + 1)]
     rows = []
@@ -316,9 +257,8 @@ def _cmd_soup_run(args) -> int:
         ["t", "free_A", "free_C", "free_G", "free_U", "n_species", "n_P", "n_AAA_enders"],
         rows,
     )
-    echo = _config_echo(serialize_soup_config(config))
     echo["samples"] = args.samples
-    return _report(args, echo, [str(out)], started)
+    return echo, [str(out)]
 
 
 # registry
@@ -327,14 +267,13 @@ def _load_world(path: str) -> registry.World:
     return registry.World.from_jsonl(_read_text(path))
 
 
-def _cmd_registry_ingest(args) -> int:
-    started = time.monotonic()
+def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
     world = _load_world(args.log)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(world.to_jsonl().encode("utf-8"))
     echo = {"log": args.log, "events": len(world.events), "objects": len(world.objects)}
-    return _report(args, echo, [str(out)], started)
+    return echo, [str(out)]
 
 
 def _query_content(args) -> bytes:
@@ -348,8 +287,7 @@ def _query_content(args) -> bytes:
     raise ConfigError(f"query {args.what!r} needs --content or --content-b64")
 
 
-def _cmd_registry_query(args) -> int:
-    started = time.monotonic()
+def _cmd_registry_query(args) -> tuple[dict, list[str]]:
     world = _load_world(args.log)
     t = args.at
     try:
@@ -385,8 +323,7 @@ def _cmd_registry_query(args) -> int:
         artifacts.append(args.out)
     else:
         print(line)
-    echo = {"log": args.log, "what": args.what, "at": t}
-    return _report(args, echo, artifacts, started)
+    return {"log": args.log, "what": args.what, "at": t}, artifacts
 
 
 # parser wiring
@@ -480,10 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; on success print its run report and return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        echo, artifacts = args.func(args)
     except ConfigError as exc:
         print(f"prene-lab: config error: {exc}", file=sys.stderr)
         return 2
@@ -493,6 +432,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"prene-lab: io error: {exc}", file=sys.stderr)
         return 1
+    report = {
+        "tool": "prene-lab",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "rng_algorithm": rng.RNG_ALGORITHM,
+        "seed": getattr(args, "seed", None),
+        "config": echo,
+        "wall_time_s": round(time.monotonic() - started, 6),
+        "artifacts": artifacts,
+    }
+    print(json.dumps(report, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

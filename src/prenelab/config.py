@@ -1,10 +1,13 @@
-"""Line-oriented `key = value` scenario configs with typed schemas.
+"""Line-oriented `key = value` scenario configs, keyed by the config dataclasses.
 
 Grammar: UTF-8 text; blank lines and full-line `#` comments are ignored;
 every other line is `key = value` with exactly one `=`.  Keys are dotted
-identifiers; two dotted families are open-ended (`free.<LETTER>` and
-`polymer.<SEQUENCE>`), everything else must be declared by the active
-schema.  Unknown keys, bad types, and out-of-range values are rejected
+identifiers.  A key is the name of an `EscapeConfig` or `SoupConfig`
+field whose default is an int, float or str (`master_seed` excepted; it
+is a flag), and its value is parsed as the default's type.  The tuple
+fields have key families of their own: `coat_start`/`coat_stop` for
+`coat_span`, `free.<LETTER>` and `polymer.<SEQUENCE>` for the soup
+pools.  Unknown keys, bad types, and out-of-range values are rejected
 with the line number and key named.  The parser never raises anything
 but ConfigError, no matter the input bytes.
 
@@ -15,9 +18,11 @@ typed values, and serialize is canonical (sorted keys, one space around
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .replicator import EscapeConfig, ExperimentConfigError
 from .soup import SOUP_LETTERS, SoupConfig, SoupConfigError
@@ -94,50 +99,29 @@ def parse_fraction(value: str) -> Fraction:
         raise ValueError(f"zero denominator: {value!r}") from None
 
 
-def _typed(value: str, kind: str, line: int, key: str):
+def _typed(value: str, kind: type, line: int, key: str):
     try:
-        if kind == "int":
-            return int(value, 10)
-        if kind == "float":
-            out = float(value)
-            if out != out or out in (float("inf"), float("-inf")):
-                raise ValueError("must be finite")
-            return out
-        if kind == "fraction":
-            return parse_fraction(value)
-        if kind == "str":
-            return value
-        raise AssertionError(f"unknown schema kind {kind}")
+        out = kind(value)
+        if kind is float and not math.isfinite(out):
+            raise ValueError("must be finite")
+        return out
     except ValueError as exc:
-        raise ConfigError(f"bad {kind} value {value!r} ({exc})", line=line, key=key) from None
+        raise ConfigError(
+            f"bad {kind.__name__} value {value!r} ({exc})", line=line, key=key
+        ) from None
 
 
-# subcommand schemas: key -> (kind, attribute on the target config)
+def _schema(config_class) -> dict[str, type]:
+    """Config key -> type: each field with an int, float or str default but the seed."""
+    return {
+        f.name: type(f.default)
+        for f in dataclasses.fields(config_class)
+        if type(f.default) in (int, float, str) and f.name != "master_seed"
+    }
 
-_ESCAPE_SCHEMA = {
-    "genome_length": ("int", "genome_length"),
-    "coat_start": ("int", None),
-    "coat_stop": ("int", None),
-    "base_rate": ("float", "base_rate"),
-    "hot_factor": ("float", "hot_factor"),
-    "fidelity_rate": ("float", "fidelity_rate"),
-    "offspring_per_virion": ("int", "offspring_per_virion"),
-    "capacity": ("int", "capacity"),
-    "immune_delay": ("int", "immune_delay"),
-    "kill_probability": ("float", "kill_probability"),
-    "horizon": ("int", "horizon"),
-    "n_founders": ("int", "n_founders"),
-    "n_pairs": ("int", "n_pairs"),
-}
 
-_SOUP_SCHEMA = {
-    "k_on": ("float", "k_on"),
-    "k_off": ("float", "k_off"),
-    "k_cat": ("float", "k_cat"),
-    "motif": ("str", "motif"),
-    "horizon": ("float", "horizon"),
-    "n_replicates": ("int", "n_replicates"),
-}
+_ESCAPE_SCHEMA = _schema(EscapeConfig)
+_SOUP_SCHEMA = _schema(SoupConfig)
 
 
 def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
@@ -146,10 +130,9 @@ def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
     coat = {}
     for lineno, key, value in parse_pairs(text):
         if key in ("coat_start", "coat_stop"):
-            coat[key] = _typed(value, "int", lineno, key)
+            coat[key] = _typed(value, int, lineno, key)
         elif key in _ESCAPE_SCHEMA:
-            kind, attr = _ESCAPE_SCHEMA[key]
-            kwargs[attr] = _typed(value, kind, lineno, key)
+            kwargs[key] = _typed(value, _ESCAPE_SCHEMA[key], lineno, key)
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
     if coat:
@@ -175,14 +158,13 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
                 raise ConfigError(
                     f"free monomer letter must be one of {SOUP_LETTERS}", line=lineno, key=key
                 )
-            free[letter] = _typed(value, "int", lineno, key)
+            free[letter] = _typed(value, int, lineno, key)
         elif key.startswith("polymer."):
             seq = key[len("polymer."):]
             saw_polymer = True
-            polymers[seq] = _typed(value, "int", lineno, key)
+            polymers[seq] = _typed(value, int, lineno, key)
         elif key in _SOUP_SCHEMA:
-            kind, attr = _SOUP_SCHEMA[key]
-            kwargs[attr] = _typed(value, kind, lineno, key)
+            kwargs[key] = _typed(value, _SOUP_SCHEMA[key], lineno, key)
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
     kwargs["initial_free"] = tuple(sorted(free.items()))
@@ -195,20 +177,18 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_escape_config(config: EscapeConfig) -> str:
     """Canonical text form; master_seed is a flag, not a config key."""
-    pairs = {key: getattr(config, attr) for key, (_, attr) in _ESCAPE_SCHEMA.items() if attr}
+    pairs = {key: getattr(config, key) for key in _ESCAPE_SCHEMA}
     pairs["coat_start"], pairs["coat_stop"] = config.coat_span
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))
 
 
 def serialize_soup_config(config: SoupConfig) -> str:
-    pairs = {key: getattr(config, attr) for key, (_, attr) in _SOUP_SCHEMA.items()}
+    pairs = {key: getattr(config, key) for key in _SOUP_SCHEMA}
     pairs.update((f"free.{letter}", n) for letter, n in config.initial_free)
     pairs.update((f"polymer.{seq}", n) for seq, n in config.initial_polymers)
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))

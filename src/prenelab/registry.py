@@ -221,9 +221,11 @@ class World:
     def from_jsonl(cls, text: str) -> "World":
         """Replay a log in the to_jsonl format, rejecting its first bad line.
 
-        Each line is one JSON object; every event is built once and
-        validated by _append.  _parse_lines parses many lines per
-        `json.loads` call without changing any `line N:` message.
+        Each line is one JSON object whose `i`, `obj` and any non-null
+        `src` are JSON integers (booleans and floats are refused); every
+        event is built once and validated by _append.  _parse_lines
+        parses many lines per `json.loads` call without changing any
+        `line N:` message.
         """
         world = cls()
         events = world.events
@@ -232,6 +234,10 @@ class World:
                 if not isinstance(record, dict):
                     raise LogError("event must be a JSON object")
                 _require(record, _EVENT_FIELDS)
+                src = record.get("src")
+                if not (type(record["i"]) is int and type(record["obj"]) is int
+                        and (src is None or type(src) is int)):
+                    raise LogError(_id_error(record))
                 kind = record["kind"]
                 if kind == "create":
                     try:
@@ -240,14 +246,11 @@ class World:
                         raise LogError("content_b64 is not valid base64") from None
                     _require(record, _CREATE_FIELDS)
                     event = Event(
-                        len(events), kind, record["obj"], record["substrate"], content,
-                        record.get("src"),
+                        len(events), kind, record["obj"], record["substrate"], content, src
                     )
                 elif kind == "transcribe":
                     _require(record, _TRANSCRIBE_FIELDS)
-                    event = Event(
-                        len(events), kind, record["obj"], record["substrate"], None, record["src"]
-                    )
+                    event = Event(len(events), kind, record["obj"], record["substrate"], None, src)
                 else:
                     event = Event(len(events), kind, record["obj"])
                 world._append(event)
@@ -266,6 +269,12 @@ _TRANSCRIBE_FIELDS = frozenset(("src", "substrate"))
 def _require(record: dict, fields: frozenset) -> None:
     if not record.keys() >= fields:
         raise LogError(f"missing fields {sorted(fields - record.keys())}")
+
+
+def _id_error(record: dict) -> str:
+    """Names the first of i, obj and a non-null src that is not a JSON integer."""
+    name = next(key for key in ("i", "obj", "src") if type(record.get(key)) is not int)
+    return f"{name} must be an integer, got {json.dumps(record[name])}"
 
 
 # Lines per guarded parse: bounds how many parsed records are held at once.

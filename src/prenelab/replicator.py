@@ -209,9 +209,9 @@ class MutationProfile:
 
         Tier rates must be non-decreasing from core outward: the innermost
         shell is copied most faithfully, each shell outward tolerates more
-        error.
+        error.  Boundaries are integers; a float raises TypeError.
         """
-        bounds = [int(b) for b in boundaries]
+        bounds = [operator.index(b) for b in boundaries]
         if list(bounds) != sorted(bounds) or (bounds and not 0 < bounds[0]):
             raise ValueError("shell boundaries must be positive and increasing")
         if bounds and bounds[-1] > length:

@@ -10,6 +10,8 @@ any shared mutable state.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Stamped into every run report so a run can be reproduced bit-exactly.
@@ -20,9 +22,12 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator for (master_seed, *key).
 
     The same arguments always yield the same stream; distinct keys yield
-    statistically independent streams.
+    statistically independent streams.  The seed and keys are ints or
+    NumPy integers; any other type raises TypeError rather than being
+    truncated.
     """
+    master_seed = operator.index(master_seed)
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in key]])
+    seq = np.random.SeedSequence([master_seed, *map(operator.index, key)])
     return np.random.Generator(np.random.Philox(seq))

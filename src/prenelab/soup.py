@@ -459,16 +459,17 @@ def run_until(
 
     while state.time < horizon:
         try:
-            a = _peek_next_time(state, gen)
+            peeked = _peek_next_time(state, gen)
         except Quiescent:
             break
-        while pos < len(pending) and pending[pos] < min(a.next_time, horizon):
+        next_time = peeked[0]
+        while pos < len(pending) and pending[pos] < min(next_time, horizon):
             sample(pending[pos])
             pos += 1
-        if a.next_time >= horizon:
+        if next_time >= horizon:
             state.time = horizon
             break
-        _apply_peeked(state, a)
+        _apply_peeked(state, peeked)
     while pos < len(pending) and pending[pos] <= horizon:
         sample(pending[pos])
         pos += 1
@@ -476,14 +477,8 @@ def run_until(
     return state
 
 
-@dataclass
-class _Peeked:
-    next_time: float
-    kind: str
-    args: tuple
-
-
-def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> _Peeked:
+def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> tuple[float, str, tuple]:
+    """The next event as (time, kind, args), drawn but not yet applied."""
     a_extend = state._extend_total()
     a_detach = state._detach_total()
     a_cat = state._catalyze_total()
@@ -493,23 +488,23 @@ def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> _Peeked:
     next_time = state.time + gen.standard_exponential() / a_total
     u = gen.random() * a_total
     if u < a_extend:
-        return _Peeked(next_time, "extend", _sample_extend(state, gen))
+        return next_time, "extend", _sample_extend(state, gen)
     if u < a_extend + a_detach:
         row = _fenwick_pick(state._all, 0, gen.random() * float(state.total_strands()))
-        return _Peeked(next_time, "detach", (state.seqs[row],))
+        return next_time, "detach", (state.seqs[row],)
     cat = state.seqs[_fenwick_pick(state._cat, 0, gen.random() * float(state.n_catalysts()))]
     tgt = state.seqs[_fenwick_pick(state._aaa, 0, gen.random() * float(state.n_aaa_enders()))]
-    return _Peeked(next_time, "catalyze", (cat, tgt))
+    return next_time, "catalyze", (cat, tgt)
 
 
-def _apply_peeked(state: ReactorState, peeked: _Peeked) -> None:
-    state.time = peeked.next_time
-    if peeked.kind == "extend":
-        _apply_extend(state, *peeked.args)
-    elif peeked.kind == "detach":
-        _apply_detach(state, *peeked.args)
+def _apply_peeked(state: ReactorState, peeked: tuple[float, str, tuple]) -> None:
+    state.time, kind, args = peeked
+    if kind == "extend":
+        _apply_extend(state, *args)
+    elif kind == "detach":
+        _apply_detach(state, *args)
     else:
-        _apply_catalyze(state, *peeked.args)
+        _apply_catalyze(state, *args)
     state.n_events += 1
     state.audit()
 
@@ -550,6 +545,11 @@ class SoupConfig:
             bad("motif", f"must be a non-empty string over {SOUP_LETTERS}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             bad("horizon", "must be finite and > 0")
+        for name in ("n_replicates", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                bad(name, "must be an integer")
         if self.n_replicates < 1:
             bad("n_replicates", "must be >= 1")
         if not 0 <= self.master_seed < 2**64:

@@ -348,6 +348,74 @@ class TestRegistryCli:
         assert capsys.readouterr().err == f"prene-lab: log error: line 2: missing fields {missing}\n"
 
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"i": 1, "kind": "destroy", "obj": {}}, "obj must be an integer, got {}"),
+            ({"i": 1, "kind": "transcribe", "obj": 2, "substrate": "computer", "src": [1]},
+             "src must be an integer, got [1]"),
+            ({"i": False, "kind": "destroy", "obj": 1}, "i must be an integer, got false"),
+            ({"i": 1, "kind": "create", "obj": True, "substrate": "brain", "content_b64": "QUJD"},
+             "obj must be an integer, got true"),
+            ({"i": 1, "kind": "create", "obj": 1.5, "substrate": "brain", "content_b64": "QUJD"},
+             "obj must be an integer, got 1.5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "query"])
+    def test_non_integer_id_is_a_log_error(self, tmp_path, command, record, message):
+        log = tmp_path / "bad.jsonl"
+        first = {"i": 0, "kind": "create", "obj": 1, "substrate": "brain", "content_b64": "QUJD"}
+        log.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n")
+        extra = {
+            "ingest": ["--out", str(tmp_path / "o.jsonl")],
+            "query": ["--what", "copy-number", "--content", "ABC"],
+        }[command]
+        proc = run_proc(["registry", command, "--log", str(log), *extra])
+        assert proc.returncode == 1
+        assert proc.stderr == f"prene-lab: log error: line 2: {message}\n"
+        assert proc.stdout == ""
+
+
+class TestRunReport:
+    """`main` prints one run report, after the command has succeeded."""
+
+    @pytest.mark.parametrize(
+        "kind, code",
+        [("config", 2), ("log", 1), ("io", 1)],
+    )
+    def test_failing_command_prints_no_report(self, tmp_path, capsys, kind, code):
+        bad_log = tmp_path / "bad.jsonl"
+        bad_log.write_text("not json\n")
+        cfg = tmp_path / "soup.cfg"
+        cfg.write_text("n_replicates = 0\n")
+        args = {
+            "config": ["soup", "run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            "log": ["registry", "ingest", "--log", str(bad_log), "--out", str(tmp_path / "o")],
+            "io": ["registry", "query", "--log", str(tmp_path / "nope.jsonl"),
+                   "--what", "longest-shared"],
+        }[kind]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"prene-lab: {kind} error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_query_result_printed_before_the_report(self, capsys):
+        args = ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX"]
+        assert main(args) == 0
+        result, report = capsys.readouterr().out.splitlines()
+        assert json.loads(result) == {"extinct": False}
+        report = json.loads(report)
+        assert report["subcommand"] == "registry query"
+        assert report["artifacts"] == []
+        assert report["config"] == {"log": GOLDEN_LOG, "what": "extinct", "at": None}
+        assert set(report) == {
+            "tool", "version", "subcommand", "rng_algorithm", "seed", "config",
+            "wall_time_s", "artifacts",
+        }
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 """Config grammar: parsing, typing, rejection, and round-trip identity."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,54 @@ class TestEscapeConfig:
             "hot_factor = 10.0\nimmune_delay = 3\nkill_probability = 0.75\n"
             "n_founders = 10\nn_pairs = 100\noffspring_per_virion = 2\n"
         )
+
+
+# A valid non-default text value for every scalar config field but master_seed.
+ESCAPE_VALUES = {
+    "genome_length": "400", "base_rate": "0.001", "hot_factor": "5.0",
+    "fidelity_rate": "1e-08", "offspring_per_virion": "3", "capacity": "17",
+    "immune_delay": "4", "kill_probability": "0.5", "horizon": "12",
+    "n_founders": "3", "n_pairs": "7",
+}
+SOUP_VALUES = {
+    "k_on": "0.001", "k_off": "0.5", "k_cat": "0.25", "motif": "GA",
+    "horizon": "12.5", "n_replicates": "3",
+}
+
+
+def _scalar_fields(config_class) -> set[str]:
+    return {
+        f.name for f in dataclasses.fields(config_class)
+        if not isinstance(f.default, tuple) and f.name != "master_seed"
+    }
+
+
+@pytest.mark.parametrize(
+    "config_class, values, from_text, serialize",
+    [
+        (EscapeConfig, ESCAPE_VALUES, escape_config_from_text, serialize_escape_config),
+        (SoupConfig, SOUP_VALUES, soup_config_from_text, serialize_soup_config),
+    ],
+    ids=["escape", "soup"],
+)
+def test_every_scalar_field_is_a_config_key(config_class, values, from_text, serialize):
+    assert set(values) == _scalar_fields(config_class)
+    default = config_class()
+    for key, text in values.items():
+        config = from_text(f"{key} = {text}\n", master_seed=5)
+        value = getattr(config, key)
+        assert value != getattr(default, key), key
+        assert type(value) is type(getattr(default, key)), key
+        assert str(value) == text, key
+        assert from_text(serialize(config), master_seed=5) == config, key
+        assert f"{key} = {text}\n" in serialize(config), key
+
+
+@pytest.mark.parametrize("key", ["master_seed", "coat_span", "initial_free", "initial_polymers"])
+def test_seed_and_tuple_fields_are_not_keys(key):
+    for from_text in (escape_config_from_text, soup_config_from_text):
+        with pytest.raises(ConfigError, match="unknown key"):
+            from_text(f"{key} = 1\n")
 
 
 class TestSoupConfigText:

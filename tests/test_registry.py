@@ -263,6 +263,36 @@ class TestLoader:
             assert got.events == expected.events
             assert got.objects == expected.objects
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (_record(0, "create", {}, "brain", "eA=="), "obj must be an integer, got {}"),
+            (_record(0, "create", True, "brain", "eA=="), "obj must be an integer, got true"),
+            (_record(0, "create", 1.5, "brain", "eA=="), "obj must be an integer, got 1.5"),
+            (_record(0, "destroy", "1"), 'obj must be an integer, got "1"'),
+            (_record(False, "create", 1, "brain", "eA=="), "i must be an integer, got false"),
+            (_record(0.0, "create", 1, "brain", "eA=="), "i must be an integer, got 0.0"),
+            (_record(0, "create", 1, "brain", "eA==", src=[1]), "src must be an integer, got [1]"),
+            (_record(0, "transcribe", 2, "computer", src=[1]), "src must be an integer, got [1]"),
+            (_record(0, "transcribe", 2, "computer", src=True), "src must be an integer, got true"),
+        ],
+    )
+    def test_non_integer_ids_are_log_errors(self, line, message):
+        first = _record(0, "create", 7, "brain", "eA==")
+        # the bad record is line 2, with its index shifted to follow line 1
+        line = line.replace('"i":0,', '"i":1,')
+        assert _message(World.from_jsonl, f"{first}\n{line}\n") == f"line 2: {message}"
+
+    def test_true_id_no_longer_collides_with_one(self):
+        text = _record(0, "create", 1, "brain", "eA==") + "\n"
+        text += _record(1, "create", True, "brain", "eA==") + "\n"
+        assert _message(World.from_jsonl, text) == "line 2: obj must be an integer, got true"
+
+    def test_null_src_still_reaches_the_alive_check(self):
+        text = _record(0, "create", 1, "brain", "eA==") + "\n"
+        text += _record(1, "transcribe", 2, "computer", src=None) + "\n"
+        assert _message(World.from_jsonl, text) == _message(_registry_oracle.load, text)
+
     def test_non_string_substrate_is_a_log_error(self):
         text = _record(0, "create", 1, None, "eA==") + "\n"
         assert _message(World.from_jsonl, text) == (

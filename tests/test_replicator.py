@@ -122,6 +122,15 @@ class TestMutationProfile:
         with pytest.raises(ValueError):
             MutationProfile.shells([3], [0.0, 0.1, 0.2], 6)
 
+    def test_shells_float_boundary_rejected(self):
+        # int() would truncate 2.5 to 2 and give site 2 the core rate
+        with pytest.raises(TypeError):
+            MutationProfile.shells([2.5], [0.1, 0.2], 5)
+
+    def test_shells_numpy_integer_boundaries(self):
+        p = MutationProfile.shells(np.array([2, 4]), [0.0, 0.1, 0.2], 5)
+        assert np.allclose(p.site_prob, [0, 0, 0.1, 0.1, 0.2])
+
 
 class TestReplicate:
     def test_zero_profile_is_identity(self):

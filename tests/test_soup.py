@@ -364,6 +364,18 @@ class TestCatalysisExperiment:
         with pytest.raises(SoupConfigError, match=field):
             SoupConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_replicates", 2.5), ("n_replicates", 2.0), ("master_seed", 1.5), ("master_seed", "1")],
+    )
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(SoupConfigError, match=f"^{field}: must be an integer$"):
+            SoupConfig(**{field: value})
+
+    def test_config_accepts_numpy_integer_counts(self):
+        config = SoupConfig(n_replicates=np.int64(2), master_seed=np.uint64(3))
+        assert config.n_replicates == 2 and config.master_seed == 3
+
     def test_config_validation_names_field(self):
         with pytest.raises(SoupConfigError, match="k_cat"):
             SoupConfig(k_cat=-1)
