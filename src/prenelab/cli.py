@@ -191,7 +191,8 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
             ("fidelity", config.fidelity_profile()),
         ):
             state = replicator._run_arm(
-                config, profile, rng.stream(config.master_seed, 0), record_events=True
+                config, profile, rng.stream(config.master_seed, rng.REPLICATOR, 0),
+                record_events=True,
             )
             lines.extend(
                 json.dumps(
@@ -250,7 +251,8 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
         )
 
     state = config.build_state()
-    soup.run_until(state, config.horizon, rng.stream(config.master_seed, 0), grid, on_sample)
+    gen = rng.stream(config.master_seed, rng.SOUP, 0)  # soup experiment replicate 0's stream
+    soup.run_until(state, config.horizon, gen, grid, on_sample)
     _write_table(
         out,
         args.format,

@@ -1,35 +1,32 @@
-"""Hot per-site mutation kernel.
+"""Hot per-site mutation kernel: one exact Bernoulli trial per site.
 
-The only loop in the package that touches ~1e8 array elements per call is
-the Bernoulli scan that decides, site by site, whether a replicating
-sequence miscopies.  The generator's bit stream is consumed in a fixed
-order (row-major site scan, then one draw per flip for the replacement
-letter), so the result depends only on the seed; tests/test_kernels.py
-freezes one such result.
+Sites are never visited one by one.  The profile is split into runs of
+constant probability p, and each run's (n, width) block draws its flip
+count k ~ Binomial(n * width, p), then a uniform k-subset of its sites
+(Devroye 1986, ch. X), so the cost scales with flips, not with sites.
+The bit stream is consumed in a fixed order (per run with p > 0, in site
+order: one binomial draw, one subset draw; then one uniform per flip, in
+row-major order, for the new letter); tests/test_kernels.py freezes one
+result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Row chunking keeps the uniform buffer ~tens of MB; it does not change the
-# order in which the bit stream is consumed.
-_CHUNK_ROWS = 512
 
-
-def _scan_sites(codes, site_prob, gen):
-    n, length = codes.shape
-    rows_parts = []
-    cols_parts = []
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        u = gen.random((stop - start, length))
-        r, c = np.divmod(np.flatnonzero(u < site_prob), length)  # row-major
-        rows_parts.append(r + start)
-        cols_parts.append(c)
-    if rows_parts:
-        return np.concatenate(rows_parts), np.concatenate(cols_parts)
-    return np.empty(0, np.int64), np.empty(0, np.int64)
+def _flip_sites(n, site_prob, gen):
+    """Sorted flat indices (row * L + col) of the sites that flip."""
+    length = site_prob.size
+    starts = np.flatnonzero(np.diff(site_prob, prepend=-1.0)).tolist()  # -1: site 0 opens a run
+    parts = [np.empty(0, np.int64)]
+    for start, stop in zip(starts, [*starts[1:], length]):
+        p, width = site_prob[start], stop - start
+        if p > 0.0:
+            k = gen.binomial(n * width, p)
+            r, c = np.divmod(gen.choice(n * width, k, replace=False, shuffle=False), width)
+            parts.append(r * length + c + start)
+    return np.sort(np.concatenate(parts))
 
 
 def _apply_flips(codes, rows, cols, gen):
@@ -45,7 +42,7 @@ def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Genera
     """Mutate a batch of coded sequences in place, one Bernoulli trial per site.
 
     codes: (n, L) uint8 matrix of letter codes 0..3, modified in place.
-    site_prob: (L,) float64 per-site substitution probabilities in [0, 1).
+    site_prob: (L,) float64 per-site substitution probabilities in [0, 1].
     Returns (rows, cols, old, new): the flipped positions in row-major order
     with the letter codes before and after.  Each flip substitutes one of
     the three other letters uniformly.
@@ -56,6 +53,8 @@ def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Genera
         raise ValueError(
             f"site_prob length {site_prob.shape} does not match sequence length {codes.shape[1]}"
         )
-    rows, cols = _scan_sites(codes, site_prob, gen)
+    if not np.all((site_prob >= 0.0) & (site_prob <= 1.0)):  # NaN fails both
+        raise ValueError("site_prob must lie in [0, 1]")
+    rows, cols = np.divmod(_flip_sites(codes.shape[0], site_prob, gen), codes.shape[1])
     old, new = _apply_flips(codes, rows, cols, gen)
     return rows, cols, old, new

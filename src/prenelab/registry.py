@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
+from .rng import is_int
+
 __all__ = [
     "SUBSTRATES",
     "normalize",
@@ -132,23 +134,23 @@ class World:
         self.events: list[Event] = []
         self.objects: dict[int, StoredObject] = {}
 
-    # append API; every mutation funnels through _append
+    # append API; ids are checked here (from_jsonl checks its own), events in _append
 
     def create(
-        self,
-        obj_id: int,
-        substrate: str,
-        content: bytes,
-        src: Optional[int] = None,
+        self, obj_id: int, substrate: str, content: bytes, src: Optional[int] = None
     ) -> Event:
+        obj_id = _plain_id("obj_id", obj_id)
+        src = None if src is None else _plain_id("src", src)
         return self._append(
             Event(len(self.events), "create", obj_id, substrate, bytes(content), src)
         )
 
     def destroy(self, obj_id: int) -> Event:
-        return self._append(Event(len(self.events), "destroy", obj_id))
+        return self._append(Event(len(self.events), "destroy", _plain_id("obj_id", obj_id)))
 
     def transcribe(self, src_id: int, new_id: int, substrate: str) -> Event:
+        new_id = _plain_id("new_id", new_id)
+        src_id = None if src_id is None else _plain_id("src_id", src_id)  # None fails as dead
         return self._append(
             Event(len(self.events), "transcribe", new_id, substrate, None, src_id)
         )
@@ -269,6 +271,13 @@ _TRANSCRIBE_FIELDS = frozenset(("src", "substrate"))
 def _require(record: dict, fields: frozenset) -> None:
     if not record.keys() >= fields:
         raise LogError(f"missing fields {sorted(fields - record.keys())}")
+
+
+def _plain_id(name: str, value) -> int:
+    """An id given to the append API as a plain int; bools and floats are refused."""
+    if not is_int(value):
+        raise LogError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _id_error(record: dict) -> str:

@@ -87,15 +87,6 @@ class ExperimentConfigError(ValueError):
         self.field_name = field_name
 
 
-def _is_int(value) -> bool:
-    """True for ints and NumPy integers; floats such as 2.0 are refused."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
 def _codes_to_str(codes: np.ndarray) -> str:
     return bytes(codes).translate(_CODE_TO_ASCII).decode("ascii")
 
@@ -449,9 +440,9 @@ class EscapeConfig:
 
         for name in ("genome_length", "offspring_per_virion", "capacity", "immune_delay",
                      "horizon", "n_founders", "n_pairs", "master_seed"):
-            if not _is_int(getattr(self, name)):
+            if not rng_mod.is_int(getattr(self, name)):
                 bad(name, "must be an integer")
-        if not all(map(_is_int, self.coat_span)):
+        if not all(map(rng_mod.is_int, self.coat_span)):
             bad("coat_span", "bounds must be integers")
         if self.genome_length < 1:
             bad("genome_length", "must be >= 1")
@@ -556,16 +547,17 @@ def sign_test_p(wins: int, losses: int) -> float:
 def run_escape_experiment(config: EscapeConfig) -> EscapeReport:
     """Paired comparison: hot-coat mutator vs high-fidelity copier.
 
-    Both arms of pair i consume identical RNG streams derived from
-    (master_seed, i), so differences are attributable to the profile.
+    Both arms of pair i consume the one stream of (master_seed,
+    REPLICATOR, i), so differences are attributable to the profile.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
     outcomes = []
     hot_wins = fidelity_wins = ties = 0
     for i in range(config.n_pairs):
-        hot = _run_arm(config, hot_profile, rng_mod.stream(config.master_seed, i))
-        fid = _run_arm(config, fid_profile, rng_mod.stream(config.master_seed, i))
+        key = (config.master_seed, rng_mod.REPLICATOR, i)
+        hot = _run_arm(config, hot_profile, rng_mod.stream(*key))
+        fid = _run_arm(config, fid_profile, rng_mod.stream(*key))
         outcomes.append(
             PairOutcome(
                 i,

@@ -1,11 +1,12 @@
 """Seeded random-number streams shared by every stochastic module.
 
 All randomness flows through counter-based Philox generators keyed by
-(master_seed, stream indices...) via `numpy.random.SeedSequence`, which is
-documented to be stable across platforms and numpy versions.  Two runs with
-the same master seed therefore consume bit-identical streams, and parallel
-entities (seeds, replicates, grid points) get independent streams without
-any shared mutable state.
+(master_seed, *key) via `numpy.random.SeedSequence`, which is documented
+to be stable across platforms and numpy versions.  The key is injective
+(Salmon et al., SC 2011): the entropy is the seed as two 32-bit words,
+the key length, then the key words, each below 2**32.  Each model leads
+its keys with its own domain word (REPLICATOR, SOUP), so models never
+share a stream.
 """
 
 from __future__ import annotations
@@ -14,20 +15,40 @@ import operator
 
 import numpy as np
 
-# Stamped into every run report so a run can be reproduced bit-exactly.
-RNG_ALGORITHM = "philox4x64-10"
+# Stamped into every run report so a run can be reproduced bit-exactly; the
+# suffix names the (master_seed, *key) -> SeedSequence derivation above.
+RNG_ALGORITHM = "philox4x64-10/keyed-u32-v2"
+
+REPLICATOR = int.from_bytes(b"repl", "big")
+SOUP = int.from_bytes(b"soup", "big")
+
+
+def is_int(value) -> bool:
+    """True for ints and NumPy integers; bools and floats such as 2.0 are refused."""
+    try:
+        operator.index(value)  # operator.index(True) is 1, hence the bool test
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
+def _word(value, bits: int, name: str) -> int:
+    if not is_int(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if not 0 <= value < 2**bits:
+        raise ValueError(f"{name} must be an unsigned {bits}-bit integer, got {value}")
+    return value
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator for (master_seed, *key).
 
-    The same arguments always yield the same stream; distinct keys yield
-    statistically independent streams.  The seed and keys are ints or
-    NumPy integers; any other type raises TypeError rather than being
-    truncated.
+    Distinct arguments give distinct, independent streams.  The seed is an
+    unsigned 64-bit and each key word an unsigned 32-bit integer (int or
+    NumPy); other types raise TypeError and other values ValueError.
     """
-    master_seed = operator.index(master_seed)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    seq = np.random.SeedSequence([master_seed, *map(operator.index, key)])
-    return np.random.Generator(np.random.Philox(seq))
+    seed = _word(master_seed, 64, "master_seed")
+    words = [_word(k, 32, "key word") for k in key]
+    entropy = [seed & 0xFFFFFFFF, seed >> 32, len(words), *words]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

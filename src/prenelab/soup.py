@@ -92,11 +92,8 @@ class CatalystRule:
 
 
 def _is_count(n) -> bool:
-    """A non-negative integer; floats such as 2.0 or 2.7 are refused."""
-    try:
-        return operator.index(n) >= 0
-    except TypeError:
-        return False
+    """A non-negative integer; bools and floats such as 2.0 or 2.7 are refused."""
+    return rng_mod.is_int(n) and n >= 0
 
 
 # Integer Fenwick (binary indexed) trees over species rows, 1-based, with
@@ -546,9 +543,7 @@ class SoupConfig:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             bad("horizon", "must be finite and > 0")
         for name in ("n_replicates", "master_seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
+            if not rng_mod.is_int(getattr(self, name)):
                 bad(name, "must be an integer")
         if self.n_replicates < 1:
             bad("n_replicates", "must be >= 1")
@@ -589,18 +584,19 @@ def run_catalysis_experiment(config: SoupConfig) -> CatalysisReport:
     """Treatment (catalysis on) vs control (k_cat = 0) on shared seeds.
 
     Replicate i of both arms consumes an identical RNG stream derived
-    from (master_seed, i): with k_cat = 0 in both arms the traces are
-    identical event for event.
+    from (master_seed, SOUP, i): with k_cat = 0 in both arms the traces
+    are identical event for event.
     """
     from .replicator import sign_test_p
 
     outcomes = []
     t_wins = c_wins = ties = 0
     for i in range(config.n_replicates):
+        key = (config.master_seed, rng_mod.SOUP, i)
         treatment = config.build_state()
-        run_until(treatment, config.horizon, rng_mod.stream(config.master_seed, i))
+        run_until(treatment, config.horizon, rng_mod.stream(*key))
         control = config.build_state(k_cat=0.0)
-        run_until(control, config.horizon, rng_mod.stream(config.master_seed, i))
+        run_until(control, config.horizon, rng_mod.stream(*key))
         outcomes.append(
             ReplicateOutcome(
                 i,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prenelab import kernels, rng
+from prenelab.replicator import MutationProfile
 
 
 def _fresh(seed, n=40, L=120):
@@ -18,39 +19,35 @@ def _fresh(seed, n=40, L=120):
 # draws from rng.stream(901, 2), frozen: flipped sites as row * 120 + col,
 # letter codes before and after each flip, sha256 of the mutated matrix
 GOLDEN_FLAT_SITES = [
-    11, 22, 42, 49, 100, 110, 122, 140, 142, 148, 161, 167, 174, 183, 242, 252, 254,
-    274, 285, 333, 334, 335, 345, 350, 365, 394, 402, 442, 463, 481, 520, 529, 538, 539,
-    587, 609, 639, 640, 644, 660, 679, 699, 700, 704, 723, 732, 764, 770, 775, 781, 791,
-    796, 824, 865, 877, 881, 889, 895, 902, 903, 976, 977, 983, 997, 1024, 1029, 1057,
-    1060, 1078, 1121, 1159, 1186, 1194, 1202, 1224, 1226, 1261, 1276, 1298, 1310, 1325,
-    1328, 1343, 1357, 1461, 1474, 1477, 1496, 1497, 1518, 1613, 1656, 1664, 1686, 1699,
-    1704, 1714, 1734, 1741, 1757, 1767, 1779, 1783, 1826, 1870, 1876, 1933, 1954, 2059,
-    2065, 2130, 2162, 2211, 2238, 2257, 2271, 2283, 2303, 2320, 2322, 2331, 2378, 2391,
-    2402, 2413, 2424, 2458, 2486, 2503, 2511, 2532, 2552, 2562, 2594, 2599, 2630, 2660,
-    2665, 2699, 2728, 2737, 2798, 2811, 2819, 2828, 2858, 2872, 2887, 2894, 2918, 2931,
-    2949, 2975, 2982, 2990, 2991, 3005, 3046, 3062, 3067, 3083, 3084, 3110, 3111, 3137,
-    3139, 3141, 3143, 3152, 3172, 3178, 3200, 3223, 3225, 3240, 3242, 3247, 3250, 3253,
-    3267, 3332, 3334, 3350, 3353, 3361, 3391, 3394, 3397, 3427, 3431, 3454, 3459, 3470,
-    3513, 3524, 3603, 3625, 3651, 3663, 3675, 3677, 3679, 3685, 3697, 3711, 3720, 3727,
-    3734, 3749, 3750, 3769, 3784, 3786, 3817, 3823, 3836, 3849, 3863, 3876, 3877, 3883,
-    3887, 3889, 3895, 3965, 3981, 3990, 4037, 4064, 4068, 4121, 4125, 4137, 4142, 4143,
-    4187, 4247, 4248, 4268, 4274, 4349, 4414, 4428, 4459, 4502, 4523, 4538, 4571, 4583,
-    4596, 4631, 4635, 4641, 4644, 4665, 4682, 4688, 4700, 4725, 4730, 4739, 4741, 4763,
-    4764, 4778
+    5, 24, 62, 77, 111, 132, 157, 163, 186, 200, 203, 218, 223, 272, 278, 306, 319, 337,
+    386, 389, 398, 422, 433, 442, 449, 454, 486, 587, 599, 676, 687, 703, 715, 751, 761,
+    775, 784, 800, 841, 853, 884, 888, 904, 955, 961, 967, 974, 1048, 1085, 1092, 1124,
+    1138, 1143, 1158, 1185, 1209, 1212, 1224, 1230, 1259, 1270, 1288, 1296, 1310, 1311,
+    1326, 1333, 1346, 1374, 1388, 1411, 1452, 1459, 1474, 1476, 1493, 1513, 1514, 1523,
+    1545, 1548, 1551, 1598, 1608, 1618, 1621, 1635, 1641, 1680, 1695, 1765, 1787, 1830,
+    1862, 1870, 1906, 1932, 1937, 1939, 1945, 1961, 1965, 2007, 2014, 2021, 2141, 2153,
+    2154, 2166, 2209, 2212, 2248, 2280, 2290, 2338, 2383, 2393, 2402, 2447, 2462, 2480,
+    2501, 2533, 2536, 2585, 2587, 2617, 2619, 2631, 2655, 2669, 2695, 2707, 2721, 2722,
+    2751, 2761, 2773, 2793, 2800, 2851, 2860, 2956, 2972, 3016, 3062, 3096, 3106, 3136,
+    3289, 3338, 3372, 3389, 3416, 3447, 3471, 3474, 3486, 3488, 3497, 3508, 3524, 3526,
+    3543, 3545, 3546, 3565, 3577, 3578, 3582, 3647, 3696, 3705, 3714, 3735, 3740, 3744,
+    3796, 3818, 3833, 3861, 3896, 3923, 3930, 3931, 3939, 3944, 3966, 3983, 4018, 4025,
+    4090, 4104, 4211, 4212, 4311, 4314, 4330, 4335, 4349, 4380, 4394, 4406, 4423, 4431,
+    4440, 4508, 4528, 4563, 4566, 4589, 4606, 4640, 4643, 4697, 4716, 4743, 4758
 ]
 GOLDEN_OLD = (
-    "322221031130002002031123110132013231002331113020023220313333030212211221"
-    "300233221211311300203123200113112130101332330312100011022202202311022120"
-    "123332211202223003310202233000320101023313120211323121130110221210121232"
-    "2030320210213232223021212101020021202131003311011"
+    "033121012010023033320210223202012002000121131221011300022333030110300103"
+    "012120131103202113033000203200001031102310332310321221100230101100320311"
+    "333310120221010130302002130310231310000110003113013011303032331012312301"
+    "03"
 )
 GOLDEN_NEW = (
-    "213113202003111223310000202203332302231222222102210333030121212131330312"
-    "111011013100220032120332022202231001333110012200033130211023313033110012"
-    "201200103311312210132023302131132212330032011033201200312232310031210323"
-    "3201032002101001311103320022312130021020222223232"
+    "110213330202112101211033310013103230111012202102220131331102113322121011"
+    "220311323312133020300221032013222200331103020201113030331312010323131130"
+    "100102001010202312123323311101112033122331211200300200111223000201031222"
+    "10"
 )
-GOLDEN_CODES_SHA256 = "47de823abaa892fd5f784d30bd8b75302a7e8c9d2c0a14bdf03a77a63b9d1a95"
+GOLDEN_CODES_SHA256 = "49fead212e1628603f60df4dd52fd3e978cc3a55948ee644f0dc7ed8845a926a"
 
 
 def test_frozen_golden_mutation():
@@ -66,33 +63,35 @@ def test_frozen_golden_mutation():
     assert hashlib.sha256(codes.tobytes()).hexdigest() == GOLDEN_CODES_SHA256
 
 
-# mutate_sites on the 1100x16 codes of rng.stream(902, 1) with p = 0.05 and
-# draws from rng.stream(902, 2), frozen: three row chunks, so the chunk row
-# offset is exercised; sha256 of the flipped sites (row * 16 + col, <i8),
-# of the letter codes before and after, and of the mutated matrix
-GOLDEN_MULTI_CHUNK = {
-    "flips": 869,
-    "sites": "461a3e1b1b7b01ea1c28c5966d3c70ed3cf52eb996014a456b4d12108e9cecb0",
-    "old": "f5c8bcb55661c32abb5b9faed5036b4528369d3512be83fc010637fa1ecea95d",
-    "new": "c9073813d38eed570ca8c6d4d3a1c8465a8334bc0faf4ea36ea0705e7ddaf4d9",
-    "codes": "31baac7e42d161a9548648c65afcdb65204a3c1403292ba04965de3e679015c6",
+# mutate_sites on the 1100x16 codes of rng.stream(902, 1) with draws from
+# rng.stream(902, 2), frozen: a batch of more than 1024 rows under a profile
+# of three runs (p = 0.05 on columns 0-3, 0 on 4-5, 0.005 on 6-15), so the
+# per-run draw order and the flat-index mapping of every run are pinned;
+# sha256 of the flipped sites (row * 16 + col, <i8), of the letter codes
+# before and after, and of the mutated matrix
+GOLDEN_LARGE_BATCH = {
+    "flips": 262,
+    "sites": "cfe3295894e6c5e2d1b9e39d2c7666c9a0e940eea91801621123752572acec5a",
+    "old": "4f10b580d80c7f88658471eaf68c65c7970bdef8b865175a45ffdfaf4a0327d8",
+    "new": "e7cf33e47851f4a53e67bf0647ce2cd5b8ae8d7364bafa55d1ec0f161cfc9c21",
+    "codes": "544ff4d82973ab86826fb5faaf90f8b34610f010e4f7ebb198317a5ee1b92e04",
 }
 
 
-def test_frozen_golden_multi_chunk():
+def test_frozen_golden_large_batch():
     codes = rng.stream(902, 1).integers(0, 4, size=(1100, 16), dtype=np.uint8)
-    assert codes.shape[0] > 2 * kernels._CHUNK_ROWS
-    rows, cols, old, new = kernels.mutate_sites(codes, np.full(16, 0.05), rng.stream(902, 2))
-    assert rows.max() >= 2 * kernels._CHUNK_ROWS
+    prob = np.array([0.05] * 4 + [0.0] * 2 + [0.005] * 10)
+    rows, cols, old, new = kernels.mutate_sites(codes, prob, rng.stream(902, 2))
+    assert rows.max() > 1024
 
     def sha(a):
         return hashlib.sha256(a.tobytes()).hexdigest()
 
-    assert rows.size == GOLDEN_MULTI_CHUNK["flips"]
-    assert sha((rows * 16 + cols).astype("<i8")) == GOLDEN_MULTI_CHUNK["sites"]
-    assert sha(old) == GOLDEN_MULTI_CHUNK["old"]
-    assert sha(new) == GOLDEN_MULTI_CHUNK["new"]
-    assert sha(codes) == GOLDEN_MULTI_CHUNK["codes"]
+    assert rows.size == GOLDEN_LARGE_BATCH["flips"]
+    assert sha((rows * 16 + cols).astype("<i8")) == GOLDEN_LARGE_BATCH["sites"]
+    assert sha(old) == GOLDEN_LARGE_BATCH["old"]
+    assert sha(new) == GOLDEN_LARGE_BATCH["new"]
+    assert sha(codes) == GOLDEN_LARGE_BATCH["codes"]
 
 
 def test_zero_probability_is_identity():
@@ -191,3 +190,48 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         kernels.mutate_sites(codes[0], np.full(120, 0.1), rng.stream(19, 2))
 
+
+
+# The sampler draws a flip count per constant-rate run, then which sites of
+# the run flip: each run must still flip at its own rate, sites independently.
+SHELLS = MutationProfile.shells([20, 50, 80], [0.0, 0.002, 0.02, 0.2], 100)
+
+
+def test_each_run_flips_at_its_own_rate():
+    codes = rng.stream(20, 1).integers(0, 4, size=(2000, 100), dtype=np.uint8)
+    rows, cols, _, _ = kernels.mutate_sites(codes, SHELLS.site_prob, rng.stream(20, 2))
+    assert not np.any(cols < 20)  # the p == 0 core never flips
+    for start, stop, p in ((20, 50, 0.002), (50, 80, 0.02), (80, 100, 0.2)):
+        n_sites = 2000 * (stop - start)
+        sigma = (p * (1 - p) / n_sites) ** 0.5
+        rate = np.count_nonzero((cols >= start) & (cols < stop)) / n_sites
+        assert abs(rate - p) < 4 * sigma, (start, rate)
+    # within the p = 0.2 run, every column flips at p
+    per_col = np.bincount(cols[cols >= 80] - 80, minlength=20) / 2000
+    assert np.all(np.abs(per_col - 0.2) < 4 * (0.2 * 0.8 / 2000) ** 0.5)
+
+
+def test_no_site_reported_twice_and_strictly_row_major():
+    codes = rng.stream(21, 1).integers(0, 4, size=(500, 100), dtype=np.uint8)
+    rows, cols, _, _ = kernels.mutate_sites(codes, SHELLS.site_prob, rng.stream(21, 2))
+    flat = rows * 100 + cols
+    assert np.unique(flat).size == flat.size
+    assert np.all(np.diff(flat) > 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_zero_and_one_row_batches(n):
+    codes = np.zeros((n, 100), dtype=np.uint8)
+    rows, cols, old, new = kernels.mutate_sites(codes, np.full(100, 0.5), rng.stream(22, n))
+    assert rows.size == cols.size == old.size == new.size == np.count_nonzero(codes)
+    assert np.all(rows == 0) and np.all(np.diff(cols) > 0)
+    if n:
+        assert 0 < rows.size < 100
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_out_of_range_probability_raises(bad):
+    prob = np.full(10, 0.1)
+    prob[3] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        kernels.mutate_sites(np.zeros((4, 10), dtype=np.uint8), prob, rng.stream(23, 2))

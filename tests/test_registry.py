@@ -96,6 +96,38 @@ class TestWorldAppend:
             w.create(1, "other:", b"x")
         w.create(1, "other:parchment", b"x")
 
+    @pytest.mark.parametrize(
+        "append",
+        [
+            lambda w: w.create(True, "brain", b"x"),
+            lambda w: w.create(1.5, "brain", b"x"),
+            lambda w: w.create("1", "brain", b"x"),
+            lambda w: w.create(2, "brain", b"x", src=True),
+            lambda w: w.create(2, "brain", b"x", src=1.0),
+            lambda w: w.transcribe(True, 2, "computer"),
+            lambda w: w.transcribe(1, False, "computer"),
+            lambda w: w.transcribe(1, 2.0, "computer"),
+            lambda w: w.destroy(True),
+        ],
+    )
+    def test_non_integer_and_bool_ids_rejected(self, append):
+        w = World()
+        w.create(1, "brain", b"x")
+        with pytest.raises(LogError, match="must be an integer"):
+            append(w)
+        assert World.from_jsonl(w.to_jsonl()).to_jsonl() == w.to_jsonl()
+
+    def test_numpy_integer_ids_stored_as_ints_and_round_trip(self):
+        w = World()
+        w.create(np.int64(1), "brain", b"x")
+        w.create(np.uint16(2), "document", b"y", src=np.int32(1))
+        w.transcribe(np.uint64(2), np.int8(3), "computer")
+        w.destroy(np.int16(1))
+        assert all(type(e.obj) is int for e in w.events)
+        assert all(type(e.src) is int for e in w.events if e.src is not None)
+        text = w.to_jsonl()
+        assert World.from_jsonl(text).to_jsonl() == text
+
     def test_time_range_validated(self):
         w = golden_world()
         with pytest.raises(ValueError):

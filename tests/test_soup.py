@@ -358,6 +358,8 @@ class TestCatalysisExperiment:
             ({"horizon": float("nan")}, "horizon"),
             ({"initial_free": (("A", 2.7),)}, "initial_free"),
             ({"initial_polymers": (("AC", 1.5),)}, "initial_polymers"),
+            ({"initial_free": (("A", True),)}, "initial_free"),
+            ({"initial_polymers": (("AC", True),)}, "initial_polymers"),
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, field):
@@ -366,7 +368,10 @@ class TestCatalysisExperiment:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_replicates", 2.5), ("n_replicates", 2.0), ("master_seed", 1.5), ("master_seed", "1")],
+        [
+            ("n_replicates", 2.5), ("n_replicates", 2.0), ("master_seed", 1.5),
+            ("master_seed", "1"), ("master_seed", True), ("n_replicates", True),
+        ],
     )
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(SoupConfigError, match=f"^{field}: must be an integer$"):
@@ -421,9 +426,9 @@ class TestCatalysisExperiment:
         assert run_catalysis_experiment(cfg) == run_catalysis_experiment(cfg)
 
 
-# Frozen soup goldens, generated before the running-total bookkeeping
-# replaced the cumulative-sum picks: any change in the number or order of
-# RNG draws, or in what an event does, changes these digests.
+# Frozen soup goldens, last generated when streams became domain-keyed
+# (rng.SOUP): any change in the number or order of RNG draws, in the
+# stream derivation, or in what an event does, changes these digests.
 
 def _cli_csv_sha256(tmp_path, args, config_text=None):
     from prenelab.cli import main
@@ -441,7 +446,7 @@ def _cli_csv_sha256(tmp_path, args, config_text=None):
 def test_frozen_time_series(tmp_path):
     # 21 sample rows at the default scenario (horizon 10)
     digest = _cli_csv_sha256(tmp_path, ["soup", "run", "--seed", "5", "--samples", "20"])
-    assert digest == "5f149a46784e832152f5df95398a91f23cd1f214087a42ed1f04f7224b8186d0"
+    assert digest == "3721b68c204ae0434d67b465f4658be9e23e0fe051c00269ba05c37ec19ff46c"
 
 
 def test_frozen_experiment(tmp_path):
@@ -450,12 +455,12 @@ def test_frozen_experiment(tmp_path):
         ["soup", "run", "--seed", "5", "--experiment"],
         "n_replicates = 6\nhorizon = 5.0\n",
     )
-    assert digest == "6e81bbc6f770ae1d45987c5ccd49af67233dd25a920e232f8ed7d34f19de0cfd"
+    assert digest == "1c9ae50dfcb10f4834204090d47b8079a947b06474fa7997d9f19d8fcee6be6c"
 
 
 def test_frozen_scaled_reactor():
     # 100x the default pools for 10,000 events: the species table grows
-    # to 185 rows, past several capacity doublings of the pick trees
+    # to 188 rows, past several capacity doublings of the pick trees
     cfg = SoupConfig()
     state = ReactorState(
         {letter: 100 * n for letter, n in cfg.initial_free},
@@ -471,7 +476,7 @@ def test_frozen_scaled_reactor():
         "next_draw": repr(gen.random()),
     }
     text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-    assert len(state.seqs) == 185
+    assert len(state.seqs) == 188
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "74b52164c06f7b3e910b9558bbfccdd6bbc2137140fc995bbb9ecf9536ef860d"
+        "d42789ce1ff1a10f76f0213b96ccada9b0184db8f746a39d0a03a69a0557be23"
     )
