@@ -35,6 +35,7 @@ from .config import (
     ConfigError,
     escape_config_from_text,
     parse_fraction,
+    parse_pairs,
     serialize_escape_config,
     serialize_soup_config,
     soup_config_from_text,
@@ -105,15 +106,6 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
-
-
-def _config_echo(serialized: str) -> dict:
-    """Echo a serialized `key = value` config as a dict of strings."""
-    echo = {}
-    for line in serialized.splitlines():
-        key, _, value = line.partition(" = ")
-        echo[key] = value
-    return echo
 
 
 def _read_text(path: str) -> str:
@@ -206,7 +198,7 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
         _write_lines(events_path, lines)
         artifacts.append(str(events_path))
 
-    echo = _config_echo(serialize_escape_config(config))
+    echo = {key: value for _, key, value in parse_pairs(serialize_escape_config(config))}
     echo["hot_wins"] = report.hot_wins
     echo["fidelity_wins"] = report.fidelity_wins
     echo["ties"] = report.ties
@@ -220,7 +212,7 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     text = _read_text(args.config) if args.config else ""
     config = soup_config_from_text(text, master_seed=args.seed)
     out = Path(args.out)
-    echo = _config_echo(serialize_soup_config(config))
+    echo = {key: value for _, key, value in parse_pairs(serialize_soup_config(config))}
 
     if args.experiment:
         report = soup.run_catalysis_experiment(config)
@@ -233,7 +225,10 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
         echo["sign_test_p"] = repr(report.p_value)
         return echo, [str(out)]
 
-    grid = [config.horizon * j / args.samples for j in range(args.samples + 1)]
+    # clamped: horizon * n / n can round past the horizon (0.1 * 3 / 3)
+    grid = [
+        min(config.horizon * j / args.samples, config.horizon) for j in range(args.samples + 1)
+    ]
     rows = []
 
     def on_sample(t: float, state: soup.ReactorState) -> None:

@@ -132,10 +132,6 @@ class LifeTable:
             if any(a > self.death_age + 1 for a in ages):
                 raise ValueError("birth ages may exceed death_age by at most 1 (posthumous)")
 
-    @property
-    def is_immortal(self) -> bool:
-        return self.death_age is None
-
     def lattice_period(self) -> int:
         """gcd of all birth ages: the census-ratio period of the schedule."""
         ages = list(self.birth_ages)
@@ -223,24 +219,28 @@ class CohortState:
       P(d + 1) - P(max(0, d - death_age)), and P(d + 1) for an immortal
       species.
 
-    A state built from a given history (births_by_day with one count per
-    day 0..current_day) derives both sums from it.
+    births_by_day holds one count per day 0..current_day, so its length
+    defines current_day.  A state built from a given, non-empty history
+    derives both sums from it.
     """
 
     table: LifeTable
     births_by_day: list[int] = field(default_factory=lambda: [1])
-    current_day: int = 0
     _tail_by_day: list[int] = field(init=False, repr=False)
     _prefix_births: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.births_by_day) != self.current_day + 1:
-            raise ValueError("births_by_day must hold one count per day 0..current_day")
+        if not self.births_by_day:
+            raise ValueError("births_by_day must hold at least day 0")
         self._prefix_births = list(itertools.accumulate(self.births_by_day, initial=0))
         self._tail_by_day = []
         if self.table.periodic is not None:
-            for d in range(self.current_day + 1):
+            for d in range(len(self.births_by_day)):
                 self._tail_by_day.append(self._periodic_tail(d))
+
+    @property
+    def current_day(self) -> int:
+        return len(self.births_by_day) - 1
 
     def _periodic_tail(self, d: int) -> int:
         first, step = self.table.periodic
@@ -250,8 +250,8 @@ class CohortState:
         return tail
 
     def step(self) -> None:
-        d = self.current_day + 1
         births = self.births_by_day
+        d = len(births)
         total = sum(births[d - a] for a in self.table.birth_ages if a <= d)
         if self.table.periodic is not None:
             tail = self._periodic_tail(d)
@@ -259,7 +259,6 @@ class CohortState:
             total += tail
         births.append(total)
         self._prefix_births.append(self._prefix_births[-1] + total)
-        self.current_day = d
 
     def census(self, day: int) -> int:
         if not 0 <= day <= self.current_day:
@@ -309,7 +308,6 @@ class IndividualRunResult:
     census: CensusTable
     final_trees: list[Tree]
     cap_exceeded: bool
-    completed_days: int
 
 
 def simulate_individuals(
@@ -367,7 +365,7 @@ def simulate_individuals(
         completed,
         tuple(tuple(col[: completed + 1]) for col in columns),
     )
-    return IndividualRunResult(table, [t for group in trees for t in group], cap_exceeded, completed)
+    return IndividualRunResult(table, [t for group in trees for t in group], cap_exceeded)
 
 
 @dataclass(frozen=True)

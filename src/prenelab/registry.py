@@ -82,9 +82,6 @@ class Prene:
         name = id if id is not None else f"exact:{base64.b64encode(target).decode()}"
         return cls(name, lambda content: content == target)
 
-    def accepts(self, content: bytes, substrate: str) -> bool:
-        return bool(self.recognizer(normalize(content, substrate)))
-
 
 @dataclass(slots=True)
 class StoredObject:

@@ -262,7 +262,8 @@ class PopulationState:
 
     Virions live in parallel arrays (one codes row per virion) so the
     mutation kernel can run on the whole population at once.  The board
-    `posters` maps each postered coat signature to its activation day.
+    `posters` maps each postered coat signature, the letters of the
+    founder's `coat` region, to its activation day.
     """
 
     def __init__(
@@ -273,7 +274,6 @@ class PopulationState:
         gen: np.random.Generator,
         immune_delay: int = DEFAULT_IMMUNE_DELAY,
         kill_probability: float = DEFAULT_KILL_PROBABILITY,
-        coat_region: str = "coat",
         record_events: bool = False,
     ):
         capacity = operator.index(capacity)
@@ -287,11 +287,10 @@ class PopulationState:
             raise ValueError("immune delay must be >= 0")
         if not 0.0 <= kill_probability <= 1.0:
             raise ValueError("kill probability must lie in [0, 1]")
-        founder.region_slice(coat_region)  # raises MissingRegion early
-        self.coat_span = founder.regions[coat_region]
+        founder.region_slice("coat")  # raises MissingRegion early
+        self.coat_span = founder.regions["coat"]
         self.codes = np.repeat(founder.codes.reshape(1, -1), n_founders, axis=0)
         self.ids = np.arange(n_founders, dtype=np.int64)
-        self.parent_ids = np.full(n_founders, -1, dtype=np.int64)  # -1: founder
         self.next_id = n_founders
         self.day = 0
         self.capacity = capacity
@@ -323,13 +322,13 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
         raise ValueError("offspring_per_virion must be >= 1")
     if state.population == 0:
         return
-    parents = np.repeat(state.ids, offspring_per_virion)
     batch = np.repeat(state.codes, offspring_per_virion, axis=0)
     rows, cols, old, new = replicate_batch(batch, profile, state.gen)
     n = batch.shape[0]
     child_ids = np.arange(state.next_id, state.next_id + n, dtype=np.int64)
     state.next_id += n
     if state.record_events:
+        parents = np.repeat(state.ids, offspring_per_virion)
         sites_by_row: dict[int, list] = {}
         for r, c in zip(rows.tolist(), cols.tolist()):
             sites_by_row.setdefault(r, []).append(c)
@@ -343,7 +342,6 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
             )
     state.codes = batch
     state.ids = child_ids
-    state.parent_ids = parents
 
 
 def immune_step(state: PopulationState) -> PopulationState:
@@ -384,7 +382,6 @@ def immune_step(state: PopulationState) -> PopulationState:
     keep[dead] = False
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
-    state.parent_ids = state.parent_ids[keep]
     return state
 
 
@@ -402,7 +399,6 @@ def cull_to_capacity(state: PopulationState) -> None:
         state._log(kind="cull", day=state.day, removed=np.delete(state.ids, keep).tolist())
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
-    state.parent_ids = state.parent_ids[keep]
 
 
 def run_population_day(

@@ -15,20 +15,22 @@ independent pools.
 The integrator is the exact Gillespie direct method (Gillespie 1977).
 An event costs O(log S) in plain Python ints, S the number of species:
 
-- Running totals.  `_add` and `_remove` keep the number of strands,
-  catalysts and AAA-enders and the bound mass of each letter, so the
-  three channel totals need no sum over the species table.
 - Fenwick picks.  Three integer Fenwick trees over the species rows (all
   strands, catalysts, AAA-enders; an index tree as in Gibson & Bruck
   2000) find the smallest row whose exact integer prefix sum exceeds
   the float threshold u * total.  That is the row a float cumulative sum
   and `searchsorted(..., side="right")` would pick, so every draw and
   every pick is the same as with a plain cumulative-sum search.
+- Totals from the roots.  The capacity is a power of two, so the last
+  node of each tree covers every row: the number of strands, catalysts
+  and AAA-enders is read there, and the three channel totals need no sum
+  over the species table.  `_add` and `_remove` also keep the bound mass
+  of each letter.
 - Two audit levels.  `audit()` runs after every event and is O(1): free
   plus running bound mass must equal the conserved mass, per letter.
-  `recount()` is O(S): it recounts the mass, every running total and
-  every tree from the species table; `run_until` calls it at each
-  sample time and before it returns.
+  `recount()` is O(S): it recounts the mass, every row column and every
+  tree from the species table; `run_until` calls it at each sample time
+  and before it returns.
 """
 
 from __future__ import annotations
@@ -145,12 +147,13 @@ class ReactorState:
 
     Species rows live in columns padded to a power-of-two capacity that
     doubles when full, with one Fenwick tree per pickable weight: all
-    strands, catalysts, AAA-enders.  A row whose count reaches zero is
+    strands, catalysts, AAA-enders.  Each tree's root, its last node,
+    holds that weight's total.  A row whose count reaches zero is
     removed at once by moving the last row into it, so two states with
     the same contents compare equal regardless of the order reactions
-    happened to run in.  `_add` and `_remove` keep the running totals
-    (strands, catalysts, AAA-enders, bound mass per letter) that the
-    channel totals and the per-event `audit` read.
+    happened to run in.  `free` is the four free pools as a list of ints;
+    `_add` and `_remove` keep the bound mass per letter that the
+    per-event `audit` reads.
     """
 
     def __init__(
@@ -164,15 +167,13 @@ class ReactorState:
     ):
         if not all(math.isfinite(k) and k >= 0 for k in (k_on, k_off, k_cat)):
             raise ValueError("rate constants must be finite and >= 0")
-        self.free = np.zeros(4, dtype=np.int64)
-        # the same four cells, read and written as Python ints per event
-        self._free = memoryview(self.free)
+        self.free = [0, 0, 0, 0]
         for letter, n in free.items():
             if letter not in _LETTER_INDEX:
                 raise ValueError(f"unknown monomer letter {letter!r}")
             if not _is_count(n):
                 raise ValueError(f"counts must be integers >= 0, got {n!r}")
-            self._free[_LETTER_INDEX[letter]] = operator.index(n)
+            self.free[_LETTER_INDEX[letter]] = operator.index(n)
         self.k_on = float(k_on)
         self.k_off = float(k_off)
         self.k_cat = float(k_cat)
@@ -188,7 +189,6 @@ class ReactorState:
         self._is_cat = [False] * cap
         self._ends_aaa = [False] * cap
         self._all, self._cat, self._aaa = (_fenwick([0] * cap) for _ in range(3))
-        self._n_strands = self._n_cat = self._n_aaa = 0
         self._bound = [0, 0, 0, 0]
         for seq, n in sorted(polymers.items()):
             if len(seq) < 2:
@@ -216,14 +216,11 @@ class ReactorState:
             tree[2 * cap] = tree[cap]
 
     def _shift(self, row: int, n: int) -> None:
-        """Add n strands of `row` to the running totals and the trees."""
-        self._n_strands += n
+        """Add n strands of `row` to the trees and the bound mass."""
         _fenwick_add(self._all, row, n)
         if self._is_cat[row]:
-            self._n_cat += n
             _fenwick_add(self._cat, row, n)
         if self._ends_aaa[row]:
-            self._n_aaa += n
             _fenwick_add(self._aaa, row, n)
         self._bound = [b + n * k for b, k in zip(self._bound, self._letters[row])]
 
@@ -264,16 +261,11 @@ class ReactorState:
     # views
 
     @property
-    def counts(self) -> np.ndarray:
-        """Strand count per species, in row order."""
-        return np.array(self._count[: len(self.seqs)], dtype=np.int64)
-
-    @property
     def species(self) -> dict[str, int]:
         return dict(zip(self.seqs, self._count))
 
     def free_of(self, letter: str) -> int:
-        return self._free[_LETTER_INDEX[letter]]
+        return self.free[_LETTER_INDEX[letter]]
 
     def _recounted_bound(self) -> list[int]:
         return [
@@ -281,29 +273,29 @@ class ReactorState:
             for c in SOUP_LETTERS
         ]
 
-    def mass_by_letter(self) -> np.ndarray:
+    def mass_by_letter(self) -> list[int]:
         """free + bound occurrences, per letter, recounted from the species
         table; the conserved quantity."""
-        return self.free + np.array(self._recounted_bound(), dtype=np.int64)
+        return [f + b for f, b in zip(self.free, self._recounted_bound())]
 
     def total_strands(self) -> int:
-        return self._n_strands
+        return self._all[-1]
 
     def n_catalysts(self) -> int:
-        return self._n_cat
+        return self._cat[-1]
 
     def n_aaa_enders(self) -> int:
-        return self._n_aaa
+        return self._aaa[-1]
 
     def audit(self) -> None:
         """Per-event check, O(1): free + running bound mass == conserved."""
-        mass = [f + b for f, b in zip(self._free, self._bound)]
-        if mass != self.conserved.tolist():
-            raise ConservationError(f"mass drifted: {mass} != {self.conserved.tolist()}")
+        mass = [f + b for f, b in zip(self.free, self._bound)]
+        if mass != self.conserved:
+            raise ConservationError(f"mass drifted: {mass} != {self.conserved}")
 
     def recount(self) -> None:
-        """Full check, O(S): recount the mass, every running total, every
-        row column and every tree from the species names and counts."""
+        """Full check, O(S): recount the mass, the bound mass, every row
+        column and every tree from the species names and counts."""
         n = len(self.seqs)
         count = self._count[:n]
         is_cat = [self.catalyst_rule(s) for s in self.seqs]
@@ -318,7 +310,6 @@ class ReactorState:
             ends_aaa,
             {s: i for i, s in enumerate(self.seqs)},
             bound,
-            (sum(count), sum(cat), sum(aaa)),
             (_fenwick(count + pad), _fenwick(cat + pad), _fenwick(aaa + pad)),
         )
         held = (
@@ -327,19 +318,18 @@ class ReactorState:
             self._ends_aaa[:n],
             self._row,
             self._bound,
-            (self._n_strands, self._n_cat, self._n_aaa),
             (self._all, self._cat, self._aaa),
         )
         if held != expected or 0 in count or any(self._count[n:]):
             raise ConservationError("running totals disagree with the species table")
-        mass = [f + b for f, b in zip(self._free, bound)]
-        if mass != self.conserved.tolist():
-            raise ConservationError(f"mass drifted: {mass} != {self.conserved.tolist()}")
+        mass = [f + b for f, b in zip(self.free, bound)]
+        if mass != self.conserved:
+            raise ConservationError(f"mass drifted: {mass} != {self.conserved}")
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ReactorState)
-            and np.array_equal(self.free, other.free)
+            and self.free == other.free
             and self.species == other.species
             and (self.k_on, self.k_off, self.k_cat) == (other.k_on, other.k_off, other.k_cat)
             and self.catalyst_rule == other.catalyst_rule
@@ -349,7 +339,7 @@ class ReactorState:
     # propensity channel totals
 
     def _extend_total(self) -> float:
-        f = sum(self._free)
+        f = sum(self.free)
         return self.k_on * f * (f + self.total_strands() - 1) if f else 0.0
 
     def _detach_total(self) -> float:
@@ -360,7 +350,7 @@ class ReactorState:
 
 
 def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
-    free = state._free
+    free = state.free
     if len(seed) == 1:
         free[_LETTER_INDEX[seed]] -= 1
     else:
@@ -373,7 +363,7 @@ def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
 
 def _apply_detach(state: ReactorState, seq: str) -> None:
     state._remove(seq)
-    free = state._free
+    free = state.free
     free[_LETTER_INDEX[seq[-1]]] += 1
     if len(seq) == 2:
         free[_LETTER_INDEX[seq[0]]] += 1
@@ -389,7 +379,7 @@ def _apply_catalyze(state: ReactorState, catalyst: str, target: str) -> None:
         raise AssertionError("catalyze target does not end in AAA")
     state._remove(target)
     state._add(target[:-1])
-    state._free[_LETTER_INDEX["A"]] += 1
+    state.free[_LETTER_INDEX["A"]] += 1
 
 
 def _pick_letter(free: list[int], threshold: float) -> int:
@@ -405,7 +395,7 @@ def _pick_letter(free: list[int], threshold: float) -> int:
 
 def _sample_extend(state: ReactorState, gen: np.random.Generator) -> tuple[str, str]:
     # seeds: the four free pools, then every strand row after them
-    free = state._free.tolist()
+    free = state.free
     n_free = sum(free)
     while True:
         threshold = gen.random() * float(n_free + state.total_strands())
@@ -441,12 +431,17 @@ def run_until(
     that time (the state is piecewise constant between events).  Stops
     early if the reactor goes quiescent, still flushing sample times.
     Every event is audited in O(1); the full `recount` runs at each
-    sample time and before returning.  Raises ValueError unless the
-    horizon is finite and not before the reactor's current time.
+    sample time and before returning.  Raises ValueError, before drawing
+    anything, unless the horizon is finite and not before the reactor's
+    current time and every sample time is finite and not after the
+    horizon.
     """
     if not (math.isfinite(horizon) and horizon >= state.time):
         raise ValueError(f"horizon must be finite and >= time {state.time!r}, got {horizon!r}")
     pending = sorted(sample_times)
+    for t in pending:
+        if not (math.isfinite(t) and t <= horizon):
+            raise ValueError(f"sample times must be finite and <= horizon {horizon!r}, got {t!r}")
     pos = 0
 
     def sample(t: float) -> None:
@@ -467,9 +462,8 @@ def run_until(
             state.time = horizon
             break
         _apply_peeked(state, peeked)
-    while pos < len(pending) and pending[pos] <= horizon:
-        sample(pending[pos])
-        pos += 1
+    for t in pending[pos:]:
+        sample(t)
     state.recount()
     return state
 

@@ -37,7 +37,6 @@ def immune_step(state):
             state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
-    state.parent_ids = state.parent_ids[keep]
     return state
 
 
@@ -50,4 +49,3 @@ def cull_to_capacity(state) -> None:
     state._log(kind="cull", day=state.day, removed=[int(state.ids[i]) for i in removed])
     state.codes = state.codes[keep]
     state.ids = state.ids[keep]
-    state.parent_ids = state.parent_ids[keep]

@@ -27,14 +27,14 @@ def weighted_pick(weights: np.ndarray, u: float) -> int:
 
 
 def _columns(state):
-    counts = state.counts
+    counts = np.array(list(state.species.values()), dtype=np.int64)
     is_catalyst = np.array([state.catalyst_rule(s) for s in state.seqs], dtype=bool)
     ends_aaa = np.array([s.endswith("AAA") for s in state.seqs], dtype=bool)
     return counts, is_catalyst, ends_aaa
 
 
 def sample_extend(state, counts, gen) -> tuple[str, str]:
-    free = state.free.astype(np.float64)
+    free = np.array(state.free, dtype=np.float64)
     seed_weights = np.concatenate([free, counts.astype(np.float64)])
     while True:
         si = weighted_pick(seed_weights, gen.random())
@@ -50,7 +50,7 @@ def sample_extend(state, counts, gen) -> tuple[str, str]:
 def peek(state, gen) -> tuple[float, str, tuple]:
     """(next_time, kind, args) of the next event, drawing from gen."""
     counts, is_catalyst, ends_aaa = _columns(state)
-    f = int(state.free.sum())
+    f = sum(state.free)
     strands = int(counts.sum())
     a_extend = state.k_on * f * (f + strands - 1) if f else 0.0
     a_detach = state.k_off * strands
@@ -93,7 +93,7 @@ def enumerate_reactions(state) -> list[Reaction]:
     """Every possible reaction with its propensity, in a stable order."""
     out: list[Reaction] = []
     k_on, k_off, k_cat = state.k_on, state.k_off, state.k_cat
-    free = state.free.tolist()
+    free = state.free
     species = state.species
     if k_on > 0:
         for i, seed in enumerate(SOUP_LETTERS):

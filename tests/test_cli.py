@@ -192,6 +192,18 @@ class TestSoupRun:
         assert first[6] == "10"  # catalyst strands at t = 0
         assert first[7] == "40"  # AAA enders at t = 0
 
+    def test_last_sample_lands_on_the_horizon(self, tmp_path):
+        # 0.1 * 3 / 3 rounds to 0.10000000000000002, past the horizon
+        cfg = tmp_path / "soup.cfg"
+        cfg.write_text("horizon = 0.1\n")
+        out = tmp_path / "soup.csv"
+        run_cli(
+            ["soup", "run", "--config", str(cfg), "--samples", "3", "--out", str(out)], tmp_path
+        )
+        times = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert len(times) == 4
+        assert times[-1] == "0.1"
+
     def test_experiment_mode(self, tmp_path):
         cfg = tmp_path / "soup.cfg"
         cfg.write_text("n_replicates = 4\nhorizon = 2.0\n")

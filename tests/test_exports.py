@@ -21,6 +21,7 @@ PAPER_FEATURES = {
     "simulate_individuals",  # lifespan: the individual-level census oracle
     "vdj_generate",  # replicator: antibody generation from a constant region
     "happiness",  # replicator: per-region exact-copy counts
+    "replicate",  # replicator: the single-strand copy whose offspring `happiness` scores
     "mutant_fraction",  # replicator: share of offspring with a substitution
     "step",  # soup: the event-by-event API
 }
@@ -43,7 +44,11 @@ def _references(path: Path):
     """Names, attributes and string constants in a file, outside `__all__`.
 
     A `def` or `class` statement names its target without referencing it,
-    and the `__all__` list is skipped, so neither counts as a use.
+    and neither the `__all__` list nor a field declared in a class body
+    counts as a use.  A string counts only where the benchmark's hooks
+    name program attributes: as a call argument, or as an element of a
+    tuple or list that a `for` loop walks.  Other strings, such as CSV
+    headers, merely share a name.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     skip = {
@@ -53,6 +58,14 @@ def _references(path: Path):
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for sub in ast.walk(node)
     }
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            skip.update(id(f.target) for f in node.body if isinstance(f, ast.AnnAssign))
+        elif isinstance(node, ast.Call):
+            named.update(id(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
+        elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+            named.update(id(elt) for elt in node.iter.elts)
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
@@ -60,7 +73,7 @@ def _references(path: Path):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) in named:
             yield node.value
 
 

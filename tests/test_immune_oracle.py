@@ -2,7 +2,7 @@
 
 Each case builds two identical population states, steps one with the
 package functions and the other with `_replicator_oracle`, and requires
-the same codes, ids, parent ids, poster board, events and generator
+the same codes, ids, poster board, events and generator
 position afterwards.
 """
 
@@ -40,11 +40,9 @@ def _populate(states, setup, n, letters=2):
     """Give both states the same n random virions; few letters so coats repeat."""
     codes = setup.integers(0, letters, size=(n, LENGTH), dtype=np.uint8)
     ids = setup.permutation(10 * n + 1)[:n].astype(np.int64)
-    parent_ids = setup.integers(-1, 5 * n + 1, size=n).astype(np.int64)
     for state in states:
         state.codes = codes.copy()
         state.ids = ids.copy()
-        state.parent_ids = parent_ids.copy()
 
 
 def _position(gen):
@@ -56,7 +54,6 @@ def _assert_same(new, ref):
     assert new.codes.dtype == ref.codes.dtype
     assert np.array_equal(new.codes, ref.codes)
     assert np.array_equal(new.ids, ref.ids)
-    assert np.array_equal(new.parent_ids, ref.parent_ids)
     assert list(new.posters) == list(ref.posters)  # keys in creation order
     assert new.posters == ref.posters  # activation days
     assert new.events == ref.events

@@ -88,19 +88,18 @@ class TestLifeTable:
         t = life_table(TreeSpecies(g))
         assert t.birth_ages == ages
         assert t.death_age == death
-        assert not t.is_immortal
 
     def test_full_saver_is_immortal_and_periodic(self):
         t = life_table(G1)
-        assert t.is_immortal
+        assert t.death_age is None
         assert t.birth_ages == ()
         assert t.periodic == (3, 3)
         assert list(ages_up_to(t, 12)) == [3, 6, 9, 12]
 
     def test_only_full_saver_is_immortal_on_fine_grid(self):
         for k in range(100):
-            assert not life_table(TreeSpecies(Fraction(k, 100))).is_immortal
-        assert life_table(TreeSpecies(Fraction(100, 100))).is_immortal
+            assert life_table(TreeSpecies(Fraction(k, 100))).death_age is not None
+        assert life_table(TreeSpecies(Fraction(100, 100))).death_age is None
 
     def test_alive_window_includes_death_day(self):
         t = life_table(GHALF)
@@ -150,8 +149,8 @@ class TestCensus:
     def test_population_cap_stops_run(self):
         res = simulate_individuals([GHALF], 30, cap=100)
         assert res.cap_exceeded
-        assert res.completed_days < 30
-        full = simulate_census([GHALF], res.completed_days)
+        assert res.census.days < 30
+        full = simulate_census([GHALF], res.census.days)
         assert res.census.counts == full.counts
 
     def test_csv_rows_cover_grid(self):
@@ -217,7 +216,7 @@ class TestAgainstReferenceWalks:
         fast = simulate_census([sp], days).series(0)
         assert fast == rescan_census(fraction_life_table(sp), days)
         slow = simulate_individuals([sp], days, cap=1000)
-        assert slow.census.series(0) == fast[: slow.completed_days + 1]
+        assert slow.census.series(0) == fast[: slow.census.days + 1]
 
     def test_census_matches_rescan_on_default_pair(self):
         table = simulate_census([G1, GHALF], 400)
@@ -228,15 +227,16 @@ class TestAgainstReferenceWalks:
     @pytest.mark.parametrize("history", [[1, 2], [1, 0, 0, 5, 3]], ids=str)
     def test_state_built_from_a_history_continues_it(self, sp, history):
         table = life_table(sp)
-        state = CohortState(table, list(history), current_day=len(history) - 1)
+        state = CohortState(table, list(history))
         for _ in range(60):
             state.step()
         expected = rescan_census(table, state.current_day, history)
         assert tuple(state.census(d) for d in range(state.current_day + 1)) == expected
 
-    def test_state_history_must_match_current_day(self):
-        with pytest.raises(ValueError, match="one count per day"):
-            CohortState(life_table(G1), [1, 2], current_day=0)
+    def test_state_history_defines_current_day(self):
+        assert CohortState(life_table(G1), [1, 0, 0, 2]).current_day == 3
+        with pytest.raises(ValueError, match="at least day 0"):
+            CohortState(life_table(G1), [])
 
     def test_life_table_matches_fraction_walk_on_sweep_grid(self):
         for i in range(4001):

@@ -236,7 +236,6 @@ class TestImmuneStep:
         state = _founder_state()
         state.codes = state.codes[:0]
         state.ids = state.ids[:0]
-        state.parent_ids = state.parent_ids[:0]
         immune_step(state)
         assert state.population == 0 and state.posters == {}
 
