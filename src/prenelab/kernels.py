@@ -5,9 +5,11 @@ constant probability p, and each run's (n, width) block draws its flip
 count k ~ Binomial(n * width, p), then a uniform k-subset of its sites
 (Devroye 1986, ch. X), so the cost scales with flips, not with sites.
 The bit stream is consumed in a fixed order (per run with p > 0, in site
-order: one binomial draw, one subset draw; then one uniform per flip, in
-row-major order, for the new letter); tests/test_kernels.py freezes one
-result.
+order: one binomial draw, then one subset draw unless k = 0; then one
+uniform per flip, in row-major order, for the new letter);
+tests/test_kernels.py freezes one result.  `constant_runs` splits a
+profile into its runs; a caller that replicates under one profile many
+times computes them once and passes them in.
 """
 
 from __future__ import annotations
@@ -15,15 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def _flip_sites(n, site_prob, gen):
-    """Sorted flat indices (row * L + col) of the sites that flip."""
-    length = site_prob.size
+def constant_runs(site_prob: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    """(start, width, p) of each maximal run of one probability p > 0, in site order."""
     starts = np.flatnonzero(np.diff(site_prob, prepend=-1.0)).tolist()  # -1: site 0 opens a run
+    stops = [*starts[1:], site_prob.size]
+    return tuple(
+        (start, stop - start, float(site_prob[start]))
+        for start, stop in zip(starts, stops)
+        if site_prob[start] > 0.0
+    )
+
+
+def _flip_sites(n, length, runs, gen):
+    """Sorted flat indices (row * length + col) of the sites that flip."""
     parts = [np.empty(0, np.int64)]
-    for start, stop in zip(starts, [*starts[1:], length]):
-        p, width = site_prob[start], stop - start
-        if p > 0.0:
-            k = gen.binomial(n * width, p)
+    for start, width, p in runs:
+        k = gen.binomial(n * width, p)
+        if k:  # an empty subset draws nothing, so skipping it moves no draw
             r, c = np.divmod(gen.choice(n * width, k, replace=False, shuffle=False), width)
             parts.append(r * length + c + start)
     return np.sort(np.concatenate(parts))
@@ -38,11 +48,12 @@ def _apply_flips(codes, rows, cols, gen):
     return old, new
 
 
-def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Generator):
+def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Generator, runs=None):
     """Mutate a batch of coded sequences in place, one Bernoulli trial per site.
 
     codes: (n, L) uint8 matrix of letter codes 0..3, modified in place.
     site_prob: (L,) float64 per-site substitution probabilities in [0, 1].
+    runs: `constant_runs(site_prob)`, when the caller holds it already.
     Returns (rows, cols, old, new): the flipped positions in row-major order
     with the letter codes before and after.  Each flip substitutes one of
     the three other letters uniformly.
@@ -55,6 +66,9 @@ def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Genera
         )
     if not np.all((site_prob >= 0.0) & (site_prob <= 1.0)):  # NaN fails both
         raise ValueError("site_prob must lie in [0, 1]")
-    rows, cols = np.divmod(_flip_sites(codes.shape[0], site_prob, gen), codes.shape[1])
+    if runs is None:
+        runs = constant_runs(site_prob)
+    n, length = codes.shape
+    rows, cols = np.divmod(_flip_sites(n, length, runs, gen), length)
     old, new = _apply_flips(codes, rows, cols, gen)
     return rows, cols, old, new

@@ -413,13 +413,14 @@ def longest_shared(objects: Sequence[StoredObject] | Sequence[bytes]) -> bytes:
     """One longest substring common to all contents, smallest on ties.
 
     Binary search over the answer length; each probe intersects the
-    hashed k-substring sets of all contents.  Feasibility is monotone in
-    k (any common k-substring contains common shorter ones), so the
-    search is sound; the empty string is returned when nothing is shared.
+    hashed k-substring sets of the distinct contents.  Feasibility is
+    monotone in k (any common k-substring contains common shorter ones),
+    so the search is sound; the empty string is returned when nothing is
+    shared.
     """
     if not objects:
         raise ValueError("need at least one object")
-    contents = _normalized_contents(objects)
+    contents = list(dict.fromkeys(_normalized_contents(objects)))  # duplicates add nothing
 
     def common_at(k: int) -> set[bytes]:
         sets = _substrings_of_length(contents[0], k)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
-from .kernels import mutate_sites
+from .kernels import constant_runs, mutate_sites
 
 __all__ = [
     "LETTERS",
@@ -55,9 +56,6 @@ __all__ = [
 LETTERS = "ACGU"
 _CODE_TO_ASCII = bytes.maketrans(bytes([0, 1, 2, 3]), LETTERS.encode())
 _ASCII_TO_CODE = bytes.maketrans(LETTERS.encode(), bytes([0, 1, 2, 3]))
-# letter code -> UCS4 code point, so a coat matrix indexes straight into a
-# fixed-width unicode array
-_CODE_TO_UCS4 = np.array([ord(c) for c in LETTERS], dtype=np.uint32)
 
 DEFAULT_IMMUNE_DELAY = 3
 DEFAULT_KILL_PROBABILITY = 0.5
@@ -87,7 +85,7 @@ class ExperimentConfigError(ValueError):
         self.field_name = field_name
 
 
-def _codes_to_str(codes: np.ndarray) -> str:
+def _codes_to_str(codes) -> str:
     return bytes(codes).translate(_CODE_TO_ASCII).decode("ascii")
 
 
@@ -160,18 +158,24 @@ class Genome:
 
 
 class MutationProfile:
-    """Per-site substitution probabilities, all in [0, 1)."""
+    """Per-site substitution probabilities, all in [0, 1).
 
-    __slots__ = ("site_prob", "kind")
+    `site_prob` is read-only, and `runs` holds its constant-rate runs for
+    the kernel, computed once here rather than on every replication.
+    """
+
+    __slots__ = ("site_prob", "kind", "runs")
 
     def __init__(self, site_prob: np.ndarray, kind: str = "custom"):
-        p = np.asarray(site_prob, dtype=np.float64)
+        p = np.array(site_prob, dtype=np.float64)  # a private copy, frozen below
         if p.ndim != 1:
             raise ValueError("site probabilities must be a 1-d vector")
         if not np.all((p >= 0.0) & (p < 1.0)):  # NaN fails both comparisons
             raise ValueError("site probabilities must lie in [0, 1)")
+        p.flags.writeable = False  # keeps `runs` true to it
         self.site_prob = p
         self.kind = kind
+        self.runs = constant_runs(p)
 
     def __len__(self) -> int:
         return self.site_prob.size
@@ -226,7 +230,7 @@ def replicate(genome: Genome, profile: MutationProfile, gen: np.random.Generator
             f"profile length {len(profile)} != genome length {len(genome)}"
         )
     child = genome.codes.copy().reshape(1, -1)
-    mutate_sites(child, profile.site_prob, gen)
+    mutate_sites(child, profile.site_prob, gen, runs=profile.runs)
     return Genome(child[0], genome.regions)
 
 
@@ -243,7 +247,7 @@ def replicate_batch(
         raise ProfileLengthMismatch(
             f"profile length {len(profile)} != strand length {parent_codes.shape[1]}"
         )
-    return mutate_sites(parent_codes, profile.site_prob, gen)
+    return mutate_sites(parent_codes, profile.site_prob, gen, runs=profile.runs)
 
 
 def mutant_fraction(
@@ -261,9 +265,16 @@ class PopulationState:
     """A day-indexed virion population with its immune poster board.
 
     Virions live in parallel arrays (one codes row per virion) so the
-    mutation kernel can run on the whole population at once.  The board
-    `posters` maps each postered coat signature, the letters of the
-    founder's `coat` region, to its activation day.
+    mutation kernel can run on the whole population at once.  Each
+    virion carries the id of its coat, the letters of the founder's
+    `coat` region, in `coat`, or -1 while its coat is not yet interned.
+    `coat_ids` interns each postered coat (its letter codes as bytes) to
+    an id, issued in posting order; `posters[id]` is that coat's
+    activation day.  Every coat seen by `immune_step` is postered, so
+    `len(posters) == len(coat_ids)`, and since every poster activates a
+    fixed `immune_delay` after the day it is posted, `posters` never
+    decreases.  Code that writes `codes` directly must set `coat` of the
+    rows it wrote to -1.
     """
 
     def __init__(
@@ -290,6 +301,7 @@ class PopulationState:
         founder.region_slice("coat")  # raises MissingRegion early
         self.coat_span = founder.regions["coat"]
         self.codes = np.repeat(founder.codes.reshape(1, -1), n_founders, axis=0)
+        self.coat = np.full(n_founders, -1, dtype=np.int64)
         self.ids = np.arange(n_founders, dtype=np.int64)
         self.next_id = n_founders
         self.day = 0
@@ -297,7 +309,8 @@ class PopulationState:
         self.gen = gen
         self.immune_delay = immune_delay
         self.kill_probability = kill_probability
-        self.posters: dict[str, int] = {}  # coat signature -> activation day
+        self.coat_ids: dict[bytes, int] = {}  # coat letter codes -> coat id
+        self.posters: list[int] = []  # coat id -> activation day
         self.record_events = record_events
         self.events: list[dict] = []
         self.peak_population = n_founders
@@ -306,10 +319,11 @@ class PopulationState:
     def population(self) -> int:
         return self.codes.shape[0]
 
-    def _signatures(self) -> list[str]:
-        start, stop = self.coat_span
-        coat = _CODE_TO_UCS4[self.codes[:, start:stop]]  # fresh C-contiguous copy
-        return coat.view(f"U{stop - start}").ravel().tolist()
+    def _keep(self, keep: np.ndarray) -> None:
+        """Keep only the virions that the mask or index array `keep` selects."""
+        self.codes = self.codes[keep]
+        self.coat = self.coat[keep]
+        self.ids = self.ids[keep]
 
     def _log(self, **event) -> None:
         if self.record_events:
@@ -317,13 +331,21 @@ class PopulationState:
 
 
 def replicate_population(state: PopulationState, profile: MutationProfile, offspring_per_virion: int) -> None:
-    """Generational replacement: every virion is replaced by R offspring."""
+    """Generational replacement: every virion is replaced by R offspring.
+
+    A child inherits its parent's coat id unless the kernel flipped a
+    site inside `coat_span`; such a child's coat is left for
+    `immune_step` to intern.
+    """
     if offspring_per_virion < 1:
         raise ValueError("offspring_per_virion must be >= 1")
     if state.population == 0:
         return
     batch = np.repeat(state.codes, offspring_per_virion, axis=0)
     rows, cols, old, new = replicate_batch(batch, profile, state.gen)
+    coat = np.repeat(state.coat, offspring_per_virion)
+    start, stop = state.coat_span
+    coat[rows[(cols >= start) & (cols < stop)]] = -1
     n = batch.shape[0]
     child_ids = np.arange(state.next_id, state.next_id + n, dtype=np.int64)
     state.next_id += n
@@ -341,47 +363,66 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
                 sites=sites_by_row.get(i, []),
             )
     state.codes = batch
+    state.coat = coat
     state.ids = child_ids
 
 
 def immune_step(state: PopulationState) -> PopulationState:
     """Post unseen coats, then let every active poster take its shots.
 
-    The board maps each coat signature to its activation day; a poster is
-    active from that day on.  A virion is killable only by the poster whose
-    signature equals its current coat; poster creation this day precedes
-    kills, so with zero delay a poster can fire the day it appears.
+    Coats not yet interned (`coat` -1) are looked up in `coat_ids`, in
+    population order; each coat never seen before gets the next id and a
+    poster active from `day + immune_delay` on, so posters come out in
+    first-seen order.  A virion is killable only by the poster of its
+    own coat; poster creation this day precedes kills, so with zero
+    delay a poster can fire the day it appears.  As `posters` never
+    decreases, the active posters are the ids below
+    `bisect_right(posters, day)`.  Raises ValueError if `day` went back
+    below that of an earlier poster.
 
-    RNG use: one uniform per virion whose poster is active (kill
-    probability 0 included), drawn as one batch in population order; the
-    virion dies when its uniform is below the run's kill probability.
-    Nothing is drawn when no poster is active.
+    RNG use: interning and posting draw nothing; one uniform per virion
+    whose poster is active (kill probability 0 included), drawn as one
+    batch in population order; the virion dies when its uniform is below
+    the run's kill probability.  Nothing is drawn when no poster is
+    active.
     """
-    sigs = state._signatures()
-    posters = state.posters
+    if state.coat.shape != (state.population,):
+        raise ValueError("coat must hold one id per virion")
     day = state.day
-    active = set()
-    for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
-        activation = posters.get(sig)
-        if activation is None:
-            activation = posters[sig] = day + state.immune_delay
-            if state.record_events:
-                state._log(kind="poster", day=day, signature=sig, activation=activation)
-        if activation <= day:
-            active.add(sig)
-    if not active:
+    posters = state.posters
+    start, stop = state.coat_span
+    unknown = np.flatnonzero(state.coat < 0)
+    if unknown.size:
+        activation = day + state.immune_delay
+        if posters and activation < posters[-1]:
+            raise ValueError(f"day {day} is before the day of an earlier poster")
+        block = np.ascontiguousarray(state.codes[unknown, start:stop])
+        coats = block.view(f"V{stop - start}").ravel().tolist()  # one bytes per row
+        interned = state.coat_ids
+        issued = len(interned)
+        setdefault = interned.setdefault
+        found = [setdefault(coat, len(interned)) for coat in coats]  # new coat: next id
+        posters.extend([activation] * (len(interned) - issued))
+        state.coat[unknown] = found
+        if state.record_events:
+            for coat, cid in zip(coats, found):
+                if cid == issued:  # first sighting of the next new coat
+                    state._log(kind="poster", day=day, signature=_codes_to_str(coat),
+                               activation=activation)
+                    issued += 1
+    shot = np.flatnonzero(state.coat < bisect_right(posters, day))
+    if shot.size == 0:
         return state
-    shot = np.flatnonzero([sig in active for sig in sigs])
     dead = shot[state.gen.random(shot.size) < state.kill_probability]
     if dead.size == 0:
         return state
     if state.record_events:
         for i in dead.tolist():
-            state._log(kind="kill", day=day, id=int(state.ids[i]), signature=sigs[i])
+            signature = _codes_to_str(state.codes[i, start:stop])
+            state._log(kind="kill", day=day, id=int(state.ids[i]), signature=signature)
     keep = np.ones(state.population, dtype=bool)
     keep[dead] = False
-    state.codes = state.codes[keep]
-    state.ids = state.ids[keep]
+    state._keep(keep)
     return state
 
 
@@ -397,8 +438,7 @@ def cull_to_capacity(state: PopulationState) -> None:
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
     if state.record_events:
         state._log(kind="cull", day=state.day, removed=np.delete(state.ids, keep).tolist())
-    state.codes = state.codes[keep]
-    state.ids = state.ids[keep]
+    state._keep(keep)
 
 
 def run_population_day(

@@ -433,15 +433,17 @@ def run_until(
     Every event is audited in O(1); the full `recount` runs at each
     sample time and before returning.  Raises ValueError, before drawing
     anything, unless the horizon is finite and not before the reactor's
-    current time and every sample time is finite and not after the
+    current time and every sample time lies between that time and the
     horizon.
     """
     if not (math.isfinite(horizon) and horizon >= state.time):
         raise ValueError(f"horizon must be finite and >= time {state.time!r}, got {horizon!r}")
     pending = sorted(sample_times)
     for t in pending:
-        if not (math.isfinite(t) and t <= horizon):
-            raise ValueError(f"sample times must be finite and <= horizon {horizon!r}, got {t!r}")
+        if not state.time <= t <= horizon:  # NaN fails too
+            raise ValueError(
+                f"sample times must lie in [time {state.time!r}, horizon {horizon!r}], got {t!r}"
+            )
     pos = 0
 
     def sample(t: float) -> None:

@@ -1,11 +1,16 @@
 """Scalar reference versions of the replicator's immune step and cull.
 
 These are the straightforward per-virion loops that `immune_step` and
-`cull_to_capacity` replaced: one Python string per coat, one activation-day
-check and one scalar `gen.random()` per virion with an active poster,
-compared with the run's kill probability, and the cull's removed-id list
-built on every call.  The vectorised functions must leave a state exactly
-as these do, down to the generator position.
+`cull_to_capacity` replaced: one Python string per coat, a poster board
+of its own mapping each coat signature to its activation day, one
+activation-day check and one scalar `gen.random()` per virion with an
+active poster, compared with the run's kill probability, and the cull's
+removed-id list built on every call.  The vectorised functions must
+leave a state exactly as these do, down to the generator position.
+
+The reference reads and writes only the state's codes, ids, events and
+generator; `board` translates the package's interned board into the
+reference's form for comparison.
 """
 
 import numpy as np
@@ -18,20 +23,28 @@ def signatures(state) -> list[str]:
     return ["".join(LETTERS[c] for c in row.tolist()) for row in state.codes[:, start:stop]]
 
 
-def immune_step(state):
+def board(state) -> dict[str, int]:
+    """The package state's board as {signature: activation day}, in id order."""
+    by_id = sorted(state.coat_ids.items(), key=lambda item: item[1])
+    assert [cid for _, cid in by_id] == list(range(len(state.posters)))
+    return {"".join(LETTERS[c] for c in coat): state.posters[cid] for coat, cid in by_id}
+
+
+def immune_step(state, posters: dict):
+    """One immune step of `state` against the reference board `posters`."""
     sigs = signatures(state)
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
-        if sig not in state.posters:
-            state.posters[sig] = state.day + state.immune_delay
+        if sig not in posters:
+            posters[sig] = state.day + state.immune_delay
             state._log(
                 kind="poster", day=state.day, signature=sig,
-                activation=state.posters[sig],
+                activation=posters[sig],
             )
     if state.population == 0:
         return state
     keep = np.ones(state.population, dtype=bool)
     for i, sig in enumerate(sigs):
-        active = state.posters[sig] <= state.day
+        active = posters[sig] <= state.day
         if active and state.gen.random() < state.kill_probability:
             keep[i] = False
             state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)

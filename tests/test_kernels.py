@@ -235,3 +235,31 @@ def test_out_of_range_probability_raises(bad):
     prob[3] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         kernels.mutate_sites(np.zeros((4, 10), dtype=np.uint8), prob, rng.stream(23, 2))
+
+
+def test_constant_runs_skip_silent_runs():
+    assert kernels.constant_runs(SHELLS.site_prob) == ((20, 30, 0.002), (50, 30, 0.02), (80, 20, 0.2))
+    assert kernels.constant_runs(np.zeros(5)) == ()
+    assert kernels.constant_runs(np.array([0.1, 0.1, 0.0, 0.1])) == ((0, 2, 0.1), (3, 1, 0.1))
+
+
+def test_profile_runs_draw_as_derived_runs():
+    # the profile's cached runs give the same flips and leave the
+    # generator where runs derived on the call leave it
+    codes = rng.stream(24, 1).integers(0, 4, size=(300, 100), dtype=np.uint8)
+    cached, derived = codes.copy(), codes.copy()
+    gen_a, gen_b = rng.stream(24, 2), rng.stream(24, 2)
+    a = kernels.mutate_sites(cached, SHELLS.site_prob, gen_a, runs=SHELLS.runs)
+    b = kernels.mutate_sites(derived, SHELLS.site_prob, gen_b)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(cached, derived)
+    assert gen_a.random() == gen_b.random()
+
+
+def test_profile_probabilities_are_frozen():
+    prob = np.full(10, 0.1)
+    profile = MutationProfile(prob)
+    prob[0] = 0.5  # the caller's array stays writable, the profile keeps a copy
+    assert profile.site_prob[0] == 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        profile.site_prob[0] = 0.5

@@ -500,6 +500,25 @@ class TestSharedSubstrings:
         objs = list(w.objects.values())
         assert longest_shared(objs) == b"ring"
 
+    def test_duplicates_and_document_variants_change_nothing(self):
+        w = World()
+        w.create(1, "document", b"The  Ring of GATTACA")
+        w.create(2, "document", b"the ring OF gattaca ")
+        w.create(3, "computer", b"ring of gattaca")
+        w.create(4, "computer", b"ring of gattaca")
+        w.create(5, "brain", b"XXring of gatYY")
+        objs = list(w.objects.values())
+        distinct = [b"the ring of gattaca", b"ring of gattaca", b"XXring of gatYY"]
+        assert longest_shared(objs) == longest_shared(distinct) == b"ring of gat"
+        assert longest_shared(objs + objs[::-1]) == b"ring of gat"
+        assert longest_shared([b"ABXCD", b"CDYAB", b"ABXCD", b"CDYAB"]) == b"AB"
+        gen = np.random.default_rng(30)
+        for _ in range(50):
+            contents = [bytes(gen.choice(list(b"AB"), size=int(gen.integers(0, 9))).astype(np.uint8))
+                        for _ in range(int(gen.integers(1, 4)))]
+            repeated = [contents[int(i)] for i in gen.integers(0, len(contents), 12)]
+            assert longest_shared(contents + repeated) == brute_longest_shared(contents)
+
     def test_matches_brute_force_on_random_cases(self):
         gen = np.random.default_rng(29)
         alphabet = list(b"ABC")

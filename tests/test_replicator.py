@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _replicator_oracle import board
 from prenelab import rng
 from prenelab.replicator import (
     LETTERS,
@@ -176,7 +177,7 @@ class TestReplicate:
 
 
 class TestCoatSignature:
-    """The board is keyed by the exact coat subsequence of each virion."""
+    """The board interns the exact coat subsequence of each virion."""
 
     @staticmethod
     def _board(*seqs):
@@ -187,7 +188,7 @@ class TestCoatSignature:
         for row, seq in enumerate(seqs):
             state.codes[row] = Genome.from_string(seq).codes
         immune_step(state)
-        return list(state.posters)
+        return list(board(state))
 
     def test_direct_slice(self):
         assert self._board("ACGUUGCA") == ["ACGU"]
@@ -229,15 +230,37 @@ class TestImmuneStep:
     def test_board_maps_coat_to_activation_day(self):
         state = _founder_state(immune_delay=np.int64(2), kill_probability=0.0)
         immune_step(state)  # day 0
-        assert state.posters == {"ACGU": 2}
-        assert type(state.posters["ACGU"]) is int
+        assert board(state) == {"ACGU": 2}
+        assert state.coat_ids == {bytes([0, 1, 2, 3]): 0} and state.posters == [2]
+        assert type(state.posters[0]) is int
+        assert state.coat.tolist() == [0]
 
     def test_empty_population_no_change(self):
         state = _founder_state()
         state.codes = state.codes[:0]
+        state.coat = state.coat[:0]
         state.ids = state.ids[:0]
         immune_step(state)
-        assert state.population == 0 and state.posters == {}
+        assert state.population == 0 and state.posters == [] and state.coat_ids == {}
+
+    def test_codes_replaced_without_coat_ids_rejected(self):
+        state = _founder_state()
+        state.codes = np.repeat(state.codes, 3, axis=0)
+        with pytest.raises(ValueError, match="one id per virion"):
+            immune_step(state)
+
+    def test_day_going_back_before_a_poster_rejected(self):
+        # activation days would decrease, and the active ids no longer be a prefix
+        state = _founder_state(n_founders=2, immune_delay=1, kill_probability=0.0)
+        state.day = 5
+        immune_step(state)
+        state.day = 3
+        immune_step(state)  # nothing new to post: no check needed, no change
+        assert state.posters == [6]
+        state.codes[1, 0] = 1
+        state.coat[1] = -1
+        with pytest.raises(ValueError, match="day 3"):
+            immune_step(state)
 
     def test_certain_kill_with_zero_delay(self):
         state = _founder_state(immune_delay=0, kill_probability=1.0)
@@ -284,21 +307,45 @@ class TestImmuneStep:
         for _ in range(6):
             run_population_day(state, profile, 3)
         assert state.population > 0
+        posted = board(state)
         for row in state.codes:
             sig = "".join(LETTERS[c] for c in row[:10])
             assert sig != "A" * 10
-            assert state.posters[sig] > state.day  # not yet active
+            assert posted[sig] > state.day  # not yet active
 
     def test_kill_events_match_poster_signatures(self):
         state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7)
         state.record_events = True
         immune_step(state)
-        for e in state.events:
-            if e["kind"] == "kill":
-                assert e["signature"] in state.posters
+        kills = [e for e in state.events if e["kind"] == "kill"]
+        assert kills
+        for e in kills:
+            assert e["signature"] in board(state)
 
 
 class TestPopulationCycle:
+    @pytest.mark.parametrize("immune_delay", [0, 2])
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_coat_ids_follow_descent(self, seed, immune_delay):
+        # hot coat, so many coats are new each day; kills and culls thin the rows
+        g = Genome(np.zeros(24, dtype=np.uint8), {"coat": (4, 12)})
+        state = PopulationState(
+            g, 5, 60, rng.stream(seed, 0), immune_delay=immune_delay, kill_probability=0.5,
+        )
+        profile = MutationProfile.region_multiplier(0.01, 24, {"coat": (4, 12)}, {"coat": 10.0})
+        before = []
+        for _ in range(12):
+            run_population_day(state, profile, 3)
+            assert state.coat.shape == (state.population,)
+            for row, cid in zip(state.codes, state.coat.tolist()):
+                assert cid == state.coat_ids[row[4:12].tobytes()]
+            assert len(state.posters) == len(state.coat_ids)
+            assert sorted(state.coat_ids.values()) == list(range(len(state.posters)))
+            assert all(a <= b for a, b in zip(state.posters, state.posters[1:]))
+            assert state.posters[: len(before)] == before  # the board only grows
+            before = list(state.posters)
+        assert len(before) > 20
+
     def test_single_lineage_extinct_at_delay_plus_one(self):
         state = _founder_state(capacity=1, immune_delay=1, kill_probability=1.0)
         profile = MutationProfile.uniform(0.0, 8)

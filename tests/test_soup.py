@@ -336,6 +336,7 @@ class TestRunUntil:
             pytest.param(1.0, (0.5, float("nan")), id="nan-sample"),
             pytest.param(1.0, (float("inf"),), id="inf-sample"),
             pytest.param(0.1, (0.1 * 3 / 3,), id="sample-past-horizon"),
+            pytest.param(1.0, (-1.0,), id="sample-before-time"),
         ],
     )
     def test_bad_horizon_rejected(self, horizon, sample_times):
@@ -346,6 +347,22 @@ class TestRunUntil:
             run_until(state, horizon, gen, sample_times)
         assert state.time == 0.0 and state.n_events == 0
         assert gen.random() == rng.stream(1, 0).random()  # nothing drawn
+
+    def test_sample_before_an_earlier_run_rejected(self):
+        state = SoupConfig().build_state()
+        gen = rng.stream(1, 0)
+        run_until(state, 2.0, gen)
+        events = state.n_events
+        after = rng.stream(1, 0)
+        run_until(SoupConfig().build_state(), 2.0, after)
+        seen = []
+        with pytest.raises(ValueError, match=r"\[time 2\.0, horizon 3\.0\], got 1\.0"):
+            run_until(state, 3.0, gen, [1.0], lambda t, s: seen.append(t))
+        assert seen == [] and state.time == 2.0 and state.n_events == events
+        assert gen.random() == after.random()  # nothing drawn
+        # a sample at the current time is valid
+        run_until(state, 3.0, gen, [2.0], lambda t, s: seen.append((t, s.time)))
+        assert seen == [(2.0, 2.0)]
 
     def test_horizon_before_an_earlier_run_rejected(self):
         state = SoupConfig().build_state()
