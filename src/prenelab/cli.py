@@ -269,7 +269,7 @@ def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(world.to_jsonl().encode("utf-8"))
-    echo = {"log": args.log, "events": len(world.events), "objects": len(world.objects)}
+    echo = {"log": args.log, "events": world.now + 1, "objects": len(world.objects)}
     return echo, [str(out)]
 
 
@@ -288,12 +288,14 @@ def _cmd_registry_query(args) -> tuple[dict, list[str]]:
     world = _load_world(args.log)
     t = args.at
     try:
-        world._resolve_t(t)
+        at = world._resolve_t(t)
     except ValueError as exc:
         raise ConfigError(str(exc), key="--at") from None
 
     if args.what == "longest-shared":
         objects = world.alive_objects(t)
+        if not objects:
+            raise ConfigError(f"no object is alive at t={at} for longest-shared", key="--at")
         best = registry.longest_shared(objects)
         result = {
             "longest_shared_b64": base64.b64encode(best).decode("ascii"),

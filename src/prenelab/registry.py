@@ -9,18 +9,29 @@ substrate mix of those objects decides whether it currently counts as a
 gene (nucleic acid), a meme (brain), a Turene (computer), or several at
 once.
 
+Storage is columnar (a column store: Abadi, Madden & Hachem, SIGMOD
+2008).  Objects are rows of per-field lists (id, created, destroyed,
+source, content), indexed by an id -> row dict, and the log is two
+lists: each event's kind and the row it acts on.  Contents are interned
+by (raw bytes, substrate) (hash-consing: Filliâtre & Conchon, ML
+Workshop 2006): a row's content is one shared record holding the raw
+bytes, the substrate, the normalized bytes and the rows that store it,
+so normalization runs once per distinct content and a query runs the
+recognizer once per distinct normalized content, then filters only the
+rows of the contents it accepts.  `World.events`, `World.objects` and
+`alive_objects` build read-only views from the columns when asked for.
+
 Queries are pure reads against the immutable log; the brute-force
 versions in the test suite rescan the whole log and must agree with the
-incremental answers here.  Each object's normalized content is computed
-once, when the object is created, so a query only runs the recognizer.
+answers here.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rng import is_int
 
@@ -29,7 +40,6 @@ __all__ = [
     "normalize",
     "Prene",
     "StoredObject",
-    "Event",
     "World",
     "LogError",
     "Classification",
@@ -72,7 +82,12 @@ def normalize(content: bytes, substrate: str) -> bytes:
 
 @dataclass(frozen=True)
 class Prene:
-    """A pure, deterministic membership predicate over normalized content."""
+    """A pure, deterministic membership predicate over normalized content.
+
+    Because the recognizer is pure, `copy_number`, `classify`, `extinct`
+    and `lineage` call it at most once per distinct normalized content in
+    the world, however many objects store that content.
+    """
 
     id: str
     recognizer: Callable[[bytes], bool]
@@ -83,118 +98,110 @@ class Prene:
         return cls(name, lambda content: content == target)
 
 
-@dataclass(slots=True)
-class StoredObject:
+class StoredObject(NamedTuple):
+    """One logged object, read from the world's columns when asked for."""
+
     id: int
     substrate: str
     content: bytes
     created_at: int
-    destroyed_at: Optional[int] = None
-    source: Optional[int] = None
-    # normalize(content, substrate), fixed at creation; queries read only this
-    _normalized: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._normalized = normalize(self.content, self.substrate)
+    destroyed_at: Optional[int]
+    source: Optional[int]
+    normalized: bytes  # normalize(content, substrate)
 
 
-class Event(NamedTuple):
-    """One log entry; unused fields are None for the given kind."""
+class _Content:
+    """One interned (raw bytes, substrate) pair and the rows that store it."""
 
-    i: int
-    kind: str  # "create" | "destroy" | "transcribe"
-    obj: int
-    substrate: Optional[str] = None
-    content: Optional[bytes] = None
-    src: Optional[int] = None
+    __slots__ = ("raw", "substrate", "normalized", "rows")
 
-    def to_json_line(self) -> str:
-        record = {
-            "i": self.i,
-            "kind": self.kind,
-            "obj": self.obj,
-            "substrate": self.substrate,
-            "content_b64": (
-                base64.b64encode(self.content).decode("ascii")
-                if self.content is not None
-                else None
-            ),
-            "src": self.src,
-        }
-        return json.dumps(record, separators=(",", ":"))
+    def __init__(self, raw: bytes, substrate: str):
+        self.raw, self.substrate, self.rows = raw, substrate, []
+        self.normalized = normalize(raw, substrate)
 
 
 class World:
     """Append-only event log plus the object table it induces."""
 
     def __init__(self):
-        self.events: list[Event] = []
-        self.objects: dict[int, StoredObject] = {}
+        self._kinds: list[str] = []  # the log: each event's kind
+        self._rows: list[int] = []  # and the row of the object it acts on
+        self._row: dict[int, int] = {}  # object id -> row; rows are in creation order
+        self._ids: list[int] = []
+        self._created: list[int] = []
+        self._destroyed: list[Optional[int]] = []
+        self._source: list[Optional[int]] = []
+        self._content: list[_Content] = []
+        self._contents: dict[tuple[bytes, str], _Content] = {}
 
     # append API; ids are checked here (from_jsonl checks its own), events in _append
 
-    def create(
-        self, obj_id: int, substrate: str, content: bytes, src: Optional[int] = None
-    ) -> Event:
+    def create(self, obj_id: int, substrate: str, content: bytes, src: Optional[int] = None) -> None:
         obj_id = _plain_id("obj_id", obj_id)
         src = None if src is None else _plain_id("src", src)
-        return self._append(
-            Event(len(self.events), "create", obj_id, substrate, bytes(content), src)
-        )
+        self._append("create", obj_id, substrate, bytes(content), src)
 
-    def destroy(self, obj_id: int) -> Event:
-        return self._append(Event(len(self.events), "destroy", _plain_id("obj_id", obj_id)))
+    def destroy(self, obj_id: int) -> None:
+        self._append("destroy", _plain_id("obj_id", obj_id))
 
-    def transcribe(self, src_id: int, new_id: int, substrate: str) -> Event:
+    def transcribe(self, src_id: int, new_id: int, substrate: str) -> None:
         new_id = _plain_id("new_id", new_id)
         src_id = None if src_id is None else _plain_id("src_id", src_id)  # None fails as dead
-        return self._append(
-            Event(len(self.events), "transcribe", new_id, substrate, None, src_id)
-        )
+        self._append("transcribe", new_id, substrate, None, src_id)
 
-    def _append(self, event: Event) -> Event:
-        """The one place an event is validated and applied."""
-        now, kind, obj_id, substrate, content, src = event
-        if now != len(self.events):
-            raise LogError(f"event index {now} breaks append-only order")
-        objects = self.objects
+    def _append(self, kind: str, obj_id: int, substrate=None, raw=None, src=None) -> None:
+        """The one place an event is validated and applied.
+
+        raw is the content of a create; a transcribe copies its source's.
+        """
+        rows = self._row
         if kind == "create":
             check_substrate(substrate)
-            if obj_id in objects:
+            if obj_id in rows:
                 raise LogError(f"object id {obj_id} already exists")
             if src is not None:
-                self._require_alive(src, now)
-            objects[obj_id] = StoredObject(obj_id, substrate, content, now, source=src)
+                self._require_alive(src)
         elif kind == "destroy":
-            target = objects.get(obj_id)
-            if target is None or target.destroyed_at is not None:
+            row = rows.get(obj_id)
+            if row is None or self._destroyed[row] is not None:
                 raise LogError(f"destroy of missing or dead object {obj_id}")
-            target.destroyed_at = now
+            self._destroyed[row] = len(self._kinds)
         elif kind == "transcribe":
             check_substrate(substrate)
-            source = self._require_alive(src, now)
-            if obj_id in objects:
+            source = self._content[self._require_alive(src)]
+            if obj_id in rows:
                 raise LogError(f"object id {obj_id} already exists")
             if substrate == source.substrate:
                 raise LogError(f"transcription must change substrate, both are {substrate!r}")
-            objects[obj_id] = StoredObject(obj_id, substrate, source.content, now, source=src)
+            raw = source.raw
         else:
             raise LogError(f"unknown event kind {kind!r}")
-        self.events.append(event)
-        return event
+        if kind != "destroy":
+            content = self._contents.get((raw, substrate))
+            if content is None:
+                content = self._contents[raw, substrate] = _Content(raw, substrate)
+            row = rows[obj_id] = len(self._ids)
+            content.rows.append(row)
+            self._ids.append(obj_id)
+            self._created.append(len(self._kinds))
+            self._destroyed.append(None)
+            self._source.append(src)
+            self._content.append(content)
+        self._kinds.append(kind)
+        self._rows.append(row)
 
-    def _require_alive(self, obj_id: Optional[int], now: int) -> StoredObject:
-        obj = self.objects.get(obj_id)
-        if obj is None or obj.destroyed_at is not None:
+    def _require_alive(self, obj_id: Optional[int]) -> int:
+        row = self._row.get(obj_id)
+        if row is None or self._destroyed[row] is not None:
             raise LogError(f"source object {obj_id} does not exist or is not alive")
-        return obj
+        return row
 
     # time handling: t is an event index; the state at t includes the
     # effect of events 0..t.  t = -1 is the empty world before any event.
 
     @property
     def now(self) -> int:
-        return len(self.events) - 1
+        return len(self._kinds) - 1
 
     def _resolve_t(self, t: Optional[int]) -> int:
         if t is None:
@@ -203,18 +210,73 @@ class World:
             raise ValueError(f"t={t} outside log range [-1, {self.now}]")
         return t
 
+    def _alive_rows(self, rows: Iterable[int], at: int) -> list[int]:
+        """The given rows whose objects are alive at the resolved time at."""
+        created, destroyed = self._created, self._destroyed
+        return [
+            r for r in rows
+            if created[r] <= at and (destroyed[r] is None or destroyed[r] > at)
+        ]
+
+    # read-only views
+
+    def _views(self, rows: Iterable[int]) -> list[StoredObject]:
+        ids, created, destroyed, sources = self._ids, self._created, self._destroyed, self._source
+        return [
+            StoredObject(ids[r], c.substrate, c.raw, created[r], destroyed[r], sources[r], c.normalized)
+            for r in rows
+            for c in (self._content[r],)
+        ]
+
+    @property
+    def objects(self) -> dict[int, StoredObject]:
+        """Every logged object by id, alive or not, as views built on each call."""
+        return {o.id: o for o in self._views(range(len(self._ids)))}
+
+    @property
+    def events(self) -> list[tuple]:
+        """The log as (i, kind, obj, substrate, content, src) tuples, built on
+        each call; a field the kind does not use is None.  `now + 1` is its
+        length without building it.
+        """
+        ids, contents, sources = self._ids, self._content, self._source
+        out = []
+        for i, (kind, row) in enumerate(zip(self._kinds, self._rows)):
+            if kind == "destroy":
+                out.append((i, kind, ids[row], None, None, None))
+            else:
+                c = contents[row]
+                raw = c.raw if kind == "create" else None
+                out.append((i, kind, ids[row], c.substrate, raw, sources[row]))
+        return out
+
     def alive_objects(self, t: Optional[int] = None) -> list[StoredObject]:
         at = self._resolve_t(t)
-        return [
-            o
-            for o in self.objects.values()
-            if o.created_at <= at and (o.destroyed_at is None or o.destroyed_at > at)
-        ]
+        return self._views(self._alive_rows(range(len(self._ids)), at))
 
     # serialization
 
     def to_jsonl(self) -> str:
-        return "".join(e.to_json_line() + "\n" for e in self.events)
+        """The log as text, one line per event.
+
+        Each line is byte for byte `json.dumps(record, separators=(",", ":"))`
+        of the event's record {"i", "kind", "obj", "substrate",
+        "content_b64", "src"}.  Only the substrate string needs JSON
+        escaping; each distinct substrate and content is encoded once.
+        """
+        quoted = {None: "null"}  # substrate -> its JSON string
+        encoded = {None: "null"}  # content -> its base64 as a JSON string
+        lines = []
+        for i, kind, obj, substrate, content, src in self.events:
+            sub = quoted.get(substrate) or quoted.setdefault(substrate, json.dumps(substrate))
+            b64 = encoded.get(content) or encoded.setdefault(
+                content, f'"{base64.b64encode(content).decode("ascii")}"'
+            )
+            lines.append(
+                f'{{"i":{i},"kind":"{kind}","obj":{obj},"substrate":{sub},'
+                f'"content_b64":{b64},"src":{"null" if src is None else src}}}\n'
+            )
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "World":
@@ -222,52 +284,53 @@ class World:
 
         Each line is one JSON object whose `i`, `obj` and any non-null
         `src` are JSON integers (booleans and floats are refused); every
-        event is built once and validated by _append.  _parse_lines
-        parses many lines per `json.loads` call without changing any
-        `line N:` message.
+        event is validated and applied by _append.  Each distinct
+        `content_b64` text is decoded once.  _parse_lines parses many
+        lines per `json.loads` call without changing any `line N:`
+        message.
         """
         world = cls()
-        events = world.events
+        append, kinds = world._append, world._kinds
+        decoded: dict[str, bytes] = {}  # content_b64 text -> raw bytes
         for lineno, record in enumerate(_parse_lines(text), 1):
             try:
                 if not isinstance(record, dict):
                     raise LogError("event must be a JSON object")
-                _require(record, _EVENT_FIELDS)
+                try:
+                    i, kind, obj = record["i"], record["kind"], record["obj"]
+                except KeyError:
+                    raise _missing(record, ("i", "kind", "obj")) from None
                 src = record.get("src")
-                if not (type(record["i"]) is int and type(record["obj"]) is int
+                if not (type(i) is int and type(obj) is int
                         and (src is None or type(src) is int)):
                     raise LogError(_id_error(record))
-                kind = record["kind"]
                 if kind == "create":
-                    try:
-                        content = base64.b64decode(record.get("content_b64") or "", validate=True)
-                    except (ValueError, TypeError):  # binascii.Error is a ValueError
-                        raise LogError("content_b64 is not valid base64") from None
-                    _require(record, _CREATE_FIELDS)
-                    event = Event(
-                        len(events), kind, record["obj"], record["substrate"], content, src
-                    )
+                    # JSON null, false, 0, "", [] and {} all read as empty content
+                    b64 = record.get("content_b64") or ""
+                    raw = decoded.get(b64) if type(b64) is str else None
+                    if raw is None:
+                        try:
+                            raw = decoded[b64] = base64.b64decode(b64, validate=True)
+                        except (ValueError, TypeError):  # binascii.Error is a ValueError
+                            raise LogError("content_b64 is not valid base64") from None
+                    if "content_b64" not in record or "substrate" not in record:
+                        raise _missing(record, ("content_b64", "substrate"))
+                    append(kind, obj, record["substrate"], raw, src)
                 elif kind == "transcribe":
-                    _require(record, _TRANSCRIBE_FIELDS)
-                    event = Event(len(events), kind, record["obj"], record["substrate"], None, src)
+                    if "src" not in record or "substrate" not in record:
+                        raise _missing(record, ("src", "substrate"))
+                    append(kind, obj, record["substrate"], None, src)
                 else:
-                    event = Event(len(events), kind, record["obj"])
-                world._append(event)
-                if event.i != record["i"]:
-                    raise LogError(f"index {record['i']} breaks append-only order")
+                    append(kind, obj)
+                if i != len(kinds) - 1:
+                    raise LogError(f"index {i} breaks append-only order")
             except LogError as exc:
                 raise LogError(f"line {lineno}: {exc}") from None
         return world
 
 
-_EVENT_FIELDS = frozenset(("i", "kind", "obj"))
-_CREATE_FIELDS = frozenset(("content_b64", "substrate"))
-_TRANSCRIBE_FIELDS = frozenset(("src", "substrate"))
-
-
-def _require(record: dict, fields: frozenset) -> None:
-    if not record.keys() >= fields:
-        raise LogError(f"missing fields {sorted(fields - record.keys())}")
+def _missing(record: dict, fields: tuple[str, ...]) -> LogError:
+    return LogError(f"missing fields {sorted(set(fields) - record.keys())}")
 
 
 def _plain_id(name: str, value) -> int:
@@ -334,13 +397,20 @@ def _parse_each(lines: list[str], offset: int) -> Iterator:
             raise LogError(f"line {lineno}: not valid JSON ({exc.msg})") from None
 
 
-# queries
+# queries: the recognizer runs once per distinct normalized content
+
+
+def _accepted(world: World, prene: Prene) -> list[_Content]:
+    """The interned contents whose normalized bytes the prene accepts."""
+    contents = world._contents.values()
+    verdicts = {norm: prene.recognizer(norm) for norm in dict.fromkeys(c.normalized for c in contents)}
+    return [c for c in contents if verdicts[c.normalized]]
 
 
 def copy_number(world: World, prene: Prene, t: Optional[int] = None) -> int:
     """How many distinct alive objects store this prene at t."""
-    accepts = prene.recognizer
-    return sum(1 for o in world.alive_objects(t) if accepts(o._normalized))
+    at = world._resolve_t(t)
+    return sum(len(world._alive_rows(c.rows, at)) for c in _accepted(world, prene))
 
 
 @dataclass(frozen=True)
@@ -350,17 +420,14 @@ class Classification:
     turene: bool
 
 
-_FLAG_SUBSTRATE = {"gene": "nucleic_acid", "meme": "brain", "turene": "computer"}
-
-
 def classify(world: World, prene: Prene, t: Optional[int] = None) -> Classification:
     """Which special-prene flags the alive copies currently earn.
 
     Flags may overlap; copies on document or other substrates keep a
     prene alive without earning any flag.
     """
-    accepts = prene.recognizer
-    present = {o.substrate for o in world.alive_objects(t) if accepts(o._normalized)}
+    at = world._resolve_t(t)
+    present = {c.substrate for c in _accepted(world, prene) if world._alive_rows(c.rows, at)}
     return Classification(
         gene="nucleic_acid" in present,
         meme="brain" in present,
@@ -379,30 +446,14 @@ def lineage(world: World, prene: Prene) -> tuple[list[int], list[tuple[int, int]
     exists where the child's source link points at another accepting
     object.  Acyclic because sources must predate their copies.
     """
-    accepts = prene.recognizer
-    accepted = [o.id for o in world.objects.values() if accepts(o._normalized)]
-    node_set = set(accepted)
-    edges = [
-        (o.id, o.source)
-        for o in world.objects.values()
-        if o.id in node_set and o.source is not None and o.source in node_set
-    ]
-    return sorted(accepted), sorted(edges)
+    ids, sources = world._ids, world._source
+    rows = [r for c in _accepted(world, prene) for r in c.rows]
+    nodes = {ids[r] for r in rows}
+    edges = [(ids[r], sources[r]) for r in rows if sources[r] in nodes]
+    return sorted(nodes), sorted(edges)
 
 
 # taxonomy over content sets
-
-
-def _normalized_contents(
-    objects: Sequence[StoredObject] | Sequence[bytes],
-) -> list[bytes]:
-    out = []
-    for obj in objects:
-        if isinstance(obj, StoredObject):
-            out.append(obj._normalized)
-        else:
-            out.append(bytes(obj))
-    return out
 
 
 def _substrings_of_length(content: bytes, k: int) -> set[bytes]:
@@ -420,7 +471,9 @@ def longest_shared(objects: Sequence[StoredObject] | Sequence[bytes]) -> bytes:
     """
     if not objects:
         raise ValueError("need at least one object")
-    contents = list(dict.fromkeys(_normalized_contents(objects)))  # duplicates add nothing
+    contents = list(dict.fromkeys(  # duplicates add nothing
+        o.normalized if isinstance(o, StoredObject) else bytes(o) for o in objects
+    ))
 
     def common_at(k: int) -> set[bytes]:
         sets = _substrings_of_length(contents[0], k)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import operator
 
-import numpy as np
-
 # Stamped into every run report so a run can be reproduced bit-exactly; the
 # suffix names the (master_seed, *key) -> SeedSequence derivation above.
 RNG_ALGORITHM = "philox4x64-10/keyed-u32-v2"
@@ -48,6 +46,8 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     unsigned 64-bit and each key word an unsigned 32-bit integer (int or
     NumPy); other types raise TypeError and other values ValueError.
     """
+    import numpy as np  # here, so that modules needing only is_int load without NumPy
+
     seed = _word(master_seed, 64, "master_seed")
     words = [_word(k, 32, "key word") for k in key]
     entropy = [seed & 0xFFFFFFFF, seed >> 32, len(words), *words]

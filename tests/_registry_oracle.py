@@ -44,6 +44,6 @@ def load(text: str) -> World:
                 raise LogError(f"unknown event kind {kind!r}")
         except LogError as exc:
             raise LogError(f"line {lineno + 1}: {exc}") from None
-        if world.events[-1].i != record["i"]:
+        if world.now != record["i"]:
             raise LogError(f"line {lineno + 1}: index {record['i']} breaks append-only order")
     return world

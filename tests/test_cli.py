@@ -282,6 +282,18 @@ class TestRegistryCli:
 
         assert base64.b64decode(got["longest_shared_b64"]) == b"origin "
 
+    @pytest.mark.parametrize("empty_log, at", [(False, ["--at", "-1"]), (True, [])])
+    def test_longest_shared_of_empty_world_exits_2(self, tmp_path, capsys, empty_log, at):
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        args = ["--log", str(log) if empty_log else GOLDEN_LOG, "--what", "longest-shared", *at]
+        assert main(["registry", "query", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "prene-lab: config error: key '--at': no object is alive at t=-1 for longest-shared\n"
+        )
+
     def test_query_without_content_exits_2(self, tmp_path):
         code, _ = run_cli(
             ["registry", "query", "--log", GOLDEN_LOG, "--what", "copy-number"],

@@ -1,6 +1,11 @@
 """Event-log validation, recognizer queries, and taxonomy operations."""
 
+import base64
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +51,16 @@ def golden_world() -> World:
     w.transcribe(3, 6, "other:microfilm")
     w.destroy(3)
     return w
+
+
+def test_registry_and_lifespan_import_without_numpy():
+    code = "import sys, prenelab.registry, prenelab.lifespan; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout == "False\n"
 
 
 class TestNormalize:
@@ -123,8 +138,8 @@ class TestWorldAppend:
         w.create(np.uint16(2), "document", b"y", src=np.int32(1))
         w.transcribe(np.uint64(2), np.int8(3), "computer")
         w.destroy(np.int16(1))
-        assert all(type(e.obj) is int for e in w.events)
-        assert all(type(e.src) is int for e in w.events if e.src is not None)
+        assert all(type(obj) is int for _, _, obj, *_ in w.events)
+        assert all(type(src) is int for *_, src in w.events if src is not None)
         text = w.to_jsonl()
         assert World.from_jsonl(text).to_jsonl() == text
 
@@ -152,6 +167,27 @@ class TestSerialization:
             w = random_world(gen)
             text = w.to_jsonl()
             assert World.from_jsonl(text).to_jsonl() == text
+
+    def test_writer_escapes_substrate_names_as_json_dumps(self):
+        w = World()
+        names = ['other:say "hi"', "other:back\\slash", "other:caf\u00e9", "other:tab\there\x01",
+                 "other:line\u2028sep\x85"]
+        for k, name in enumerate(names):
+            w.create(k, name, b"x%d" % k, src=k - 1 if k else None)
+        w.transcribe(0, 10, "other:na\u00efve")
+        w.destroy(1)
+        expected = "".join(
+            json.dumps({
+                "i": i, "kind": kind, "obj": obj, "substrate": substrate,
+                "content_b64": None if content is None else base64.b64encode(content).decode(),
+                "src": src,
+            }, separators=(",", ":")) + "\n"
+            for i, kind, obj, substrate, content, src in w.events
+        )
+        assert "\\u00e9" in expected and "\\u0001" in expected and "\\\"hi\\\"" in expected
+        text = w.to_jsonl()
+        assert text == expected
+        assert World.from_jsonl(text).to_jsonl() == text
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -294,6 +330,54 @@ class TestLoader:
             got, expected = World.from_jsonl(text), _registry_oracle.load(text)
             assert got.events == expected.events
             assert got.objects == expected.objects
+
+    # lines to_jsonl never writes, each set read after a create of object 1;
+    # all but the last set are valid
+    CORPUS = {
+        "duplicate key": ['{"i":1,"kind":"create","obj":5,"obj":2,"substrate":"brain",'
+                          '"content_b64":"eA==","src":null}'],
+        "unknown keys": ['{"i":1,"kind":"transcribe","obj":2,"substrate":"computer","src":1,'
+                         '"note":"copied","extra":{"depth":2}}'],
+        "permuted keys": ['{"src":null,"content_b64":"eQ==","substrate":"computer","obj":2,'
+                          '"kind":"create","i":1}', '{"obj":1,"i":2,"kind":"destroy"}'],
+        "non-canonical padding": [_record(1, "create", 2, "brain", "QR==")],
+        "null content": [_record(1, "create", 2, "brain", None)],
+        "same text, document and not": [_record(1, "create", 2, "document", "VGhlICBSaW5n"),
+                                        _record(2, "create", 3, "computer", "VGhlICBSaW5n")],
+        "duplicate key, last one bad": ['{"i":1,"kind":"destroy","obj":1,"obj":7}'],
+    }
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_loads_and_fails_like_per_line_loader(self, name):
+        lines = [_record(0, "create", 1, "brain", "eA==")] + self.CORPUS[name]
+        text = "\n".join(lines) + "\n"
+        if name.endswith("bad"):
+            assert _message(World.from_jsonl, text) == _message(_registry_oracle.load, text)
+            assert _message(World.from_jsonl, text) == "line 2: destroy of missing or dead object 7"
+            return
+        got, expected = World.from_jsonl(text), _registry_oracle.load(text)
+        assert got.events == expected.events
+        assert got.objects == expected.objects
+        assert got.to_jsonl() == expected.to_jsonl()
+        bad = text + _record(len(lines), "create", 1, "brain", "eA==") + "\n"  # id 1 exists
+        message = _message(World.from_jsonl, bad)
+        assert message == _message(_registry_oracle.load, bad)
+        assert message == f"line {len(lines) + 1}: object id 1 already exists"
+
+    def test_non_canonical_padding_ingests_canonically(self):
+        text = _record(0, "create", 1, "brain", "QR==") + "\n"
+        world = World.from_jsonl(text)
+        assert world.objects[1].content == b"A"
+        assert world.to_jsonl() == _record(0, "create", 1, "brain", "QQ==") + "\n"
+
+    def test_same_text_on_document_and_not_is_two_contents(self):
+        lines = TestLoader.CORPUS["same text, document and not"]
+        text = _record(0, "create", 1, "brain", "eA==") + "\n" + "\n".join(lines) + "\n"
+        world = World.from_jsonl(text)
+        assert world.objects[2].normalized == b"the ring"
+        assert world.objects[3].normalized == world.objects[3].content == b"The  Ring"
+        assert copy_number(world, Prene.exact(b"the ring")) == 1
+        assert copy_number(world, Prene.exact(b"The  Ring")) == 1
 
     @pytest.mark.parametrize(
         "line, message",
@@ -470,6 +554,44 @@ class TestLineage:
                 assert lineage(w, Prene.exact(content)) == brute_lineage(
                     text, content, len(w.events) - 1
                 )
+
+
+class TestRecognizerCalls:
+    """A pure recognizer runs once per distinct normalized content, not per object."""
+
+    def test_each_query_calls_it_once_per_distinct_content(self):
+        pool = [("document", b"The Ring"), ("document", b"the  RING "), ("document", b"the ring"),
+                ("computer", b"the ring"), ("brain", b"The Ring"), ("nucleic_acid", b"GATTACA")]
+        gen = np.random.default_rng(31)
+        w = World()
+        for k in range(300):
+            substrate, content = pool[int(gen.integers(len(pool)))]
+            w.create(k, substrate, content)
+            if k % 3 == 2:
+                w.transcribe(k, 1000 + k, "other:tape")
+            if k % 4 == 3:
+                w.destroy(k - 2)
+        distinct = {normalize(o.content, o.substrate) for o in w.objects.values()}
+        assert len(distinct) < 10 < len(w.objects)
+        calls = Counter()
+
+        def counting(content):
+            calls[content] += 1
+            return content == b"the ring"
+
+        prene, text, now = Prene("the ring", counting), w.to_jsonl(), len(w.events) - 1
+        checks = [
+            (lambda t: copy_number(w, prene, t), lambda t: brute_copy_number(text, b"the ring", t)),
+            (lambda t: tuple(vars(classify(w, prene, t)).values()),
+             lambda t: brute_flags(text, b"the ring", t)),
+            (lambda t: extinct(w, prene, t), lambda t: brute_copy_number(text, b"the ring", t) == 0),
+            (lambda t: lineage(w, prene), lambda t: brute_lineage(text, b"the ring", now)),
+        ]
+        for query, brute in checks:
+            for t in (-1, now // 2, now):
+                calls.clear()
+                assert query(t) == brute(t)
+                assert set(calls) <= distinct and max(calls.values(), default=1) == 1
 
 
 class TestSharedSubstrings:
