@@ -269,7 +269,7 @@ def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(world.to_jsonl().encode("utf-8"))
-    echo = {"log": args.log, "events": world.now + 1, "objects": len(world.objects)}
+    echo = {"log": args.log, "events": world.now + 1, "objects": len(world._row)}
     return echo, [str(out)]
 
 
@@ -406,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("copy-number", "classify", "extinct", "lineage", "longest-shared"),
     )
-    p_query.add_argument("--content", help="query content as UTF-8 text")
-    p_query.add_argument("--content-b64", help="query content as base64 bytes")
+    content = p_query.add_mutually_exclusive_group()
+    content.add_argument("--content", help="query content as UTF-8 text")
+    content.add_argument("--content-b64", help="query content as base64 bytes")
     p_query.add_argument("--at", type=int, default=None, help="event-time t; default: now")
     p_query.add_argument("--out", help="write the JSON result here instead of stdout")
     p_query.set_defaults(func=_cmd_registry_query, subcommand="registry query")

@@ -8,8 +8,8 @@ The bit stream is consumed in a fixed order (per run with p > 0, in site
 order: one binomial draw, then one subset draw unless k = 0; then one
 uniform per flip, in row-major order, for the new letter);
 tests/test_kernels.py freezes one result.  `constant_runs` splits a
-profile into its runs; a caller that replicates under one profile many
-times computes them once and passes them in.
+profile into its runs; `replicator.MutationProfile` checks its
+probabilities and computes them once, and the kernel trusts them.
 """
 
 from __future__ import annotations
@@ -48,26 +48,15 @@ def _apply_flips(codes, rows, cols, gen):
     return old, new
 
 
-def mutate_sites(codes: np.ndarray, site_prob: np.ndarray, gen: np.random.Generator, runs=None):
+def mutate_sites(codes: np.ndarray, runs, gen: np.random.Generator):
     """Mutate a batch of coded sequences in place, one Bernoulli trial per site.
 
     codes: (n, L) uint8 matrix of letter codes 0..3, modified in place.
-    site_prob: (L,) float64 per-site substitution probabilities in [0, 1].
-    runs: `constant_runs(site_prob)`, when the caller holds it already.
+    runs: `constant_runs` of the (L,) per-site substitution probabilities.
     Returns (rows, cols, old, new): the flipped positions in row-major order
     with the letter codes before and after.  Each flip substitutes one of
     the three other letters uniformly.
     """
-    if codes.ndim != 2:
-        raise ValueError("codes must be a 2-d matrix")
-    if site_prob.shape != (codes.shape[1],):
-        raise ValueError(
-            f"site_prob length {site_prob.shape} does not match sequence length {codes.shape[1]}"
-        )
-    if not np.all((site_prob >= 0.0) & (site_prob <= 1.0)):  # NaN fails both
-        raise ValueError("site_prob must lie in [0, 1]")
-    if runs is None:
-        runs = constant_runs(site_prob)
     n, length = codes.shape
     rows, cols = np.divmod(_flip_sites(n, length, runs, gen), length)
     old, new = _apply_flips(codes, rows, cols, gen)

@@ -28,7 +28,6 @@ compares integers; the comparisons are the rational ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -206,11 +205,11 @@ def life_table(species: TreeSpecies) -> LifeTable:
 class CohortState:
     """Per-species birth bookkeeping for the cohort recurrence.
 
-    births_by_day[d] counts trees materializing on day d (the founder is a
-    birth on day 0).  Each day's births follow from the life table:
-    births(d) = sum over birth ages a of births(d - a), the discrete
-    renewal equation.  Two running sums make a day O(1) big-int additions
-    instead of a rescan:
+    births_by_day[d] counts trees materializing on day d; the state starts
+    from the founder, a birth on day 0.  Each day's births follow from the
+    life table: births(d) = sum over birth ages a of births(d - a), the
+    discrete renewal equation.  Two running sums make a day O(1) big-int
+    additions instead of a rescan:
 
     - the periodic tail (first, step) contributes
       T(d) = births(d - first) + T(d - step), kept per day;
@@ -219,42 +218,27 @@ class CohortState:
       P(d + 1) - P(max(0, d - death_age)), and P(d + 1) for an immortal
       species.
 
-    births_by_day holds one count per day 0..current_day, so its length
-    defines current_day.  A state built from a given, non-empty history
-    derives both sums from it.
+    births_by_day holds one count per day 0..current_day.
     """
 
     table: LifeTable
-    births_by_day: list[int] = field(default_factory=lambda: [1])
-    _tail_by_day: list[int] = field(init=False, repr=False)
-    _prefix_births: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.births_by_day:
-            raise ValueError("births_by_day must hold at least day 0")
-        self._prefix_births = list(itertools.accumulate(self.births_by_day, initial=0))
-        self._tail_by_day = []
-        if self.table.periodic is not None:
-            for d in range(len(self.births_by_day)):
-                self._tail_by_day.append(self._periodic_tail(d))
+    births_by_day: list[int] = field(init=False, default_factory=lambda: [1])
+    _prefix_births: list[int] = field(init=False, repr=False, default_factory=lambda: [0, 1])
+    _tail_by_day: list[int] = field(init=False, repr=False, default_factory=lambda: [0])
 
     @property
     def current_day(self) -> int:
         return len(self.births_by_day) - 1
-
-    def _periodic_tail(self, d: int) -> int:
-        first, step = self.table.periodic
-        tail = self.births_by_day[d - first] if d >= first else 0
-        if d >= step:
-            tail += self._tail_by_day[d - step]
-        return tail
 
     def step(self) -> None:
         births = self.births_by_day
         d = len(births)
         total = sum(births[d - a] for a in self.table.birth_ages if a <= d)
         if self.table.periodic is not None:
-            tail = self._periodic_tail(d)
+            first, step = self.table.periodic
+            tail = births[d - first] if d >= first else 0
+            if d >= step:
+                tail += self._tail_by_day[d - step]
             self._tail_by_day.append(tail)
             total += tail
         births.append(total)

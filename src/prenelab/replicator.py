@@ -225,12 +225,8 @@ class MutationProfile:
 
 def replicate(genome: Genome, profile: MutationProfile, gen: np.random.Generator) -> Genome:
     """One offspring strand; each site flips with its profile probability."""
-    if len(profile) != len(genome):
-        raise ProfileLengthMismatch(
-            f"profile length {len(profile)} != genome length {len(genome)}"
-        )
     child = genome.codes.copy().reshape(1, -1)
-    mutate_sites(child, profile.site_prob, gen, runs=profile.runs)
+    replicate_batch(child, profile, gen)
     return Genome(child[0], genome.regions)
 
 
@@ -241,19 +237,23 @@ def replicate_batch(
 
     parent_codes has one row per offspring (already repeated per parent).
     Returns the kernel's flip report (rows, cols, old, new) in row-major
-    order.
+    order.  This is where the kernel's input is checked: a 2-d matrix as
+    wide as the profile.
     """
+    if parent_codes.ndim != 2:
+        raise ValueError("parent_codes must be a 2-d matrix")
     if parent_codes.shape[1] != len(profile):
         raise ProfileLengthMismatch(
             f"profile length {len(profile)} != strand length {parent_codes.shape[1]}"
         )
-    return mutate_sites(parent_codes, profile.site_prob, gen, runs=profile.runs)
+    return mutate_sites(parent_codes, profile.runs, gen)
 
 
 def mutant_fraction(
     genome: Genome, profile: MutationProfile, n: int, gen: np.random.Generator
 ) -> float:
     """Fraction of n offspring carrying at least one substitution."""
+    n = operator.index(n)
     if n <= 0:
         raise ValueError("n must be positive")
     batch = np.repeat(genome.codes.reshape(1, -1), n, axis=0)
@@ -337,6 +337,7 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     site inside `coat_span`; such a child's coat is left for
     `immune_step` to intern.
     """
+    offspring_per_virion = operator.index(offspring_per_virion)
     if offspring_per_virion < 1:
         raise ValueError("offspring_per_virion must be >= 1")
     if state.population == 0:
@@ -645,6 +646,7 @@ def vdj_generate(
     space; sparse requests sample with rejection.
     """
     _str_to_codes(constant_region)  # validates the alphabet
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if variable_length < 1:

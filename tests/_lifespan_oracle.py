@@ -16,7 +16,7 @@ module they check.
 """
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from prenelab.lifespan import LifeTable, TreeSpecies
 
@@ -42,12 +42,10 @@ def alive_at_age(table: LifeTable, age: int) -> bool:
     return table.death_age is None or age <= table.death_age
 
 
-def rescan_census(
-    table: LifeTable, days: int, history: Sequence[int] = (1,)
-) -> tuple[int, ...]:
-    """Census of days 0..days, continuing the births of days 0..len(history) - 1."""
-    births = list(history)
-    for d in range(len(births), days + 1):
+def rescan_census(table: LifeTable, days: int) -> tuple[int, ...]:
+    """Census of days 0..days from one founder born on day 0."""
+    births = [1]
+    for d in range(1, days + 1):
         births.append(sum(births[d - a] for a in ages_up_to(table, d) if d - a >= 0))
     return tuple(
         sum(n for born, n in enumerate(births[: day + 1]) if alive_at_age(table, day - born))

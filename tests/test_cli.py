@@ -237,6 +237,15 @@ class TestRegistryCli:
         run_cli(["registry", "ingest", "--log", GOLDEN_LOG, "--out", str(out)], tmp_path)
         assert out.read_bytes() == open(GOLDEN_LOG, "rb").read()
 
+    def test_ingest_echoes_event_and_object_counts(self, tmp_path):
+        out = tmp_path / "canon.jsonl"
+        _, report = run_cli(
+            ["registry", "ingest", "--log", GOLDEN_LOG, "--out", str(out)], tmp_path
+        )
+        kinds = [json.loads(line)["kind"] for line in Path(GOLDEN_LOG).read_text().splitlines()]
+        assert report["config"]["events"] == len(kinds)
+        assert report["config"]["objects"] == sum(k in ("create", "transcribe") for k in kinds)
+
     @pytest.mark.parametrize(
         "what,extra,expected",
         [
@@ -301,6 +310,15 @@ class TestRegistryCli:
             check=False,
         )
         assert code == 2
+
+    def test_both_content_flags_exit_2(self):
+        proc = run_proc(
+            ["registry", "query", "--log", GOLDEN_LOG, "--what", "copy-number",
+             "--content", "NOPE", "--content-b64", "UE9Y"]
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage" in proc.stderr and "not allowed with argument" in proc.stderr
 
     def test_at_out_of_range_exits_2(self, tmp_path):
         code, _ = run_cli(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prenelab import kernels, rng
-from prenelab.replicator import MutationProfile
+from prenelab.replicator import MutationProfile, ProfileLengthMismatch, replicate_batch
 
 
 def _fresh(seed, n=40, L=120):
@@ -53,7 +53,7 @@ GOLDEN_CODES_SHA256 = "49fead212e1628603f60df4dd52fd3e978cc3a55948ee644f0dc7ed88
 def test_frozen_golden_mutation():
     codes = _fresh(901)
     rows, cols, old, new = kernels.mutate_sites(
-        codes, np.full(codes.shape[1], 0.05), rng.stream(901, 2)
+        codes, kernels.constant_runs(np.full(codes.shape[1], 0.05)), rng.stream(901, 2)
     )
     expected_rows, expected_cols = np.divmod(np.array(GOLDEN_FLAT_SITES), 120)
     assert rows.tolist() == expected_rows.tolist()
@@ -81,7 +81,9 @@ GOLDEN_LARGE_BATCH = {
 def test_frozen_golden_large_batch():
     codes = rng.stream(902, 1).integers(0, 4, size=(1100, 16), dtype=np.uint8)
     prob = np.array([0.05] * 4 + [0.0] * 2 + [0.005] * 10)
-    rows, cols, old, new = kernels.mutate_sites(codes, prob, rng.stream(902, 2))
+    rows, cols, old, new = kernels.mutate_sites(
+        codes, kernels.constant_runs(prob), rng.stream(902, 2)
+    )
     assert rows.max() > 1024
 
     def sha(a):
@@ -98,7 +100,7 @@ def test_zero_probability_is_identity():
     codes = _fresh(11)
     before = codes.copy()
     rows, cols, old, new = kernels.mutate_sites(
-        codes, np.zeros(codes.shape[1]), rng.stream(11, 2)
+        codes, kernels.constant_runs(np.zeros(codes.shape[1])), rng.stream(11, 2)
     )
     assert rows.size == 0 and cols.size == 0
     assert np.array_equal(codes, before)
@@ -108,7 +110,7 @@ def test_probability_one_flips_everything():
     codes = _fresh(12)
     before = codes.copy()
     rows, cols, old, new = kernels.mutate_sites(
-        codes, np.ones(codes.shape[1]), rng.stream(12, 2)
+        codes, kernels.constant_runs(np.ones(codes.shape[1])), rng.stream(12, 2)
     )
     assert rows.size == codes.size
     assert np.all(codes != before)  # a flip never reproduces the old letter
@@ -117,7 +119,7 @@ def test_probability_one_flips_everything():
 def test_flips_reported_in_row_major_order():
     codes = _fresh(13)
     rows, cols, old, new = kernels.mutate_sites(
-        codes, np.full(codes.shape[1], 0.2), rng.stream(13, 2)
+        codes, kernels.constant_runs(np.full(codes.shape[1], 0.2)), rng.stream(13, 2)
     )
     flat = rows.astype(np.int64) * codes.shape[1] + cols
     assert np.all(np.diff(flat) > 0)
@@ -128,7 +130,7 @@ def test_reported_old_new_match_matrix():
     codes = gen.integers(0, 4, size=(30, 80), dtype=np.uint8)
     before = codes.copy()
     rows, cols, old, new = kernels.mutate_sites(
-        codes, np.full(80, 0.1), rng.stream(14, 2)
+        codes, kernels.constant_runs(np.full(80, 0.1)), rng.stream(14, 2)
     )
     assert np.array_equal(before[rows, cols], old)
     assert np.array_equal(codes[rows, cols], new)
@@ -140,7 +142,9 @@ def test_reported_old_new_match_matrix():
 
 def test_letters_stay_in_alphabet():
     codes = _fresh(15)
-    kernels.mutate_sites(codes, np.full(codes.shape[1], 0.5), rng.stream(15, 2))
+    kernels.mutate_sites(
+        codes, kernels.constant_runs(np.full(codes.shape[1], 0.5)), rng.stream(15, 2)
+    )
     assert codes.max() <= 3
 
 
@@ -150,7 +154,7 @@ def test_empirical_site_rate(p):
     gen = rng.stream(16, 1)
     codes = gen.integers(0, 4, size=(2000, 100), dtype=np.uint8)
     rows, _, _, _ = kernels.mutate_sites(
-        codes, np.full(100, p), rng.stream(16, 2, int(p * 1e6))
+        codes, kernels.constant_runs(np.full(100, p)), rng.stream(16, 2, int(p * 1e6))
     )
     n_sites = codes.size
     sigma = (p * (1 - p) / n_sites) ** 0.5
@@ -161,7 +165,7 @@ def test_replacement_letters_uniform_over_other_three():
     gen = rng.stream(17, 1)
     codes = np.zeros((3000, 40), dtype=np.uint8)  # all letter 0
     _, _, old, new = kernels.mutate_sites(
-        codes, np.full(40, 0.5), rng.stream(17, 2)
+        codes, kernels.constant_runs(np.full(40, 0.5)), rng.stream(17, 2)
     )
     counts = np.bincount(new, minlength=4)
     assert counts[0] == 0
@@ -178,18 +182,18 @@ def test_per_site_probabilities_respected():
     prob[30:] = 1.0
     gen = rng.stream(18, 1)
     codes = gen.integers(0, 4, size=(50, 60), dtype=np.uint8)
-    rows, cols, _, _ = kernels.mutate_sites(codes, prob, rng.stream(18, 2))
+    rows, cols, _, _ = kernels.mutate_sites(codes, kernels.constant_runs(prob), rng.stream(18, 2))
     assert cols.min() >= 30
     assert rows.size == 50 * 30
 
 
 def test_shape_validation():
+    # the kernel trusts its input; replicate_batch is where it is checked
     codes = _fresh(19)
+    with pytest.raises(ProfileLengthMismatch):
+        replicate_batch(codes, MutationProfile.uniform(0.1, 7), rng.stream(19, 2))
     with pytest.raises(ValueError):
-        kernels.mutate_sites(codes, np.full(7, 0.1), rng.stream(19, 2))
-    with pytest.raises(ValueError):
-        kernels.mutate_sites(codes[0], np.full(120, 0.1), rng.stream(19, 2))
-
+        replicate_batch(codes[0], MutationProfile.uniform(0.1, 120), rng.stream(19, 2))
 
 
 # The sampler draws a flip count per constant-rate run, then which sites of
@@ -199,7 +203,9 @@ SHELLS = MutationProfile.shells([20, 50, 80], [0.0, 0.002, 0.02, 0.2], 100)
 
 def test_each_run_flips_at_its_own_rate():
     codes = rng.stream(20, 1).integers(0, 4, size=(2000, 100), dtype=np.uint8)
-    rows, cols, _, _ = kernels.mutate_sites(codes, SHELLS.site_prob, rng.stream(20, 2))
+    rows, cols, _, _ = kernels.mutate_sites(
+        codes, kernels.constant_runs(SHELLS.site_prob), rng.stream(20, 2)
+    )
     assert not np.any(cols < 20)  # the p == 0 core never flips
     for start, stop, p in ((20, 50, 0.002), (50, 80, 0.02), (80, 100, 0.2)):
         n_sites = 2000 * (stop - start)
@@ -213,7 +219,9 @@ def test_each_run_flips_at_its_own_rate():
 
 def test_no_site_reported_twice_and_strictly_row_major():
     codes = rng.stream(21, 1).integers(0, 4, size=(500, 100), dtype=np.uint8)
-    rows, cols, _, _ = kernels.mutate_sites(codes, SHELLS.site_prob, rng.stream(21, 2))
+    rows, cols, _, _ = kernels.mutate_sites(
+        codes, kernels.constant_runs(SHELLS.site_prob), rng.stream(21, 2)
+    )
     flat = rows * 100 + cols
     assert np.unique(flat).size == flat.size
     assert np.all(np.diff(flat) > 0)
@@ -222,7 +230,9 @@ def test_no_site_reported_twice_and_strictly_row_major():
 @pytest.mark.parametrize("n", [0, 1])
 def test_zero_and_one_row_batches(n):
     codes = np.zeros((n, 100), dtype=np.uint8)
-    rows, cols, old, new = kernels.mutate_sites(codes, np.full(100, 0.5), rng.stream(22, n))
+    rows, cols, old, new = kernels.mutate_sites(
+        codes, kernels.constant_runs(np.full(100, 0.5)), rng.stream(22, n)
+    )
     assert rows.size == cols.size == old.size == new.size == np.count_nonzero(codes)
     assert np.all(rows == 0) and np.all(np.diff(cols) > 0)
     if n:
@@ -231,10 +241,11 @@ def test_zero_and_one_row_batches(n):
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
 def test_out_of_range_probability_raises(bad):
+    # the kernel's runs come from a profile, which refuses such a probability
     prob = np.full(10, 0.1)
     prob[3] = bad
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        kernels.mutate_sites(np.zeros((4, 10), dtype=np.uint8), prob, rng.stream(23, 2))
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        MutationProfile(prob)
 
 
 def test_constant_runs_skip_silent_runs():
@@ -244,16 +255,7 @@ def test_constant_runs_skip_silent_runs():
 
 
 def test_profile_runs_draw_as_derived_runs():
-    # the profile's cached runs give the same flips and leave the
-    # generator where runs derived on the call leave it
-    codes = rng.stream(24, 1).integers(0, 4, size=(300, 100), dtype=np.uint8)
-    cached, derived = codes.copy(), codes.copy()
-    gen_a, gen_b = rng.stream(24, 2), rng.stream(24, 2)
-    a = kernels.mutate_sites(cached, SHELLS.site_prob, gen_a, runs=SHELLS.runs)
-    b = kernels.mutate_sites(derived, SHELLS.site_prob, gen_b)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert np.array_equal(cached, derived)
-    assert gen_a.random() == gen_b.random()
+    assert SHELLS.runs == kernels.constant_runs(SHELLS.site_prob)
 
 
 def test_profile_probabilities_are_frozen():

@@ -223,21 +223,6 @@ class TestAgainstReferenceWalks:
         for index, sp in enumerate((G1, GHALF)):
             assert table.series(index) == rescan_census(fraction_life_table(sp), 400)
 
-    @pytest.mark.parametrize("sp", [G1, GHALF, TreeSpecies(Fraction(1, 7))], ids=str)
-    @pytest.mark.parametrize("history", [[1, 2], [1, 0, 0, 5, 3]], ids=str)
-    def test_state_built_from_a_history_continues_it(self, sp, history):
-        table = life_table(sp)
-        state = CohortState(table, list(history))
-        for _ in range(60):
-            state.step()
-        expected = rescan_census(table, state.current_day, history)
-        assert tuple(state.census(d) for d in range(state.current_day + 1)) == expected
-
-    def test_state_history_defines_current_day(self):
-        assert CohortState(life_table(G1), [1, 0, 0, 2]).current_day == 3
-        with pytest.raises(ValueError, match="at least day 0"):
-            CohortState(life_table(G1), [])
-
     def test_life_table_matches_fraction_walk_on_sweep_grid(self):
         for i in range(4001):
             sp = TreeSpecies(Fraction(i, 4000))

@@ -175,6 +175,11 @@ class TestReplicate:
         expected = 1 - (1 - 1 / 2000) ** 2000
         assert abs(frac - expected) < 0.03
 
+    def test_mutant_fraction_count_must_be_an_integer(self):
+        g = Genome(np.zeros(20, dtype=np.uint8))
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            mutant_fraction(g, MutationProfile.uniform(0.5, 20), 2.5, rng.stream(22, 1))
+
 
 class TestCoatSignature:
     """The board interns the exact coat subsequence of each virion."""
@@ -387,6 +392,11 @@ class TestPopulationCycle:
             run_population_day(state, profile, 2)
         assert state.peak_population == 16
 
+    def test_offspring_count_must_be_an_integer(self):
+        state = _founder_state()
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            run_population_day(state, MutationProfile.uniform(0.0, 8), 2.5)
+
 
 class TestEscapeExperiment:
     def test_config_validation_names_field(self):
@@ -501,6 +511,10 @@ class TestVdjGenerate:
         assert {a.variable for a in out} == {
             a + b for a in "ACGU" for b in "ACGU"
         }
+
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            vdj_generate("ACGU", 2.5, rng.stream(41, 6))
 
     def test_deterministic_per_stream(self):
         a = vdj_generate("GG", 50, rng.stream(41, 4))
