@@ -335,11 +335,8 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
 
     A child inherits its parent's coat id unless the kernel flipped a
     site inside `coat_span`; such a child's coat is left for
-    `immune_step` to intern.
+    `immune_step` to intern.  `run_population_day` checks the count.
     """
-    offspring_per_virion = operator.index(offspring_per_virion)
-    if offspring_per_virion < 1:
-        raise ValueError("offspring_per_virion must be >= 1")
     if state.population == 0:
         return
     batch = np.repeat(state.codes, offspring_per_virion, axis=0)
@@ -445,7 +442,11 @@ def cull_to_capacity(state: PopulationState) -> None:
 def run_population_day(
     state: PopulationState, profile: MutationProfile, offspring_per_virion: int
 ) -> None:
-    """One full day: replicate, immune step, capacity cull."""
+    """One full day: replicate, immune step, capacity cull.  The offspring
+    count is checked before the day moves or anything is drawn."""
+    offspring_per_virion = operator.index(offspring_per_virion)
+    if offspring_per_virion < 1:
+        raise ValueError("offspring_per_virion must be >= 1")
     state.day += 1
     replicate_population(state, profile, offspring_per_virion)
     immune_step(state)

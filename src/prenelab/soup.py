@@ -23,9 +23,16 @@ An event costs O(log S) in plain Python ints, S the number of species:
   every pick is the same as with a plain cumulative-sum search.
 - Totals from the roots.  The capacity is a power of two, so the last
   node of each tree covers every row: the number of strands, catalysts
-  and AAA-enders is read there, and the three channel totals need no sum
-  over the species table.  `_add` and `_remove` also keep the bound mass
-  of each letter.
+  and AAA-enders is read there, and `_channel_totals` reads the three
+  channel totals off `free` and the roots, with no sum over the table.
+- In-place updates.  An event makes one or two `_shift` calls (two more
+  when a vanished row is refilled from the last one).  Each walks `_all`,
+  then `_cat` or `_aaa` only for a row flagged there, and adds n times
+  the row's letter counts into the bound mass in place.
+  Besides the shifts an event draws a waiting time, a channel and one
+  uniform per pick (one pick for detach, two for extend and catalyze,
+  plus a thinning uniform when extend pairs a pool with itself), runs
+  one O(1) `audit`, and builds no list.
 - Two audit levels.  `audit()` runs after every event and is O(1): free
   plus running bound mass must equal the conserved mass, per letter.
   `recount()` is O(S): it recounts the mass, every row column and every
@@ -110,14 +117,6 @@ def _fenwick(weights: list[int]) -> list[int]:
         if parent < len(tree):
             tree[parent] += tree[i]
     return tree
-
-
-def _fenwick_add(tree: list[int], row: int, n: int) -> None:
-    i = row + 1
-    size = len(tree)
-    while i < size:
-        tree[i] += n
-        i += i & -i
 
 
 def _fenwick_pick(tree: list[int], base: int, threshold: float) -> int:
@@ -216,13 +215,26 @@ class ReactorState:
             tree[2 * cap] = tree[cap]
 
     def _shift(self, row: int, n: int) -> None:
-        """Add n strands of `row` to the trees and the bound mass."""
-        _fenwick_add(self._all, row, n)
+        """Add n strands of `row` to the trees and the bound mass, in place."""
+        tree, size, i = self._all, len(self._all), row + 1
+        while i < size:
+            tree[i] += n
+            i += i & -i
         if self._is_cat[row]:
-            _fenwick_add(self._cat, row, n)
+            tree, i = self._cat, row + 1
+            while i < size:
+                tree[i] += n
+                i += i & -i
         if self._ends_aaa[row]:
-            _fenwick_add(self._aaa, row, n)
-        self._bound = [b + n * k for b, k in zip(self._bound, self._letters[row])]
+            tree, i = self._aaa, row + 1
+            while i < size:
+                tree[i] += n
+                i += i & -i
+        (a, c, g, u), bound = self._letters[row], self._bound
+        bound[0] += n * a
+        bound[1] += n * c
+        bound[2] += n * g
+        bound[3] += n * u
 
     def _add(self, seq: str, n: int = 1) -> None:
         row = self._row.get(seq)
@@ -232,7 +244,7 @@ class ReactorState:
                 self._grow()
             self.seqs.append(seq)
             self._row[seq] = row
-            self._letters[row] = tuple(seq.count(c) for c in SOUP_LETTERS)
+            self._letters[row] = (seq.count("A"), seq.count("C"), seq.count("G"), seq.count("U"))
             self._is_cat[row] = self.catalyst_rule(seq)
             self._ends_aaa[row] = seq.endswith("AAA")
         self._count[row] += n
@@ -278,9 +290,6 @@ class ReactorState:
         table; the conserved quantity."""
         return [f + b for f, b in zip(self.free, self._recounted_bound())]
 
-    def total_strands(self) -> int:
-        return self._all[-1]
-
     def n_catalysts(self) -> int:
         return self._cat[-1]
 
@@ -289,9 +298,9 @@ class ReactorState:
 
     def audit(self) -> None:
         """Per-event check, O(1): free + running bound mass == conserved."""
-        mass = [f + b for f, b in zip(self.free, self._bound)]
-        if mass != self.conserved:
-            raise ConservationError(f"mass drifted: {mass} != {self.conserved}")
+        f, b, m = self.free, self._bound, self.conserved
+        if f[0] + b[0] != m[0] or f[1] + b[1] != m[1] or f[2] + b[2] != m[2] or f[3] + b[3] != m[3]:
+            raise ConservationError(f"mass drifted: {[x + y for x, y in zip(f, b)]} != {m}")
 
     def recount(self) -> None:
         """Full check, O(S): recount the mass, the bound mass, every row
@@ -336,17 +345,11 @@ class ReactorState:
             and self.time == other.time
         )
 
-    # propensity channel totals
-
-    def _extend_total(self) -> float:
-        f = sum(self.free)
-        return self.k_on * f * (f + self.total_strands() - 1) if f else 0.0
-
-    def _detach_total(self) -> float:
-        return self.k_off * self.total_strands()
-
-    def _catalyze_total(self) -> float:
-        return self.k_cat * self.n_catalysts() * self.n_aaa_enders()
+    def _channel_totals(self) -> tuple[float, float, float]:
+        """Extend, detach and catalyze propensity totals from `free` and the tree roots."""
+        f, strands = sum(self.free), self._all[-1]
+        extend = self.k_on * f * (f + strands - 1) if f else 0.0
+        return extend, self.k_off * strands, self.k_cat * self._cat[-1] * self._aaa[-1]
 
 
 def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
@@ -398,7 +401,7 @@ def _sample_extend(state: ReactorState, gen: np.random.Generator) -> tuple[str, 
     free = state.free
     n_free = sum(free)
     while True:
-        threshold = gen.random() * float(n_free + state.total_strands())
+        threshold = gen.random() * float(n_free + state._all[-1])
         si = _pick_letter(free, threshold)
         if si == 4:
             si += _fenwick_pick(state._all, n_free, threshold)
@@ -472,9 +475,7 @@ def run_until(
 
 def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> tuple[float, str, tuple]:
     """The next event as (time, kind, args), drawn but not yet applied."""
-    a_extend = state._extend_total()
-    a_detach = state._detach_total()
-    a_cat = state._catalyze_total()
+    a_extend, a_detach, a_cat = state._channel_totals()
     a_total = a_extend + a_detach + a_cat
     if a_total <= 0.0:
         raise Quiescent("total propensity is zero")
@@ -483,10 +484,10 @@ def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> tuple[floa
     if u < a_extend:
         return next_time, "extend", _sample_extend(state, gen)
     if u < a_extend + a_detach:
-        row = _fenwick_pick(state._all, 0, gen.random() * float(state.total_strands()))
+        row = _fenwick_pick(state._all, 0, gen.random() * float(state._all[-1]))
         return next_time, "detach", (state.seqs[row],)
-    cat = state.seqs[_fenwick_pick(state._cat, 0, gen.random() * float(state.n_catalysts()))]
-    tgt = state.seqs[_fenwick_pick(state._aaa, 0, gen.random() * float(state.n_aaa_enders()))]
+    cat = state.seqs[_fenwick_pick(state._cat, 0, gen.random() * float(state._cat[-1]))]
+    tgt = state.seqs[_fenwick_pick(state._aaa, 0, gen.random() * float(state._aaa[-1]))]
     return next_time, "catalyze", (cat, tgt)
 
 
@@ -521,10 +522,14 @@ class SoupConfig:
             raise SoupConfigError(name, msg)
 
         free = dict(self.initial_free)
+        if len(free) != len(self.initial_free):
+            bad("initial_free", "a letter is listed twice")
         if set(free) - set(SOUP_LETTERS):
             bad("initial_free", f"letters must be among {SOUP_LETTERS}")
         if not all(_is_count(v) for v in free.values()):
             bad("initial_free", "counts must be integers >= 0")
+        if len(dict(self.initial_polymers)) != len(self.initial_polymers):
+            bad("initial_polymers", "a polymer is listed twice")
         for seq, n in self.initial_polymers:
             if len(seq) < 2 or not set(seq) <= set(SOUP_LETTERS):
                 bad("initial_polymers", f"bad polymer {seq!r}")

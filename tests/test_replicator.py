@@ -397,6 +397,18 @@ class TestPopulationCycle:
         with pytest.raises(TypeError, match="interpreted as an integer"):
             run_population_day(state, MutationProfile.uniform(0.0, 8), 2.5)
 
+    def test_refused_offspring_count_leaves_state_unchanged(self):
+        state = _founder_state(n_founders=3)
+        profile = MutationProfile.uniform(0.1, 8)
+        codes, coat = state.codes.copy(), state.coat.copy()
+        position = dict(state.gen.bit_generator.state)
+        for count, error in [(2.5, TypeError), (0, ValueError), (-1, ValueError)]:
+            with pytest.raises(error):
+                run_population_day(state, profile, count)
+        assert state.day == 0
+        assert np.array_equal(state.codes, codes) and np.array_equal(state.coat, coat)
+        assert repr(state.gen.bit_generator.state) == repr(position)
+
 
 class TestEscapeExperiment:
     def test_config_validation_names_field(self):

@@ -77,10 +77,13 @@ class TestReactorState:
         assert state.conserved == [9, 2, 2, 1]
 
     def test_audit_catches_corruption(self):
-        state = ReactorState({"A": 5}, {}, 0, 0, 0)
-        state.free[0] -= 1
-        with pytest.raises(ConservationError):
-            state.audit()
+        # one G taken from the free pool, or from the running bound mass
+        for column in ("free", "_bound"):
+            state = ReactorState({"A": 5}, {"GGAAA": 2}, 0, 0, 0)
+            getattr(state, column)[2] -= 1
+            drift = r"^mass drifted: \[11, 0, 3, 0\] != \[11, 0, 4, 0\]$"
+            with pytest.raises(ConservationError, match=drift):
+                state.audit()
 
     @pytest.mark.parametrize(
         "rates", [(float("nan"), 0.1, 0), (0.1, float("inf"), 0), (0, 0, float("nan"))]
@@ -204,11 +207,7 @@ class TestEnumerateReactions:
         state = ReactorState(free, polymers, *rates)
         run_events(state, events, rng.stream(61, seed))
         rx = enumerate_reactions(state)
-        for kind, total in [
-            ("extend", state._extend_total()),
-            ("detach", state._detach_total()),
-            ("catalyze", state._catalyze_total()),
-        ]:
+        for kind, total in zip(("extend", "detach", "catalyze"), state._channel_totals()):
             assert total == pytest.approx(sum(r.propensity for r in rx if r.kind == kind))
 
 
@@ -292,7 +291,7 @@ class TestWaitingTimes:
         # large pools: propensity drifts under 2% over the run, so the
         # empirical mean of 2000 exponential gaps must sit within 5%
         state = ReactorState({"A": 200_000, "C": 200_000}, {}, 1e-8, 0, 0)
-        a0 = state._extend_total()
+        a0 = sum(state._channel_totals())
         gen = rng.stream(65, 0)
         times = []
         last = 0.0
@@ -305,13 +304,26 @@ class TestWaitingTimes:
 
 
 class TestRunUntil:
+    def test_audit_runs_once_per_event(self, monkeypatch):
+        audit, seen = ReactorState.audit, []
+
+        def counted(state):
+            seen.append(state.n_events)
+            audit(state)
+
+        monkeypatch.setattr(ReactorState, "audit", counted)
+        state = ReactorState({"A": 60, "C": 60}, {"GAAG": 3, "GGAAA": 5}, 0.002, 0.1, 0.3)
+        run_until(state, 5.0, rng.stream(68, 2), sample_times=[1.0, 2.0])
+        assert state.n_events > 50
+        assert seen == list(range(1, state.n_events + 1))
+
     def test_sample_grid_rows(self):
         state = ReactorState({"A": 60, "C": 60}, {}, 0.002, 0.1, 0)
         rows = []
         run_until(
             state, 5.0, rng.stream(68, 0),
             sample_times=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-            on_sample=lambda t, s: rows.append((t, s.free_of("A"), s.total_strands())),
+            on_sample=lambda t, s: rows.append((t, s.free_of("A"), sum(s.species.values()))),
         )
         assert [r[0] for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert rows[0][1] == 60 and rows[0][2] == 0
@@ -323,7 +335,7 @@ class TestRunUntil:
         run_until(
             state, 100.0, rng.stream(68, 1),
             sample_times=[50.0, 99.0],
-            on_sample=lambda t, s: rows.append((t, s.total_strands())),
+            on_sample=lambda t, s: rows.append((t, sum(s.species.values()))),
         )
         assert rows == [(50.0, 0), (99.0, 0)]
 
@@ -389,6 +401,8 @@ class TestCatalysisExperiment:
             ({"initial_polymers": (("AC", 1.5),)}, "initial_polymers"),
             ({"initial_free": (("A", True),)}, "initial_free"),
             ({"initial_polymers": (("AC", True),)}, "initial_polymers"),
+            ({"initial_free": (("A", 40), ("A", 5))}, "initial_free"),
+            ({"initial_polymers": (("GAAG", 10), ("GAAG", 5))}, "initial_polymers"),
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, field):
