@@ -199,10 +199,8 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
         artifacts.append(str(events_path))
 
     echo = {key: value for _, key, value in parse_pairs(serialize_escape_config(config))}
-    echo["hot_wins"] = report.hot_wins
-    echo["fidelity_wins"] = report.fidelity_wins
-    echo["ties"] = report.ties
-    echo["sign_test_p"] = repr(report.p_value)
+    echo.update(hot_wins=report.hot_wins, fidelity_wins=report.fidelity_wins,
+                ties=report.ties, sign_test_p=repr(report.p_value))
     return echo, artifacts
 
 
@@ -219,10 +217,8 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
         header = [f.name for f in dataclasses.fields(soup.ReplicateOutcome)]
         rows = [dataclasses.astuple(o) for o in report.outcomes]
         _write_table(out, args.format, header, rows)
-        echo["treatment_wins"] = report.treatment_wins
-        echo["control_wins"] = report.control_wins
-        echo["ties"] = report.ties
-        echo["sign_test_p"] = repr(report.p_value)
+        echo.update(treatment_wins=report.treatment_wins, control_wins=report.control_wins,
+                    ties=report.ties, sign_test_p=repr(report.p_value))
         return echo, [str(out)]
 
     # clamped: horizon * n / n can round past the horizon (0.1 * 3 / 3)
@@ -327,8 +323,8 @@ def _cmd_registry_query(args) -> tuple[dict, list[str]]:
 
 # parser wiring
 
-def _add_out_format(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--out", required=required, help="artifact file path")
+def _add_out_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", required=True, help="artifact file path")
     parser.add_argument(
         "--format", choices=("csv", "jsonl"), default="csv", help="artifact serialization"
     )

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .replicator import EscapeConfig, ExperimentConfigError
-from .soup import SOUP_LETTERS, SoupConfig, SoupConfigError
+from .soup import SOUP_LETTERS, SoupConfig
 
 __all__ = [
     "ConfigError",
@@ -172,7 +172,7 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
         kwargs["initial_polymers"] = tuple(sorted(polymers.items()))
     try:
         return SoupConfig(master_seed=master_seed, **kwargs)
-    except SoupConfigError as exc:
+    except ExperimentConfigError as exc:
         raise ConfigError(str(exc), key=exc.field_name) from None
 
 

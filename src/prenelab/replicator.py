@@ -48,7 +48,7 @@ __all__ = [
     "cull_to_capacity",
     "run_population_day",
     "run_escape_experiment",
-    "sign_test_p",
+    "sign_test",
     "vdj_generate",
     "happiness",
 ]
@@ -56,9 +56,6 @@ __all__ = [
 LETTERS = "ACGU"
 _CODE_TO_ASCII = bytes.maketrans(bytes([0, 1, 2, 3]), LETTERS.encode())
 _ASCII_TO_CODE = bytes.maketrans(LETTERS.encode(), bytes([0, 1, 2, 3]))
-
-DEFAULT_IMMUNE_DELAY = 3
-DEFAULT_KILL_PROBABILITY = 0.5
 
 
 class ProfileLengthMismatch(ValueError):
@@ -85,6 +82,14 @@ class ExperimentConfigError(ValueError):
         self.field_name = field_name
 
 
+def _index(value) -> int:
+    """A count or bound as an int: NumPy integers pass; bools, and floats
+    such as 2.0, raise the TypeError that `operator.index` raises for a float."""
+    if not rng_mod.is_int(value):
+        raise TypeError(f"{type(value).__name__!r} object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _codes_to_str(codes) -> str:
     return bytes(codes).translate(_CODE_TO_ASCII).decode("ascii")
 
@@ -103,7 +108,7 @@ def _check_regions(regions: dict, length: int) -> dict:
     """
     clean = {}
     for name, (start, stop) in sorted(regions.items()):
-        start, stop = operator.index(start), operator.index(stop)
+        start, stop = _index(start), _index(stop)
         if not (0 <= start < stop <= length):
             raise ValueError(f"region {name!r} [{start},{stop}) outside strand of length {length}")
         clean[name] = (start, stop)
@@ -206,7 +211,7 @@ class MutationProfile:
         shell is copied most faithfully, each shell outward tolerates more
         error.  Boundaries are integers; a float raises TypeError.
         """
-        bounds = [operator.index(b) for b in boundaries]
+        bounds = [_index(b) for b in boundaries]
         if list(bounds) != sorted(bounds) or (bounds and not 0 < bounds[0]):
             raise ValueError("shell boundaries must be positive and increasing")
         if bounds and bounds[-1] > length:
@@ -253,7 +258,7 @@ def mutant_fraction(
     genome: Genome, profile: MutationProfile, n: int, gen: np.random.Generator
 ) -> float:
     """Fraction of n offspring carrying at least one substitution."""
-    n = operator.index(n)
+    n = _index(n)
     if n <= 0:
         raise ValueError("n must be positive")
     batch = np.repeat(genome.codes.reshape(1, -1), n, axis=0)
@@ -283,13 +288,13 @@ class PopulationState:
         n_founders: int,
         capacity: int,
         gen: np.random.Generator,
-        immune_delay: int = DEFAULT_IMMUNE_DELAY,
-        kill_probability: float = DEFAULT_KILL_PROBABILITY,
+        immune_delay: int,
+        kill_probability: float,
         record_events: bool = False,
     ):
-        capacity = operator.index(capacity)
-        n_founders = operator.index(n_founders)
-        immune_delay = operator.index(immune_delay)
+        capacity = _index(capacity)
+        n_founders = _index(n_founders)
+        immune_delay = _index(immune_delay)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if n_founders < 1:
@@ -444,7 +449,7 @@ def run_population_day(
 ) -> None:
     """One full day: replicate, immune step, capacity cull.  The offspring
     count is checked before the day moves or anything is drawn."""
-    offspring_per_virion = operator.index(offspring_per_virion)
+    offspring_per_virion = _index(offspring_per_virion)
     if offspring_per_virion < 1:
         raise ValueError("offspring_per_virion must be >= 1")
     state.day += 1
@@ -553,12 +558,8 @@ def _run_arm(
     record_events: bool = False,
 ) -> PopulationState:
     state = PopulationState(
-        config.founder(),
-        config.n_founders,
-        config.capacity,
-        gen,
-        immune_delay=config.immune_delay,
-        kill_probability=config.kill_probability,
+        config.founder(), config.n_founders, config.capacity, gen,
+        immune_delay=config.immune_delay, kill_probability=config.kill_probability,
         record_events=record_events,
     )
     for _ in range(config.horizon):
@@ -568,30 +569,31 @@ def _run_arm(
     return state
 
 
-def _survival_time(state: PopulationState, horizon: int) -> int:
-    # horizon + 1 ranks survival-to-horizon above any extinction day
-    return state.day if state.population == 0 else horizon + 1
+def sign_test(scores) -> tuple[int, int, int, float]:
+    """One-sided sign test with ties dropped (Dixon & Mood, JASA 1946).
 
-
-def sign_test_p(wins: int, losses: int) -> float:
-    """One-sided sign test: P[X >= wins] for X ~ Binomial(wins+losses, 1/2)."""
-    n = wins + losses
-    if n == 0:
-        return 1.0
-    tail = sum(math.comb(n, k) for k in range(wins, n + 1))
-    return tail / 2**n
+    `scores` holds one (a, b) pair per paired run; a wins when a > b.
+    Returns (wins, losses, ties, p), p = P[X >= wins] for
+    X ~ Binomial(wins + losses, 1/2).
+    """
+    scores = list(scores)
+    wins = sum(a > b for a, b in scores)
+    n = wins + sum(b > a for a, b in scores)
+    p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
+    return wins, n - wins, len(scores) - n, p
 
 
 def run_escape_experiment(config: EscapeConfig) -> EscapeReport:
     """Paired comparison: hot-coat mutator vs high-fidelity copier.
 
     Both arms of pair i consume the one stream of (master_seed,
-    REPLICATOR, i), so differences are attributable to the profile.
+    REPLICATOR, i), so differences are attributable to the profile.  An
+    arm survives until its extinction day, or horizon + 1 if it outlives
+    the horizon; the longer survivor wins the pair.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
     outcomes = []
-    hot_wins = fidelity_wins = ties = 0
     for i in range(config.n_pairs):
         key = (config.master_seed, rng_mod.REPLICATOR, i)
         hot = _run_arm(config, hot_profile, rng_mod.stream(*key))
@@ -605,21 +607,13 @@ def run_escape_experiment(config: EscapeConfig) -> EscapeReport:
                 fid.peak_population,
             )
         )
-        h, f = _survival_time(hot, config.horizon), _survival_time(fid, config.horizon)
-        if h > f:
-            hot_wins += 1
-        elif f > h:
-            fidelity_wins += 1
-        else:
-            ties += 1
-    return EscapeReport(
-        config,
-        tuple(outcomes),
-        hot_wins,
-        fidelity_wins,
-        ties,
-        sign_test_p(hot_wins, fidelity_wins),
-    )
+
+    def survival(day: Optional[int]) -> int:
+        return config.horizon + 1 if day is None else day
+
+    scores = [(survival(o.hot_extinction_day), survival(o.fidelity_extinction_day))
+              for o in outcomes]
+    return EscapeReport(config, tuple(outcomes), *sign_test(scores))
 
 
 @dataclass(frozen=True)
@@ -647,7 +641,8 @@ def vdj_generate(
     space; sparse requests sample with rejection.
     """
     _str_to_codes(constant_region)  # validates the alphabet
-    n = operator.index(n)
+    n = _index(n)
+    variable_length = _index(variable_length)
     if n < 0:
         raise ValueError("n must be >= 0")
     if variable_length < 1:

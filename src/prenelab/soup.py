@@ -50,6 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
+from .replicator import ExperimentConfigError, sign_test
 
 __all__ = [
     "SOUP_LETTERS",
@@ -57,7 +58,6 @@ __all__ = [
     "ReactorState",
     "Quiescent",
     "ConservationError",
-    "SoupConfigError",
     "SoupConfig",
     "ReplicateOutcome",
     "CatalysisReport",
@@ -76,14 +76,6 @@ class Quiescent(RuntimeError):
 
 class ConservationError(AssertionError):
     """Per-letter mass accounting broke; the reactor state is corrupt."""
-
-
-class SoupConfigError(ValueError):
-    """Invalid scenario configuration; names the offending field."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
 
 
 @dataclass(frozen=True)
@@ -519,7 +511,7 @@ class SoupConfig:
 
     def __post_init__(self):
         def bad(name, msg):
-            raise SoupConfigError(name, msg)
+            raise ExperimentConfigError(name, msg)
 
         free = dict(self.initial_free)
         if len(free) != len(self.initial_free):
@@ -586,12 +578,10 @@ def run_catalysis_experiment(config: SoupConfig) -> CatalysisReport:
 
     Replicate i of both arms consumes an identical RNG stream derived
     from (master_seed, SOUP, i): with k_cat = 0 in both arms the traces
-    are identical event for event.
+    are identical event for event.  The arm that ends with more free A
+    wins the replicate.
     """
-    from .replicator import sign_test_p
-
     outcomes = []
-    t_wins = c_wins = ties = 0
     for i in range(config.n_replicates):
         key = (config.master_seed, rng_mod.SOUP, i)
         treatment = config.build_state()
@@ -607,12 +597,5 @@ def run_catalysis_experiment(config: SoupConfig) -> CatalysisReport:
                 control.n_catalysts(),
             )
         )
-        if outcomes[-1].treatment_free_a > outcomes[-1].control_free_a:
-            t_wins += 1
-        elif outcomes[-1].control_free_a > outcomes[-1].treatment_free_a:
-            c_wins += 1
-        else:
-            ties += 1
-    return CatalysisReport(
-        config, tuple(outcomes), t_wins, c_wins, ties, sign_test_p(t_wins, c_wins)
-    )
+    scores = [(o.treatment_free_a, o.control_free_a) for o in outcomes]
+    return CatalysisReport(config, tuple(outcomes), *sign_test(scores))

@@ -1,5 +1,6 @@
 """Command line contract: artifacts, formats, exit codes, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from prenelab.cli import build_parser, main
+from prenelab.replicator import sign_test
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_LOG = str(Path(__file__).parent / "data" / "registry_golden.jsonl")
@@ -35,6 +37,18 @@ def run_cli(args, tmp_path, check=True):
             report = candidate
             break
     return code, report
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_scored_as_reported(scores, config, wins, losses):
+    """sign_test of the artifact's own columns gives the report's tally and p."""
+    tally = (config[wins], config[losses], config["ties"])
+    assert sign_test(scores) == (*tally, float(config["sign_test_p"]))
+    assert sum(tally) == len(scores)
 
 
 def run_proc(args):
@@ -166,6 +180,26 @@ class TestReplicatorRun:
         for line in out.read_text().splitlines()[1:]:
             assert line.split(",")[2] == "none"
 
+    def test_pair_scores_match_the_artifact(self, tmp_path):
+        # at seed 1 this scenario has hot wins, fidelity wins and ties
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text(
+            "genome_length = 100\ncoat_start = 0\ncoat_stop = 20\ncapacity = 30\n"
+            "horizon = 8\nn_pairs = 12\nimmune_delay = 1\n"
+        )
+        out = tmp_path / "summary.csv"
+        _, report = run_cli(
+            ["replicator", "run", "--seed", "1", "--config", str(cfg), "--out", str(out)],
+            tmp_path,
+        )
+        # a survivor ranks at horizon + 1, above any extinction day
+        survival = [9 if r["extinction_day"] == "none" else int(r["extinction_day"])
+                    for r in read_rows(out)]
+        scores = list(zip(survival[0::2], survival[1::2]))  # (hot, fidelity) per pair
+        assert len(scores) == 12
+        assert_scored_as_reported(scores, report["config"], "hot_wins", "fidelity_wins")
+        assert min(report["config"][k] for k in ("hot_wins", "fidelity_wins", "ties")) > 0
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "rep.cfg"
         cfg.write_text("virulence = 11\n")
@@ -219,6 +253,18 @@ class TestSoupRun:
         )
         assert len(lines) == 5
         assert "treatment_wins" in report["config"]
+
+    def test_replicate_scores_match_the_artifact(self, tmp_path):
+        cfg = tmp_path / "soup.cfg"
+        cfg.write_text("n_replicates = 12\nhorizon = 50.0\n")
+        out = tmp_path / "exp.csv"
+        _, report = run_cli(
+            ["soup", "run", "--seed", "1", "--config", str(cfg), "--experiment", "--out", str(out)],
+            tmp_path,
+        )
+        scores = [(int(r["treatment_free_a"]), int(r["control_free_a"])) for r in read_rows(out)]
+        assert len(scores) == 12
+        assert_scored_as_reported(scores, report["config"], "treatment_wins", "control_wins")
 
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "soup.cfg"

@@ -1,7 +1,10 @@
 """Replication-error profiles, immune escape, and antibody generation."""
 
 import hashlib
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from prenelab.replicator import (
     replicate,
     run_escape_experiment,
     run_population_day,
-    sign_test_p,
+    sign_test,
     vdj_generate,
 )
 
@@ -57,7 +60,7 @@ class TestGenome:
         with pytest.raises(ValueError):
             Genome.from_string("ACGUACGU", {"a": (0, 4), "b": (3, 6)})
 
-    @pytest.mark.parametrize("bounds", [(0, 2.5), (0.0, 2), (0.9, 3)])
+    @pytest.mark.parametrize("bounds", [(0, 2.5), (0.0, 2), (0.9, 3), (False, True)])
     def test_float_region_bounds_rejected(self, bounds):
         with pytest.raises(TypeError):
             Genome.from_string("ACGUACGU", {"coat": bounds})
@@ -125,8 +128,9 @@ class TestMutationProfile:
 
     def test_shells_float_boundary_rejected(self):
         # int() would truncate 2.5 to 2 and give site 2 the core rate
-        with pytest.raises(TypeError):
-            MutationProfile.shells([2.5], [0.1, 0.2], 5)
+        for bound in (2.5, True):
+            with pytest.raises(TypeError):
+                MutationProfile.shells([bound], [0.1, 0.2], 5)
 
     def test_shells_numpy_integer_boundaries(self):
         p = MutationProfile.shells(np.array([2, 4]), [0.0, 0.1, 0.2], 5)
@@ -177,8 +181,9 @@ class TestReplicate:
 
     def test_mutant_fraction_count_must_be_an_integer(self):
         g = Genome(np.zeros(20, dtype=np.uint8))
-        with pytest.raises(TypeError, match="interpreted as an integer"):
-            mutant_fraction(g, MutationProfile.uniform(0.5, 20), 2.5, rng.stream(22, 1))
+        for n in (2.5, True):
+            with pytest.raises(TypeError, match="interpreted as an integer"):
+                mutant_fraction(g, MutationProfile.uniform(0.5, 20), n, rng.stream(22, 1))
 
 
 class TestCoatSignature:
@@ -188,7 +193,7 @@ class TestCoatSignature:
     def _board(*seqs):
         state = PopulationState(
             Genome.from_string(seqs[0], {"coat": (0, 4)}), len(seqs), 10,
-            rng.stream(30, 0), immune_delay=1,
+            rng.stream(30, 0), immune_delay=1, kill_probability=0.5,
         )
         for row, seq in enumerate(seqs):
             state.codes[row] = Genome.from_string(seq).codes
@@ -200,7 +205,7 @@ class TestCoatSignature:
 
     def test_requires_coat_region(self):
         with pytest.raises(MissingRegion):
-            PopulationState(Genome.from_string("ACGU"), 1, 10, rng.stream(30, 0))
+            PopulationState(Genome.from_string("ACGU"), 1, 10, rng.stream(30, 0), 3, 0.5)
 
     def test_coat_mutation_changes_signature(self):
         assert self._board("AAAACCCC", "AAGACCCC") == ["AAAA", "AAGA"]
@@ -226,7 +231,11 @@ class TestImmuneStep:
             _founder_state(kill_probability=kill_probability)
 
     @pytest.mark.parametrize(
-        "field, value", [("immune_delay", 1.5), ("capacity", 20.5), ("n_founders", 2.0)]
+        "field, value",
+        [
+            ("immune_delay", 1.5), ("capacity", 20.5), ("n_founders", 2.0),
+            ("immune_delay", True), ("capacity", True), ("n_founders", True),
+        ],
     )
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(TypeError, match="interpreted as an integer"):
@@ -394,15 +403,17 @@ class TestPopulationCycle:
 
     def test_offspring_count_must_be_an_integer(self):
         state = _founder_state()
-        with pytest.raises(TypeError, match="interpreted as an integer"):
-            run_population_day(state, MutationProfile.uniform(0.0, 8), 2.5)
+        for count in (2.5, True):
+            with pytest.raises(TypeError, match="interpreted as an integer"):
+                run_population_day(state, MutationProfile.uniform(0.0, 8), count)
 
     def test_refused_offspring_count_leaves_state_unchanged(self):
         state = _founder_state(n_founders=3)
         profile = MutationProfile.uniform(0.1, 8)
         codes, coat = state.codes.copy(), state.coat.copy()
         position = dict(state.gen.bit_generator.state)
-        for count, error in [(2.5, TypeError), (0, ValueError), (-1, ValueError)]:
+        refused = [(2.5, TypeError), (True, TypeError), (0, ValueError), (-1, ValueError)]
+        for count, error in refused:
             with pytest.raises(error):
                 run_population_day(state, profile, count)
         assert state.day == 0
@@ -490,14 +501,42 @@ def test_frozen_event_trace(arm):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACE_SHA256[arm]
 
 
+def _scores(wins, losses, ties=0):
+    return [(2, 1)] * wins + [(0, 3)] * losses + [(4, 4)] * ties
+
+
 class TestSignTest:
     def test_exact_tail_values(self):
-        assert sign_test_p(10, 0) == 1 / 1024
-        assert sign_test_p(8, 2) == (45 + 10 + 1) / 1024
-        assert sign_test_p(0, 0) == 1.0
+        assert sign_test(_scores(10, 0)) == (10, 0, 0, 1 / 1024)
+        assert sign_test(_scores(8, 2)) == (8, 2, 0, (45 + 10 + 1) / 1024)
+        assert sign_test([]) == (0, 0, 0, 1.0)
+        # ties are dropped from the binomial, so all ties (n == 0) give p = 1
+        assert sign_test(_scores(8, 2, ties=5)) == (8, 2, 5, (45 + 10 + 1) / 1024)
+        assert sign_test(_scores(0, 0, ties=4)) == (0, 0, 4, 1.0)
 
     def test_symmetry(self):
-        assert sign_test_p(5, 5) > 0.5
+        assert sign_test(_scores(5, 5))[3] > 0.5
+
+    def test_order_independent(self):
+        scores = _scores(7, 3, ties=2)
+        expected = sign_test(scores)
+        shuffler = random.Random(61)
+        for _ in range(5):
+            shuffler.shuffle(scores)
+            assert sign_test(iter(scores)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=11))
+    def test_p_is_the_exact_binomial_tail(self, scores):
+        wins, losses, ties, p = sign_test(scores)
+        assert (wins, losses, ties) == (
+            sum(a > b for a, b in scores), sum(a < b for a, b in scores),
+            sum(a == b for a, b in scores),
+        )
+        # every fair-coin outcome of the untied pairs, counted directly
+        n = wins + losses
+        at_least = sum(sum(flips) >= wins for flips in itertools.product((0, 1), repeat=n))
+        assert p == float(Fraction(at_least, 2**n))
 
 
 class TestVdjGenerate:
@@ -525,8 +564,17 @@ class TestVdjGenerate:
         }
 
     def test_count_must_be_an_integer(self):
-        with pytest.raises(TypeError, match="interpreted as an integer"):
-            vdj_generate("ACGU", 2.5, rng.stream(41, 6))
+        for n in (2.5, True):
+            with pytest.raises(TypeError, match="interpreted as an integer"):
+                vdj_generate("ACGU", n, rng.stream(41, 6))
+
+    def test_refused_variable_length_draws_nothing(self):
+        gen = rng.stream(41, 7)
+        position = repr(gen.bit_generator.state)
+        for length, error in [(2.5, TypeError), (True, TypeError), (0, ValueError)]:
+            with pytest.raises(error):
+                vdj_generate("ACGU", 3, gen, variable_length=length)
+        assert repr(gen.bit_generator.state) == position
 
     def test_deterministic_per_stream(self):
         a = vdj_generate("GG", 50, rng.stream(41, 4))

@@ -10,6 +10,7 @@ import pytest
 
 from _soup_oracle import enumerate_reactions
 from prenelab import rng
+from prenelab.replicator import ExperimentConfigError
 from prenelab.soup import (
     CatalysisReport,
     CatalystRule,
@@ -17,7 +18,6 @@ from prenelab.soup import (
     Quiescent,
     ReactorState,
     SoupConfig,
-    SoupConfigError,
     _apply_catalyze,
     run_catalysis_experiment,
     run_until,
@@ -406,7 +406,7 @@ class TestCatalysisExperiment:
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, field):
-        with pytest.raises(SoupConfigError, match=field):
+        with pytest.raises(ExperimentConfigError, match=field):
             SoupConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -417,7 +417,7 @@ class TestCatalysisExperiment:
         ],
     )
     def test_config_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(SoupConfigError, match=f"^{field}: must be an integer$"):
+        with pytest.raises(ExperimentConfigError, match=f"^{field}: must be an integer$"):
             SoupConfig(**{field: value})
 
     def test_config_accepts_numpy_integer_counts(self):
@@ -425,13 +425,13 @@ class TestCatalysisExperiment:
         assert config.n_replicates == 2 and config.master_seed == 3
 
     def test_config_validation_names_field(self):
-        with pytest.raises(SoupConfigError, match="k_cat"):
+        with pytest.raises(ExperimentConfigError, match="k_cat"):
             SoupConfig(k_cat=-1)
-        with pytest.raises(SoupConfigError, match="initial_polymers"):
+        with pytest.raises(ExperimentConfigError, match="initial_polymers"):
             SoupConfig(initial_polymers=(("A", 3),))
-        with pytest.raises(SoupConfigError, match="horizon"):
+        with pytest.raises(ExperimentConfigError, match="horizon"):
             SoupConfig(horizon=0)
-        with pytest.raises(SoupConfigError, match="motif"):
+        with pytest.raises(ExperimentConfigError, match="motif"):
             SoupConfig(motif="AXA")
 
     def test_zero_kcat_arms_identical(self):
