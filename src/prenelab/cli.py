@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
-from . import __version__, lifespan, registry, replicator, rng, soup
+from . import __version__, lifespan, registry, rng
 from .config import (
     ConfigError,
     escape_config_from_text,
@@ -162,7 +162,27 @@ def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
 
 # replicator
 
+def _trace_line(profile: str, e: dict) -> str:
+    """One pair-0 event, as `json.dumps({"pair": 0, "profile": profile, **e},
+    sort_keys=True, separators=(",", ":"))` writes it: each kind's keys sorted."""
+    kind = e["kind"]
+    if kind == "birth":
+        sites = ",".join(map(str, e["sites"]))
+        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"birth","pair":0,'
+                f'"parent":{e["parent"]},"profile":"{profile}","sites":[{sites}]}}\n')
+    if kind == "poster":
+        return (f'{{"activation":{e["activation"]},"day":{e["day"]},"kind":"poster",'
+                f'"pair":0,"profile":"{profile}","signature":"{e["signature"]}"}}\n')
+    if kind == "kill":
+        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"kill","pair":0,'
+                f'"profile":"{profile}","signature":"{e["signature"]}"}}\n')
+    removed = ",".join(map(str, e["removed"]))  # cull
+    return f'{{"day":{e["day"]},"kind":"cull","pair":0,"profile":"{profile}","removed":[{removed}]}}\n'
+
+
 def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
+    from . import replicator  # loads NumPy
+
     text = _read_text(args.config) if args.config else ""
     config = escape_config_from_text(text, master_seed=args.seed)
     report = replicator.run_escape_experiment(config)
@@ -177,25 +197,18 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
 
     if args.events:
         # full event trace of pair 0, both arms, for inspection
-        lines = []
-        for profile_name, profile in (
-            ("hot", config.hot_profile()),
-            ("fidelity", config.fidelity_profile()),
-        ):
-            state = replicator._run_arm(
-                config, profile, rng.stream(config.master_seed, rng.REPLICATOR, 0),
-                record_events=True,
-            )
-            lines.extend(
-                json.dumps(
-                    {"pair": 0, "profile": profile_name, **event},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                for event in state.events
-            )
         events_path = Path(args.events)
-        _write_lines(events_path, lines)
+        events_path.parent.mkdir(parents=True, exist_ok=True)
+        with events_path.open("w", encoding="utf-8", newline="\n") as fh:
+            for profile_name, profile in (
+                ("hot", config.hot_profile()),
+                ("fidelity", config.fidelity_profile()),
+            ):
+                state = replicator._run_arm(
+                    config, profile, rng.stream(config.master_seed, rng.REPLICATOR, 0),
+                    record_events=True,
+                )
+                fh.writelines(_trace_line(profile_name, event) for event in state.events)
         artifacts.append(str(events_path))
 
     echo = {key: value for _, key, value in parse_pairs(serialize_escape_config(config))}
@@ -207,6 +220,8 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
 # soup
 
 def _cmd_soup_run(args) -> tuple[dict, list[str]]:
+    from . import soup  # loads NumPy
+
     text = _read_text(args.config) if args.config else ""
     config = soup_config_from_text(text, master_seed=args.seed)
     out = Path(args.out)

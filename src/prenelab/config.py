@@ -24,9 +24,6 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .replicator import EscapeConfig, ExperimentConfigError
-from .soup import SOUP_LETTERS, SoupConfig
-
 __all__ = [
     "ConfigError",
     "parse_pairs",
@@ -120,19 +117,18 @@ def _schema(config_class) -> dict[str, type]:
     }
 
 
-_ESCAPE_SCHEMA = _schema(EscapeConfig)
-_SOUP_SCHEMA = _schema(SoupConfig)
-
-
 def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
     """EscapeConfig from config text; field validation errors become ConfigError."""
+    from .replicator import EscapeConfig, ExperimentConfigError  # loads NumPy
+
+    schema = _schema(EscapeConfig)
     kwargs = {}
     coat = {}
     for lineno, key, value in parse_pairs(text):
         if key in ("coat_start", "coat_stop"):
             coat[key] = _typed(value, int, lineno, key)
-        elif key in _ESCAPE_SCHEMA:
-            kwargs[key] = _typed(value, _ESCAPE_SCHEMA[key], lineno, key)
+        elif key in schema:
+            kwargs[key] = _typed(value, schema[key], lineno, key)
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
     if coat:
@@ -147,6 +143,10 @@ def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
 
 def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
     """SoupConfig from config text, including free.<L> and polymer.<SEQ> keys."""
+    from .replicator import ExperimentConfigError
+    from .soup import SOUP_LETTERS, SoupConfig  # loads NumPy
+
+    schema = _schema(SoupConfig)
     kwargs = {}
     free = dict(SoupConfig().initial_free)
     polymers: dict[str, int] = {}
@@ -163,8 +163,8 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
             seq = key[len("polymer."):]
             saw_polymer = True
             polymers[seq] = _typed(value, int, lineno, key)
-        elif key in _SOUP_SCHEMA:
-            kwargs[key] = _typed(value, _SOUP_SCHEMA[key], lineno, key)
+        elif key in schema:
+            kwargs[key] = _typed(value, schema[key], lineno, key)
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
     kwargs["initial_free"] = tuple(sorted(free.items()))
@@ -177,18 +177,18 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
 
 
 def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)  # NumPy floats too
 
 
 def serialize_escape_config(config: EscapeConfig) -> str:
     """Canonical text form; master_seed is a flag, not a config key."""
-    pairs = {key: getattr(config, key) for key in _ESCAPE_SCHEMA}
+    pairs = {key: getattr(config, key) for key in _schema(type(config))}
     pairs["coat_start"], pairs["coat_stop"] = config.coat_span
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))
 
 
 def serialize_soup_config(config: SoupConfig) -> str:
-    pairs = {key: getattr(config, key) for key in _SOUP_SCHEMA}
+    pairs = {key: getattr(config, key) for key in _schema(type(config))}
     pairs.update((f"free.{letter}", n) for letter, n in config.initial_free)
     pairs.update((f"polymer.{seq}", n) for seq, n in config.initial_polymers)
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,6 +80,21 @@ class ExperimentConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+
+
+def _check_field_types(config) -> None:
+    """Each field of a config dataclass holds a value of its default's kind,
+    so that the config's text form parses back: an int field an integer, a
+    float field a float or an integer, a str field a str.  Bools are refused,
+    as `rng.is_int` refuses them."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        if kind is int and not rng_mod.is_int(value):
+            raise ExperimentConfigError(f.name, "must be an integer")
+        if kind is float and not (isinstance(value, float) or rng_mod.is_int(value)):
+            raise ExperimentConfigError(f.name, "must be a float or an integer")
+        if kind is str and not isinstance(value, str):
+            raise ExperimentConfigError(f.name, "must be a string")
 
 
 def _index(value) -> int:
@@ -353,18 +368,16 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     child_ids = np.arange(state.next_id, state.next_id + n, dtype=np.int64)
     state.next_id += n
     if state.record_events:
-        parents = np.repeat(state.ids, offspring_per_virion)
+        parents = np.repeat(state.ids, offspring_per_virion).tolist()
         sites_by_row: dict[int, list] = {}
         for r, c in zip(rows.tolist(), cols.tolist()):
             sites_by_row.setdefault(r, []).append(c)
-        for i in range(n):
-            state._log(
-                kind="birth",
-                day=state.day,
-                id=int(child_ids[i]),
-                parent=int(parents[i]),
-                sites=sites_by_row.get(i, []),
-            )
+        day = state.day
+        state.events.extend(
+            {"kind": "birth", "day": day, "id": child, "parent": parent,
+             "sites": sites_by_row.get(i, [])}
+            for i, (child, parent) in enumerate(zip(child_ids.tolist(), parents))
+        )
     state.codes = batch
     state.coat = coat
     state.ids = child_ids
@@ -481,10 +494,7 @@ class EscapeConfig:
         def bad(name, msg):
             raise ExperimentConfigError(name, msg)
 
-        for name in ("genome_length", "offspring_per_virion", "capacity", "immune_delay",
-                     "horizon", "n_founders", "n_pairs", "master_seed"):
-            if not rng_mod.is_int(getattr(self, name)):
-                bad(name, "must be an integer")
+        _check_field_types(self)
         if not all(map(rng_mod.is_int, self.coat_span)):
             bad("coat_span", "bounds must be integers")
         if self.genome_length < 1:

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .replicator import ExperimentConfigError, sign_test
+from .replicator import ExperimentConfigError, _check_field_types, sign_test
 
 __all__ = [
     "SOUP_LETTERS",
@@ -513,6 +513,7 @@ class SoupConfig:
         def bad(name, msg):
             raise ExperimentConfigError(name, msg)
 
+        _check_field_types(self)
         free = dict(self.initial_free)
         if len(free) != len(self.initial_free):
             bad("initial_free", "a letter is listed twice")
@@ -535,9 +536,6 @@ class SoupConfig:
             bad("motif", f"must be a non-empty string over {SOUP_LETTERS}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             bad("horizon", "must be finite and > 0")
-        for name in ("n_replicates", "master_seed"):
-            if not rng_mod.is_int(getattr(self, name)):
-                bad(name, "must be an integer")
         if self.n_replicates < 1:
             bad("n_replicates", "must be >= 1")
         if not 0 <= self.master_seed < 2**64:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from prenelab import replicator, rng
 from prenelab.cli import build_parser, main
+from prenelab.config import escape_config_from_text
 from prenelab.replicator import sign_test
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,6 +201,36 @@ class TestReplicatorRun:
         assert len(scores) == 12
         assert_scored_as_reported(scores, report["config"], "hot_wins", "fidelity_wins")
         assert min(report["config"][k] for k in ("hot_wins", "fidelity_wins", "ties")) > 0
+
+    def test_event_trace_is_the_canonical_json_of_each_arm(self, tmp_path):
+        text = (
+            "genome_length = 40\ncoat_start = 0\ncoat_stop = 8\ncapacity = 6\n"
+            "horizon = 8\nn_pairs = 1\nn_founders = 2\nimmune_delay = 2\n"
+        )
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text(text)
+        events = tmp_path / "events.jsonl"
+        run_cli(
+            ["replicator", "run", "--seed", "3", "--config", str(cfg),
+             "--out", str(tmp_path / "summary.csv"), "--events", str(events)],
+            tmp_path,
+        )
+        config = escape_config_from_text(text, master_seed=3)
+        expected = []
+        for profile, mutation in (("hot", config.hot_profile()),
+                                  ("fidelity", config.fidelity_profile())):
+            state = replicator._run_arm(
+                config, mutation, rng.stream(3, rng.REPLICATOR, 0), record_events=True
+            )
+            expected += [
+                json.dumps({"pair": 0, "profile": profile, **e}, sort_keys=True,
+                           separators=(",", ":")) + "\n"
+                for e in state.events
+            ]
+        records = [json.loads(line) for line in expected]
+        assert {r["kind"] for r in records} == {"birth", "poster", "kill", "cull"}
+        assert {bool(r["sites"]) for r in records if r["kind"] == "birth"} == {True, False}
+        assert events.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "rep.cfg"
@@ -611,6 +643,54 @@ class TestDeterminism:
             )
             traces.append(events.read_bytes())
         assert traces[0] != traces[1]
+
+
+# Runs one command in a fresh interpreter, then reports its exit code and
+# whether NumPy was loaded.
+_IMPORT_PROBE = """\
+import json, sys
+from prenelab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version exits from argparse
+    code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestImports:
+    """A command loads NumPy only if it runs a model that draws from it."""
+
+    @pytest.mark.parametrize(
+        "args, artifact, numpy",
+        [
+            (["--version"], None, False),
+            (["lifespan", "table", "--days", "5", "--out", "census.csv"], "census.csv", False),
+            (["registry", "ingest", "--log", GOLDEN_LOG, "--out", "canon.jsonl"],
+             "canon.jsonl", False),
+            (["registry", "query", "--log", GOLDEN_LOG, "--what", "classify",
+              "--content", "POX", "--out", "query.json"], "query.json", False),
+            (["replicator", "run", "--config", "rep.cfg", "--out", "rep.csv",
+              "--events", "events.jsonl"], "events.jsonl", True),
+            (["soup", "run", "--config", "soup.cfg", "--samples", "3", "--out", "soup.csv"],
+             "soup.csv", True),
+        ],
+        ids=["version", "lifespan", "ingest", "query", "replicator", "soup"],
+    )
+    def test_numpy_loads_only_for_the_models_that_use_it(self, tmp_path, args, artifact, numpy):
+        (tmp_path / "rep.cfg").write_text("n_pairs = 2\nhorizon = 4\n")
+        (tmp_path / "soup.cfg").write_text("horizon = 1.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *args],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,  # outside the repository
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy": numpy}
+        if artifact is not None:
+            assert (tmp_path / artifact).stat().st_size > 0
 
 
 class TestConsoleScript:

@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from prenelab.config import (
     serialize_soup_config,
     soup_config_from_text,
 )
-from prenelab.replicator import EscapeConfig
+from prenelab.replicator import EscapeConfig, ExperimentConfigError
 from prenelab.soup import SoupConfig
 
 
@@ -151,14 +152,7 @@ SOUP_VALUES = {
 }
 
 
-def _scalar_fields(config_class) -> set[str]:
-    return {
-        f.name for f in dataclasses.fields(config_class)
-        if not isinstance(f.default, tuple) and f.name != "master_seed"
-    }
-
-
-@pytest.mark.parametrize(
+per_config = pytest.mark.parametrize(
     "config_class, values, from_text, serialize",
     [
         (EscapeConfig, ESCAPE_VALUES, escape_config_from_text, serialize_escape_config),
@@ -166,6 +160,16 @@ def _scalar_fields(config_class) -> set[str]:
     ],
     ids=["escape", "soup"],
 )
+
+
+def _scalar_fields(config_class) -> set[str]:
+    return {
+        f.name for f in dataclasses.fields(config_class)
+        if not isinstance(f.default, tuple) and f.name != "master_seed"
+    }
+
+
+@per_config
 def test_every_scalar_field_is_a_config_key(config_class, values, from_text, serialize):
     assert set(values) == _scalar_fields(config_class)
     default = config_class()
@@ -177,6 +181,22 @@ def test_every_scalar_field_is_a_config_key(config_class, values, from_text, ser
         assert str(value) == text, key
         assert from_text(serialize(config), master_seed=5) == config, key
         assert f"{key} = {text}\n" in serialize(config), key
+
+
+@per_config
+def test_float_fields_refuse_bools_and_round_trip(config_class, values, from_text, serialize):
+    floats = [f.name for f in dataclasses.fields(config_class) if type(f.default) is float]
+    assert floats
+    for key in floats:
+        for refused in (True, False, "0.5", None):
+            with pytest.raises(ExperimentConfigError, match=f"^{key}: must be a float or an integer$"):
+                config_class(**{key: refused})
+        number = float(values[key])
+        for accepted in (number, int(number), np.float64(number), np.int64(int(number))):
+            config = config_class(**{key: accepted}, master_seed=5)
+            parsed = from_text(serialize(config), master_seed=5)
+            assert parsed == config, (key, accepted)
+            assert type(getattr(parsed, key)) is float, (key, accepted)
 
 
 @pytest.mark.parametrize("key", ["master_seed", "coat_span", "initial_free", "initial_polymers"])

@@ -433,6 +433,8 @@ class TestCatalysisExperiment:
             SoupConfig(horizon=0)
         with pytest.raises(ExperimentConfigError, match="motif"):
             SoupConfig(motif="AXA")
+        with pytest.raises(ExperimentConfigError, match="^motif: must be a string$"):
+            SoupConfig(motif=("G", "A"))  # its text form would not parse back
 
     def test_zero_kcat_arms_identical(self):
         report = run_catalysis_experiment(
