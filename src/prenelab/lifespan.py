@@ -21,7 +21,8 @@ after the parent's death day.
 
 Gene-numbers and accounts are exact rationals and census counts are exact
 unbounded integers: no threshold comparison is ever decided by float
-rounding.  Floating point appears only inside growth-rate root finding.
+rounding.  Floating point appears only in the growth-rate estimate, and
+exact integer signs then pick the double nearest the root.
 The life-table walk scales every account by the denominator of g, so it
 compares integers; the comparisons are the rational ones.
 """
@@ -130,14 +131,6 @@ class LifeTable:
                 raise ValueError("mortal life table cannot have a periodic tail")
             if any(a > self.death_age + 1 for a in ages):
                 raise ValueError("birth ages may exceed death_age by at most 1 (posthumous)")
-
-    def lattice_period(self) -> int:
-        """gcd of all birth ages: the census-ratio period of the schedule."""
-        ages = list(self.birth_ages)
-        if self.periodic is not None:
-            first, step = self.periodic
-            ages.extend([first, first + step])
-        return math.gcd(*ages) if ages else 0
 
 
 def life_table(species: TreeSpecies) -> LifeTable:
@@ -262,12 +255,6 @@ class CensusTable:
     days: int
     counts: tuple[tuple[int, ...], ...]  # counts[species_index][day]
 
-    def row(self, day: int) -> tuple[int, ...]:
-        return tuple(c[day] for c in self.counts)
-
-    def series(self, species_index: int) -> tuple[int, ...]:
-        return self.counts[species_index]
-
     def csv_rows(self) -> Iterator[tuple[int, str, int]]:
         for day in range(self.days + 1):
             for sp, series in zip(self.species, self.counts):
@@ -360,47 +347,168 @@ class GrowthRate:
     residual: float
 
 
-def _schedule_sum(table: LifeTable, lam: float) -> float:
-    """sum over birth ages a of lam**(-a), closed form for the periodic tail."""
-    total = sum(lam ** -a for a in table.birth_ages)
+def _residual(table: LifeTable, lam: float) -> tuple[float, float]:
+    """The Euler-Lotka residual, sum over birth ages a of lam**-a minus 1,
+    and its derivative in lam, in floats; the periodic tail in closed form."""
+    f, slope = -1.0, 0.0
+    for a in table.birth_ages:
+        term = lam**-a
+        f += term
+        slope -= a * term
+    if table.periodic is not None:
+        if lam <= 1.0:
+            return math.inf, -math.inf
+        first, step = table.periodic
+        head, ratio = lam**-first, lam**-step
+        f += head / (1.0 - ratio)
+        slope -= (first * (1.0 - ratio) + step * ratio) * head / (1.0 - ratio) ** 2
+    return f, slope / lam
+
+
+def _newton_root(table: LifeTable) -> float:
+    """Float estimate of the root: Newton's method from a point below it.
+
+    The residual is convex and decreasing, so Newton steps from a point
+    where it is positive climb to the root without passing it; they stop
+    when a step no longer climbs.  The start is a lower bound by Jensen's
+    inequality: the first j birth ages, summing to s, alone give
+    sum lam**-a >= j * lam**(-s / j), which is 1 at lam = j**(j / s).
+    """
+    ages = list(table.birth_ages[:64])
     if table.periodic is not None:
         first, step = table.periodic
-        if lam <= 1.0:
-            return math.inf
-        total += lam**-first / (1.0 - lam**-step)
-    return total
+        ages += range(first, first + step * max(0, 64 - len(ages)), step)
+    exponent, total = 0.0, 0
+    for j, a in enumerate(ages, 1):
+        total += a
+        exponent = max(exponent, j * math.log(j) / total)
+    lam = math.exp(exponent)
+    for _ in range(100):
+        f, slope = _residual(table, lam)
+        climbed = lam - f / slope
+        if not climbed > lam:
+            break
+        lam = climbed
+    return lam
+
+
+def _residual_sign(ages: tuple[int, ...], periodic: Optional[tuple[int, int]], num: int, exp: int) -> int:
+    """Exact sign of the Euler-Lotka residual at the dyadic lam = num / 2**exp.
+
+    With x = 2**exp / num, the birth ages up to k sum to an integer
+    Horner polynomial over num**k, and the periodic tail
+    x**first / (1 - x**step) is one exact fraction.  Ages past k add
+    between 0 and x**(k + 1) / (1 - x), the geometric series of every
+    age past k.  k starts where that bound is about 2**-58 and doubles
+    until the bound cannot flip the sign (Ziv's strategy, ACM TOMS 1991);
+    at the last birth age the residual is exact.
+    """
+    den = 1 << exp
+    last = ages[-1] if ages else 0
+    tail_num, tail_den = 0, 1
+    if periodic is not None:
+        if num <= den:
+            return 1  # the periodic tail diverges at lam <= 1
+        first, step = periodic
+        tail_num = num**step << exp * first
+        tail_den = num**first * (num**step - (1 << exp * step))
+    k = last
+    if num > den:
+        lam = num / den
+        bits = 58 * math.log(2.0) + math.log(lam / (lam - 1.0))
+        k = min(last, max(1, math.ceil(bits / math.log(lam))))
+    while True:
+        acc, prev = 0, 0  # the ages a <= k sum to acc / num**k
+        for a in ages:
+            if a > k:
+                break
+            acc = acc * num ** (a - prev) + (1 << exp * a)
+            prev = a
+        scale = num**k
+        acc *= num ** (k - prev)
+        # the residual without the ages past k, times scale * tail_den
+        head = acc * tail_den + scale * (tail_num - tail_den)
+        if k >= last or head > 0:
+            return (head > 0) - (head < 0)
+        # plus the bound x**(k + 1) / (1 - x) = 2**(exp*(k + 1)) / (scale * (num - den))
+        if head * (num - den) + (tail_den << exp * (k + 1)) < 0:
+            return -1
+        k = min(2 * k, last)
+
+
+def _midpoint(x: float, y: float) -> tuple[int, int]:
+    """(num, exp) with num / 2**exp exactly halfway between the doubles x and y."""
+    (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+    den = max(q, s)  # a power of two, as q and s are
+    return p * (den // q) + r * (den // s), den.bit_length()
+
+
+def _nearest_root(table: LifeTable, lam: float) -> float:
+    """The double nearest the root, walked to from the estimate lam.
+
+    lam is nearest exactly when the residual, which falls as lam grows,
+    is positive at the midpoint to the double below and negative at the
+    midpoint to the double above; each sign is decided exactly.
+    """
+    key = (table.birth_ages, table.periodic)
+    climbed = False
+    while True:
+        up = math.nextafter(lam, math.inf)
+        if _residual_sign(*key, *_midpoint(lam, up)) <= 0:
+            break
+        lam, climbed = up, True
+    while not climbed:
+        down = math.nextafter(lam, 0.0)
+        if _residual_sign(*key, *_midpoint(down, lam)) >= 0:
+            break
+        lam = down
+    return lam
 
 
 def growth_rate(table: LifeTable) -> GrowthRate:
-    """Root of  sum over birth ages a of lambda**(-a) = 1  by bisection.
+    """The double nearest the root of  sum over birth ages a of lambda**(-a) = 1.
 
-    The left side is strictly decreasing in lambda, so a sign-changing
-    bracket is preserved at every step; bisection runs to float
-    convergence, far below the 1e-12 contract.  An empty schedule has no
-    root: the species dies out and lambda is reported as 0.
+    This is the Euler-Lotka equation (Lotka 1939).  Its left side falls
+    strictly as lambda grows, so it has one root; a float Newton estimate
+    is moved to the nearest double by exact residual signs at the
+    midpoints between doubles (see _residual_sign).  The residual
+    reported is the float residual at the returned lambda.  An empty
+    schedule has no root: the species dies out and lambda is reported
+    as 0.
     """
     if not table.birth_ages and table.periodic is None:
         return GrowthRate(0.0, 0.0)
     if table.periodic is None and len(table.birth_ages) == 1:
         return GrowthRate(1.0, 0.0)  # replacement only, root is exact
+    lam = _nearest_root(table, _newton_root(table))
+    return GrowthRate(lam, _residual(table, lam)[0])
 
-    def f(lam: float) -> float:
-        return _schedule_sum(table, lam) - 1.0
 
-    lo = 1.0 + 1e-9 if table.periodic is not None else 1.0
-    hi = 2.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
+_TIE_BITS = 64  # roots that 64 halvings of an ulp do not separate are reported as tied
+
+
+def _highest_roots(keys: list, lam: float) -> list:
+    """The schedules with the largest root, among schedules whose roots
+    all round to lam: bisect lam's rounding interval with exact residual
+    signs until one schedule is left, or for _TIE_BITS halvings."""
+    (lo, lo_exp), (hi, hi_exp) = (
+        _midpoint(math.nextafter(lam, 0.0), lam), _midpoint(lam, math.nextafter(lam, math.inf))
+    )
+    exp = max(lo_exp, hi_exp)
+    lo, hi = lo << exp - lo_exp, hi << exp - hi_exp
+    for _ in range(_TIE_BITS):
+        if len(keys) == 1:
             break
-        if f(mid) > 0.0:
+        mid, lo, hi, exp = lo + hi, 2 * lo, 2 * hi, exp + 1
+        signs = [_residual_sign(*key, mid, exp) for key in keys]
+        if max(signs) == 0:
+            return [key for key, sign in zip(keys, signs) if sign == 0]
+        if max(signs) > 0:
+            keys = [key for key, sign in zip(keys, signs) if sign > 0]
             lo = mid
         else:
             hi = mid
-    lam = (lo + hi) / 2.0
-    return GrowthRate(lam, f(lam))
+    return keys
 
 
 @dataclass
@@ -414,7 +522,9 @@ def optimality_sweep(g_grid: Iterable) -> SweepResult:
 
     lambda is piecewise constant in g (schedules only change at integer-day
     thresholds), so grid points sharing a schedule tie exactly; the rates
-    are memoized per schedule to make those ties bit-identical.
+    are memoized per schedule to make those ties bit-identical.  Distinct
+    schedules whose rates are the same double are ordered by their exact
+    roots (_highest_roots).
     """
     species = [g if isinstance(g, TreeSpecies) else TreeSpecies(_as_exact(g)) for g in g_grid]
     if not species:
@@ -430,7 +540,9 @@ def optimality_sweep(g_grid: Iterable) -> SweepResult:
             rate_by_schedule[key] = growth_rate(table)
         rows.append((sp, table, rate_by_schedule[key]))
 
-    best = max(r.lambda_per_day for _, _, r in rows)
-    argmax = [sp for sp, _, r in rows if r.lambda_per_day == best]
+    best = max(r.lambda_per_day for r in rate_by_schedule.values())
+    top = [key for key, r in rate_by_schedule.items() if r.lambda_per_day == best]
+    if best > 0.0:
+        top = _highest_roots(top, best)
+    argmax = [sp for sp, table, _ in rows if (table.birth_ages, table.periodic) in top]
     return SweepResult(rows, argmax)
-

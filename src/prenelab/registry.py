@@ -18,8 +18,8 @@ Workshop 2006): a row's content is one shared record holding the raw
 bytes, the substrate, the normalized bytes and the rows that store it,
 so normalization runs once per distinct content and a query runs the
 recognizer once per distinct normalized content, then filters only the
-rows of the contents it accepts.  `World.events`, `World.objects` and
-`alive_objects` build read-only views from the columns when asked for.
+rows of the contents it accepts.  `World.events` and `alive_objects`
+build read-only views from the columns when asked for.
 
 Queries are pure reads against the immutable log; the brute-force
 versions in the test suite rescan the whole log and must agree with the
@@ -227,11 +227,6 @@ class World:
             for r in rows
             for c in (self._content[r],)
         ]
-
-    @property
-    def objects(self) -> dict[int, StoredObject]:
-        """Every logged object by id, alive or not, as views built on each call."""
-        return {o.id: o for o in self._views(range(len(self._ids)))}
 
     @property
     def events(self) -> list[tuple]:

@@ -7,15 +7,21 @@ to be stable across platforms and numpy versions.  The key is injective
 the key length, then the key words, each below 2**32.  Each model leads
 its keys with its own domain word (REPLICATOR, SOUP), so models never
 share a stream.
+
+A Generator's `random(n)` fills n consecutive `next_double` values, the
+same numbers n scalar `random()` calls return, so a model may read its
+uniforms in blocks (soup does) without changing what it draws.
 """
 
 from __future__ import annotations
 
 import operator
 
-# Stamped into every run report so a run can be reproduced bit-exactly; the
-# suffix names the (master_seed, *key) -> SeedSequence derivation above.
-RNG_ALGORITHM = "philox4x64-10/keyed-u32-v2"
+# Stamped into every run report so a run can be reproduced bit-exactly.  The
+# suffix names the (master_seed, *key) -> SeedSequence derivation above and
+# moves with each deliberate artifact break: v3 made every soup variate a
+# uniform and every lifespan growth rate the double nearest its root.
+RNG_ALGORITHM = "philox4x64-10/keyed-u32-v3"
 
 REPLICATOR = int.from_bytes(b"repl", "big")
 SOUP = int.from_bytes(b"soup", "big")

@@ -29,10 +29,17 @@ An event costs O(log S) in plain Python ints, S the number of species:
   when a vanished row is refilled from the last one).  Each walks `_all`,
   then `_cat` or `_aaa` only for a row flagged there, and adds n times
   the row's letter counts into the bound mass in place.
-  Besides the shifts an event draws a waiting time, a channel and one
-  uniform per pick (one pick for detach, two for extend and catalyze,
-  plus a thinning uniform when extend pairs a pool with itself), runs
-  one O(1) `audit`, and builds no list.
+  Besides the shifts an event reads a waiting-time uniform, a channel
+  uniform and one uniform per pick (one pick for detach, two for extend
+  and catalyze, plus a thinning uniform when extend pairs a pool with
+  itself), runs one O(1) `audit`, and builds no list.
+- Uniforms from blocks.  Every variate is a uniform; the waiting time is
+  the inversion -log1p(-u) / a_total (Gillespie 1977).  `run_until`
+  reads its uniforms from consecutive blocks of `gen.random(_BLOCK)`,
+  one NumPy call per block instead of one per draw, and on return
+  leaves `gen` just after the last uniform it used.  A block holds the
+  generator's consecutive scalar draws, so `step`, which draws each
+  uniform with `gen.random()`, replays `run_until` event for event.
 - Two audit levels.  `audit()` runs after every event and is O(1): free
   plus running bound mass must equal the conserved mass, per letter.
   `recount()` is O(S): it recounts the mass, every row column and every
@@ -44,8 +51,10 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -388,29 +397,63 @@ def _pick_letter(free: list[int], threshold: float) -> int:
     return 4
 
 
-def _sample_extend(state: ReactorState, gen: np.random.Generator) -> tuple[str, str]:
+def _sample_extend(state: ReactorState, draw: Callable[[], float]) -> tuple[str, str]:
     # seeds: the four free pools, then every strand row after them
     free = state.free
     n_free = sum(free)
     while True:
-        threshold = gen.random() * float(n_free + state._all[-1])
+        threshold = draw() * float(n_free + state._all[-1])
         si = _pick_letter(free, threshold)
         if si == 4:
             si += _fenwick_pick(state._all, n_free, threshold)
-        li = _pick_letter(free, gen.random() * float(n_free))
+        li = _pick_letter(free, draw() * float(n_free))
         if si < 4:
             if si == li:
                 # same-pool pair: thin free*free down to free*(free-1)
-                if gen.random() >= (free[si] - 1) / free[si]:
+                if draw() >= (free[si] - 1) / free[si]:
                     continue
             return SOUP_LETTERS[si], SOUP_LETTERS[li]
         return state.seqs[si - 4], SOUP_LETTERS[li]
 
 
 def step(state: ReactorState, gen: np.random.Generator) -> ReactorState:
-    """One exact stochastic event (Gillespie direct method), in place."""
-    _apply_peeked(state, _peek_next_time(state, gen))
+    """One exact stochastic event (Gillespie direct method), in place.
+
+    Draws each uniform with `gen.random()`: the same uniforms, in the same
+    order, that `run_until` reads from its blocks.
+    """
+    _apply_peeked(state, _peek_next_time(state, gen.random))
     return state
+
+
+_BLOCK = 512  # uniforms per `gen.random` call in run_until
+
+
+@contextmanager
+def _uniforms(gen: np.random.Generator) -> Iterator[Callable[[], float]]:
+    """A zero-argument draw of gen's uniforms, read a block at a time.
+
+    A block is drawn only when the previous one runs out.  On exit, by
+    return or by exception, gen is put back to its state before the
+    current block and advanced by the uniforms used from it, so it is left
+    just after the last uniform drawn, as if each had been a scalar
+    `gen.random()`.
+    """
+    bitgen = gen.bit_generator
+    mark = [None, None]  # gen's state before the current block, and the block's unread rest
+
+    def blocks():
+        while True:
+            mark[0] = bitgen.state
+            mark[1] = rest = iter(gen.random(_BLOCK).tolist())
+            yield rest
+
+    try:
+        yield chain.from_iterable(blocks()).__next__
+    finally:
+        if mark[0] is not None:
+            bitgen.state = mark[0]
+            gen.random(_BLOCK - operator.length_hint(mark[1]))
 
 
 def run_until(
@@ -430,6 +473,14 @@ def run_until(
     anything, unless the horizon is finite and not before the reactor's
     current time and every sample time lies between that time and the
     horizon.
+
+    The uniforms come from blocks of `gen.random`; on return, also by an
+    exception, gen is left just after the last uniform used, so the same
+    events follow from calling `step` on the same stream.  The event
+    drawn past the horizon is discarded and its uniforms stay used: a run
+    split into `run_until(1.0)` then `run_until(2.0)` follows the same
+    law as one `run_until(2.0)` (waiting times are memoryless), but not
+    the same trajectory.
     """
     if not (math.isfinite(horizon) and horizon >= state.time):
         raise ValueError(f"horizon must be finite and >= time {state.time!r}, got {horizon!r}")
@@ -446,40 +497,41 @@ def run_until(
         if on_sample is not None:
             on_sample(t, state)
 
-    while state.time < horizon:
-        try:
-            peeked = _peek_next_time(state, gen)
-        except Quiescent:
-            break
-        next_time = peeked[0]
-        while pos < len(pending) and pending[pos] < min(next_time, horizon):
-            sample(pending[pos])
-            pos += 1
-        if next_time >= horizon:
-            state.time = horizon
-            break
-        _apply_peeked(state, peeked)
+    with _uniforms(gen) as draw:
+        while state.time < horizon:
+            try:
+                peeked = _peek_next_time(state, draw)
+            except Quiescent:
+                break
+            next_time = peeked[0]
+            while pos < len(pending) and pending[pos] < min(next_time, horizon):
+                sample(pending[pos])
+                pos += 1
+            if next_time >= horizon:
+                state.time = horizon
+                break
+            _apply_peeked(state, peeked)
     for t in pending[pos:]:
         sample(t)
     state.recount()
     return state
 
 
-def _peek_next_time(state: ReactorState, gen: np.random.Generator) -> tuple[float, str, tuple]:
+def _peek_next_time(state: ReactorState, draw: Callable[[], float]) -> tuple[float, str, tuple]:
     """The next event as (time, kind, args), drawn but not yet applied."""
     a_extend, a_detach, a_cat = state._channel_totals()
     a_total = a_extend + a_detach + a_cat
     if a_total <= 0.0:
         raise Quiescent("total propensity is zero")
-    next_time = state.time + gen.standard_exponential() / a_total
-    u = gen.random() * a_total
+    next_time = state.time + -math.log1p(-draw()) / a_total
+    u = draw() * a_total
     if u < a_extend:
-        return next_time, "extend", _sample_extend(state, gen)
+        return next_time, "extend", _sample_extend(state, draw)
     if u < a_extend + a_detach:
-        row = _fenwick_pick(state._all, 0, gen.random() * float(state._all[-1]))
+        row = _fenwick_pick(state._all, 0, draw() * float(state._all[-1]))
         return next_time, "detach", (state.seqs[row],)
-    cat = state.seqs[_fenwick_pick(state._cat, 0, gen.random() * float(state._cat[-1]))]
-    tgt = state.seqs[_fenwick_pick(state._aaa, 0, gen.random() * float(state._aaa[-1]))]
+    cat = state.seqs[_fenwick_pick(state._cat, 0, draw() * float(state._cat[-1]))]
+    tgt = state.seqs[_fenwick_pick(state._aaa, 0, draw() * float(state._aaa[-1]))]
     return next_time, "catalyze", (cat, tgt)
 
 

@@ -11,14 +11,35 @@ right.
 arithmetic, with the accounts exactly as the model states them
 (survival 3, income g and 2 - g, birth cost 3, sustenance 1).
 
+`euler_lotka_residual` is the growth-rate equation's left side minus 1
+in `Fraction` arithmetic, every birth age summed and the periodic tail
+in closed form: the exact oracle for the rounding of growth rates.
+
 All of them read only the public `LifeTable`/`TreeSpecies` API of the
-module they check.
+module they check.  `census_row` and `lattice_period` are views that
+only the tests read.
 """
 
 from fractions import Fraction
 from typing import Iterator
 
-from prenelab.lifespan import LifeTable, TreeSpecies
+import math
+
+from prenelab.lifespan import CensusTable, LifeTable, TreeSpecies
+
+
+def census_row(census: CensusTable, day: int) -> tuple[int, ...]:
+    """Every species' count on one day."""
+    return tuple(column[day] for column in census.counts)
+
+
+def lattice_period(table: LifeTable) -> int:
+    """gcd of all birth ages: the census-ratio period of the schedule."""
+    ages = list(table.birth_ages)
+    if table.periodic is not None:
+        first, step = table.periodic
+        ages.extend([first, first + step])
+    return math.gcd(*ages) if ages else 0
 
 
 def ages_up_to(table: LifeTable, limit: int) -> Iterator[int]:
@@ -51,6 +72,16 @@ def rescan_census(table: LifeTable, days: int) -> tuple[int, ...]:
         sum(n for born, n in enumerate(births[: day + 1]) if alive_at_age(table, day - born))
         for day in range(days + 1)
     )
+
+
+def euler_lotka_residual(table: LifeTable, lam: Fraction) -> Fraction:
+    """sum over birth ages a of lam**-a, minus 1, exactly, at a rational lam > 1."""
+    x = 1 / lam
+    total = sum(x**a for a in table.birth_ages)
+    if table.periodic is not None:
+        first, step = table.periodic
+        total += x**first / (1 - x**step)
+    return total - 1
 
 
 def fraction_life_table(species: TreeSpecies) -> LifeTable:

@@ -4,14 +4,16 @@ This is the selection the running totals and Fenwick picks replaced:
 every channel total is a fresh sum over the species columns, and every
 pick is a float `cumsum` searched with `searchsorted(..., side="right")`.
 `peek` reads only the public view of a state (free pools, row order,
-counts, catalyst rule) and must consume the same draws from the
-generator and name the same event as the package's `_peek_next_time`.
+counts, catalyst rule), draws each uniform with a scalar `gen.random()`,
+and must consume the same draws and name the same event as the package's
+`_peek_next_time`, whose `run_until` reads the same uniforms from blocks.
 
 `enumerate_reactions` lists every reaction channel pair by pair, from the
 same public view; its per-kind sums are the oracle for the three running
 channel totals.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,7 +60,7 @@ def peek(state, gen) -> tuple[float, str, tuple]:
     a_total = a_extend + a_detach + a_cat
     if a_total <= 0.0:
         raise Quiescent("total propensity is zero")
-    next_time = state.time + gen.standard_exponential() / a_total
+    next_time = state.time - math.log1p(-gen.random()) / a_total  # inversion
     u = gen.random() * a_total
     if u < a_extend:
         return next_time, "extend", sample_extend(state, counts, gen)

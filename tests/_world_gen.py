@@ -19,12 +19,17 @@ FIXED_POINT_POOL = [b"aa", b"ab", b"ba"]
 SUBSTRATE_POOL = ["nucleic_acid", "brain", "computer", "document", "other:tape"]
 
 
+def all_objects(world: World) -> dict:
+    """Every logged object by id, alive or not, as `StoredObject` views."""
+    return {o.id: o for o in world._views(range(len(world._ids)))}
+
+
 def random_world(gen: np.random.Generator, n_events: int = 50) -> World:
     """A valid random log mixing creates, copies, destroys, transcribes."""
     world = World()
     next_id = 1
     for _ in range(n_events):
-        alive = [o for o in world.objects.values() if o.destroyed_at is None]
+        alive = [o for o in all_objects(world).values() if o.destroyed_at is None]
         roll = gen.random()
         if not alive or roll < 0.45:
             content = CONTENT_POOL[gen.integers(len(CONTENT_POOL))]
@@ -52,7 +57,7 @@ def random_faithful_world(gen: np.random.Generator, n_events: int = 50) -> World
         world.create(next_id, "nucleic_acid", content)
         next_id += 1
     for _ in range(n_events - 3):
-        alive = [o for o in world.objects.values() if o.destroyed_at is None]
+        alive = [o for o in all_objects(world).values() if o.destroyed_at is None]
         roll = gen.random()
         if alive and roll < 0.45:
             src = alive[gen.integers(len(alive))]

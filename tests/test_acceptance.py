@@ -76,8 +76,8 @@ def test_criterion_2_day_100_immortal_share():
     with criterion(2, 1.0, "day-100 immortal share < 1/1000, exact integers"):
         species = [lifespan.TreeSpecies(Fraction(1)), lifespan.TreeSpecies(Fraction(1, 2))]
         census = lifespan.simulate_census(species, 100)
-        immortal = census.series(0)[100]
-        mortal = census.series(1)[100]
+        immortal = census.counts[0][100]
+        mortal = census.counts[1][100]
         assert immortal == 2**33
         assert Fraction(immortal, immortal + mortal) < Fraction(1, 1000)
 
@@ -114,7 +114,7 @@ def test_criterion_3_half_saver_optimality():
         assert abs(lam - _bisect_growth_oracle((2, 4, 6))) < 1e-9
         # oracle 2: the long-run census ratio over days 60..80
         census = lifespan.simulate_census([lifespan.TreeSpecies(Fraction(1, 2))], 80)
-        series = census.series(0)
+        series = census.counts[0]
         ratio = (series[80] / series[60]) ** (1 / 20)
         assert abs(lam - ratio) / ratio < 1e-3
 

@@ -75,7 +75,7 @@ class TestLifespanTable:
         assert len(lines) == 1 + 31 * 2
         assert lines[-1] == "30,1/2,11536"
         assert report["config"]["g"] == ["1", "1/2"]
-        assert report["rng_algorithm"] == "philox4x64-10/keyed-u32-v2"
+        assert report["rng_algorithm"] == "philox4x64-10/keyed-u32-v3"
         assert report["artifacts"] == [str(out)]
 
     def test_days_zero_is_header_plus_founders(self, tmp_path):

@@ -6,6 +6,7 @@ Growth rates are checked against an independent polynomial-root oracle,
 not against the bisection under test.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lifespan_oracle import alive_at_age, ages_up_to, fraction_life_table, rescan_census
+from _lifespan_oracle import (
+    alive_at_age,
+    ages_up_to,
+    census_row,
+    euler_lotka_residual,
+    fraction_life_table,
+    lattice_period,
+    rescan_census,
+)
 from prenelab.lifespan import (
     CohortState,
     GrowthRate,
     LifeTable,
     Tree,
     TreeSpecies,
+    _highest_roots,
     growth_rate,
     life_table,
     optimality_sweep,
@@ -107,9 +117,9 @@ class TestLifeTable:
         assert not alive_at_age(t, -1)
 
     def test_lattice_periods(self):
-        assert life_table(GHALF).lattice_period() == 2
-        assert life_table(TreeSpecies(Fraction(0))).lattice_period() == 1
-        assert life_table(G1).lattice_period() == 3
+        assert lattice_period(life_table(GHALF)) == 2
+        assert lattice_period(life_table(TreeSpecies(Fraction(0)))) == 1
+        assert lattice_period(life_table(G1)) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,10 +137,10 @@ class TestCensus:
     def test_reference_table_exactly(self):
         table = simulate_census([G1, GHALF], 30)
         for day, row in REFERENCE_CENSUS.items():
-            assert table.row(day) == row, f"day {day}"
+            assert census_row(table, day) == row, f"day {day}"
 
     def test_immortal_doubles_every_three_days(self):
-        series = simulate_census([G1], 100).series(0)
+        series = simulate_census([G1], 100).counts[0]
         for day in range(101):
             assert series[day] == 2 ** (day // 3)
         assert series[100] == 2**33
@@ -139,11 +149,11 @@ class TestCensus:
         res = simulate_individuals([G1, GHALF], 30)
         assert not res.cap_exceeded
         for day, row in REFERENCE_CENSUS.items():
-            assert res.census.row(day) == row
+            assert census_row(res.census, day) == row
 
     def test_dying_tree_counted_on_death_day(self):
         # founder at g=1/2 dies on day 6: counted in 8, gone from 7
-        series = simulate_census([GHALF], 7).series(0)
+        series = simulate_census([GHALF], 7).counts[0]
         assert series[6] == 8 and series[7] == 7
 
     def test_population_cap_stops_run(self):
@@ -190,8 +200,8 @@ class TestCohortAgainstIndividuals:
     def test_posthumous_birth_agreement(self):
         # g=1/10: parent dies day 3, its second child appears day 4
         sp = TreeSpecies(Fraction(1, 10))
-        fast = simulate_census([sp], 12).series(0)
-        slow = simulate_individuals([sp], 12).census.series(0)
+        fast = simulate_census([sp], 12).counts[0]
+        slow = simulate_individuals([sp], 12).census.counts[0]
         assert fast == slow
         assert fast[4] > fast[3] - 1  # the day-4 birth really lands
 
@@ -213,15 +223,15 @@ class TestAgainstReferenceWalks:
     @given(g=rational_gene(), days=st.integers(min_value=0, max_value=200))
     def test_census_matches_rescan_and_individuals(self, g, days):
         sp = TreeSpecies(g)
-        fast = simulate_census([sp], days).series(0)
+        fast = simulate_census([sp], days).counts[0]
         assert fast == rescan_census(fraction_life_table(sp), days)
         slow = simulate_individuals([sp], days, cap=1000)
-        assert slow.census.series(0) == fast[: slow.census.days + 1]
+        assert slow.census.counts[0] == fast[: slow.census.days + 1]
 
     def test_census_matches_rescan_on_default_pair(self):
         table = simulate_census([G1, GHALF], 400)
         for index, sp in enumerate((G1, GHALF)):
-            assert table.series(index) == rescan_census(fraction_life_table(sp), 400)
+            assert table.counts[index] == rescan_census(fraction_life_table(sp), 400)
 
     def test_life_table_matches_fraction_walk_on_sweep_grid(self):
         for i in range(4001):
@@ -262,7 +272,7 @@ class TestGrowthRate:
         assert r.lambda_per_day == 1.0 and r.residual == 0.0
 
     def test_rate_consistent_with_long_run_census_ratio(self):
-        series = simulate_census([GHALF], 80).series(0)
+        series = simulate_census([GHALF], 80).counts[0]
         lam = growth_rate(life_table(GHALF)).lambda_per_day
         estimate = (series[80] / series[60]) ** (1 / 20)
         assert abs(estimate - lam) / lam < 1e-3
@@ -271,6 +281,57 @@ class TestGrowthRate:
         lam_half = growth_rate(life_table(GHALF)).lambda_per_day
         lam_one = growth_rate(life_table(G1)).lambda_per_day
         assert lam_half > lam_one
+
+
+class TestNearestDouble:
+    """Each growth rate is the double nearest the root: the exact residual
+    is positive halfway to the double below and negative halfway to the
+    double above."""
+
+    @staticmethod
+    def _assert_nearest(table):
+        lam = growth_rate(table).lambda_per_day
+        below = (Fraction(lam) + Fraction(math.nextafter(lam, 0.0))) / 2
+        above = (Fraction(lam) + Fraction(math.nextafter(lam, math.inf))) / 2
+        assert euler_lotka_residual(table, below) > 0 > euler_lotka_residual(table, above)
+
+    def test_sweep_grid(self):
+        schedules = {}
+        for k in range(41):
+            table = life_table(TreeSpecies(Fraction(k, 40)))
+            if len(table.birth_ages) > 1 or table.periodic is not None:
+                schedules[table.birth_ages, table.periodic] = table
+        assert len(schedules) > 10
+        for table in schedules.values():
+            self._assert_nearest(table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            LifeTable((1, 2), 2),  # the golden ratio
+            LifeTable((1,), None, periodic=(2, 1)),  # root exactly 2
+            LifeTable((), None, periodic=(1, 1)),  # root exactly 2
+            LifeTable((2,), None, periodic=(4, 3)),
+            LifeTable((2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610), 610),
+            LifeTable((2, 4, 600), 600),  # the last age past every truncation
+            LifeTable((500, 1000), 1000),  # a root near 1
+        ],
+        ids=["phi", "root-2-prefix", "root-2-tail", "tail-and-prefix", "fibonacci", "far", "near-1"],
+    )
+    def test_hand_tables(self, table):
+        self._assert_nearest(table)
+
+    def test_roots_sharing_a_double_are_ordered_exactly(self):
+        # x + x**2 + x**100 = 1 has the larger root, by about 1e-21
+        near, nearer = ((1, 2, 100), None), ((1, 2, 101), None)
+        lam = growth_rate(LifeTable((1, 2, 100), 100)).lambda_per_day
+        assert growth_rate(LifeTable((1, 2, 101), 101)).lambda_per_day == lam
+        assert _highest_roots([nearer, near], lam) == [near]
+        # x + x**2 = 1 and x + x**3 + x**4 = 1 share the root 1/phi: a true tie
+        phi, also_phi = ((1, 2), None), ((1, 3, 4), None)
+        lam = growth_rate(LifeTable((1, 2), 2)).lambda_per_day
+        assert growth_rate(LifeTable((1, 3, 4), 4)).lambda_per_day == lam
+        assert _highest_roots([phi, also_phi], lam) == [phi, also_phi]
 
 
 class TestSweep:

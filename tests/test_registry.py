@@ -13,6 +13,7 @@ import pytest
 
 import _registry_oracle
 from _world_gen import (
+    all_objects,
     CONTENT_POOL,
     FIXED_POINT_POOL,
     brute_copy_number,
@@ -101,7 +102,7 @@ class TestWorldAppend:
         with pytest.raises(LogError):
             w.transcribe(1, 2, "computer")
         w.transcribe(1, 3, "brain")
-        assert w.objects[3].content == b"x"
+        assert all_objects(w)[3].content == b"x"
 
     def test_bad_substrate_rejected(self):
         w = World()
@@ -329,7 +330,7 @@ class TestLoader:
         for text in texts:
             got, expected = World.from_jsonl(text), _registry_oracle.load(text)
             assert got.events == expected.events
-            assert got.objects == expected.objects
+            assert all_objects(got) == all_objects(expected)
 
     # lines to_jsonl never writes, each set read after a create of object 1;
     # all but the last set are valid
@@ -357,7 +358,7 @@ class TestLoader:
             return
         got, expected = World.from_jsonl(text), _registry_oracle.load(text)
         assert got.events == expected.events
-        assert got.objects == expected.objects
+        assert all_objects(got) == all_objects(expected)
         assert got.to_jsonl() == expected.to_jsonl()
         bad = text + _record(len(lines), "create", 1, "brain", "eA==") + "\n"  # id 1 exists
         message = _message(World.from_jsonl, bad)
@@ -367,15 +368,15 @@ class TestLoader:
     def test_non_canonical_padding_ingests_canonically(self):
         text = _record(0, "create", 1, "brain", "QR==") + "\n"
         world = World.from_jsonl(text)
-        assert world.objects[1].content == b"A"
+        assert all_objects(world)[1].content == b"A"
         assert world.to_jsonl() == _record(0, "create", 1, "brain", "QQ==") + "\n"
 
     def test_same_text_on_document_and_not_is_two_contents(self):
         lines = TestLoader.CORPUS["same text, document and not"]
         text = _record(0, "create", 1, "brain", "eA==") + "\n" + "\n".join(lines) + "\n"
         world = World.from_jsonl(text)
-        assert world.objects[2].normalized == b"the ring"
-        assert world.objects[3].normalized == world.objects[3].content == b"The  Ring"
+        assert all_objects(world)[2].normalized == b"the ring"
+        assert all_objects(world)[3].normalized == all_objects(world)[3].content == b"The  Ring"
         assert copy_number(world, Prene.exact(b"the ring")) == 1
         assert copy_number(world, Prene.exact(b"The  Ring")) == 1
 
@@ -541,7 +542,7 @@ class TestLineage:
             w = random_world(gen)
             for content in CONTENT_POOL[:2]:
                 nodes, edges = lineage(w, Prene.exact(content))
-                created = {o.id: o.created_at for o in w.objects.values()}
+                created = {o.id: o.created_at for o in all_objects(w).values()}
                 for child, parent in edges:
                     assert created[parent] < created[child]
 
@@ -571,8 +572,8 @@ class TestRecognizerCalls:
                 w.transcribe(k, 1000 + k, "other:tape")
             if k % 4 == 3:
                 w.destroy(k - 2)
-        distinct = {normalize(o.content, o.substrate) for o in w.objects.values()}
-        assert len(distinct) < 10 < len(w.objects)
+        distinct = {normalize(o.content, o.substrate) for o in all_objects(w).values()}
+        assert len(distinct) < 10 < len(all_objects(w))
         calls = Counter()
 
         def counting(content):
@@ -619,7 +620,7 @@ class TestSharedSubstrings:
         w = World()
         w.create(1, "document", b"The RING")
         w.create(2, "computer", b"bring")
-        objs = list(w.objects.values())
+        objs = list(all_objects(w).values())
         assert longest_shared(objs) == b"ring"
 
     def test_duplicates_and_document_variants_change_nothing(self):
@@ -629,7 +630,7 @@ class TestSharedSubstrings:
         w.create(3, "computer", b"ring of gattaca")
         w.create(4, "computer", b"ring of gattaca")
         w.create(5, "brain", b"XXring of gatYY")
-        objs = list(w.objects.values())
+        objs = list(all_objects(w).values())
         distinct = [b"the ring of gattaca", b"ring of gattaca", b"XXring of gatYY"]
         assert longest_shared(objs) == longest_shared(distinct) == b"ring of gat"
         assert longest_shared(objs + objs[::-1]) == b"ring of gat"

@@ -1,5 +1,6 @@
 """Reactor propensities, exact conservation, and the catalysis experiment."""
 
+import copy
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from _soup_oracle import enumerate_reactions
-from prenelab import rng
+from prenelab import rng, soup
 from prenelab.replicator import ExperimentConfigError
 from prenelab.soup import (
     CatalysisReport,
@@ -19,6 +20,8 @@ from prenelab.soup import (
     ReactorState,
     SoupConfig,
     _apply_catalyze,
+    _apply_peeked,
+    _peek_next_time,
     run_catalysis_experiment,
     run_until,
     step,
@@ -388,6 +391,53 @@ class TestRunUntil:
         assert state.time == 2.0 and state.n_events == events
 
 
+class TestBlockReader:
+    """run_until reads uniforms from blocks; the block size changes nothing."""
+
+    @staticmethod
+    def _stages(monkeypatch, block):
+        monkeypatch.setattr(soup, "_BLOCK", block)
+        state, gen = SoupConfig().build_state(), rng.stream(5, 1)
+        seen = []
+
+        def snapshot():
+            twin = copy.deepcopy(gen)  # read the next draw without taking it
+            seen.append((state.species, list(state.free), state.time, state.n_events, twin.random()))
+
+        run_until(state, 2.0, gen)
+        snapshot()
+        run_until(state, 4.0, gen, [2.5, 3.0, 3.5], lambda t, s: None)
+        snapshot()
+        run_events(state, 50, gen)
+        snapshot()
+        return seen
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        default = self._stages(monkeypatch, soup._BLOCK)
+        assert self._stages(monkeypatch, 7) == default
+        assert default[0][3] > 7  # the small blocks ran out many times
+
+    @pytest.mark.parametrize("block", [7, soup._BLOCK])
+    def test_exception_from_on_sample_leaves_gen_after_last_used(self, monkeypatch, block):
+        monkeypatch.setattr(soup, "_BLOCK", block)
+        state, gen = SoupConfig().build_state(), rng.stream(5, 2)
+
+        def fail(t, s):
+            raise KeyError(t)
+
+        with pytest.raises(KeyError):
+            run_until(state, 5.0, gen, [3.0], fail)
+        # scalar replay: every event up to the first one past t = 3.0 draws
+        twin_state, twin = SoupConfig().build_state(), rng.stream(5, 2)
+        while True:
+            peeked = _peek_next_time(twin_state, twin.random)
+            if peeked[0] > 3.0:
+                break
+            _apply_peeked(twin_state, peeked)
+        assert state.n_events == twin_state.n_events > 0
+        assert gen.random() == twin.random()
+
+
 class TestCatalysisExperiment:
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -471,9 +521,9 @@ class TestCatalysisExperiment:
         assert run_catalysis_experiment(cfg) == run_catalysis_experiment(cfg)
 
 
-# Frozen soup goldens, last generated when streams became domain-keyed
-# (rng.SOUP): any change in the number or order of RNG draws, in the
-# stream derivation, or in what an event does, changes these digests.
+# Frozen soup goldens, last generated when every variate became a uniform
+# (label keyed-u32-v3): any change in the number or order of RNG draws, in
+# the stream derivation, or in what an event does, changes these digests.
 
 def _cli_csv_sha256(tmp_path, args, config_text=None):
     from prenelab.cli import main
@@ -491,7 +541,7 @@ def _cli_csv_sha256(tmp_path, args, config_text=None):
 def test_frozen_time_series(tmp_path):
     # 21 sample rows at the default scenario (horizon 10)
     digest = _cli_csv_sha256(tmp_path, ["soup", "run", "--seed", "5", "--samples", "20"])
-    assert digest == "3721b68c204ae0434d67b465f4658be9e23e0fe051c00269ba05c37ec19ff46c"
+    assert digest == "848778eb6369a24d4254234acefc7acb2edfa2c568aecd2e67f9f36532a70636"
 
 
 def test_frozen_experiment(tmp_path):
@@ -500,12 +550,12 @@ def test_frozen_experiment(tmp_path):
         ["soup", "run", "--seed", "5", "--experiment"],
         "n_replicates = 6\nhorizon = 5.0\n",
     )
-    assert digest == "1c9ae50dfcb10f4834204090d47b8079a947b06474fa7997d9f19d8fcee6be6c"
+    assert digest == "1fba6a0089a0f7f0e2a950681abc91e06ed8c5dd9c072a24bd91adb3b27374a6"
 
 
 def test_frozen_scaled_reactor():
     # 100x the default pools for 10,000 events: the species table grows
-    # to 188 rows, past several capacity doublings of the pick trees
+    # to 190 rows, past several capacity doublings of the pick trees
     cfg = SoupConfig()
     state = ReactorState(
         {letter: 100 * n for letter, n in cfg.initial_free},
@@ -521,7 +571,7 @@ def test_frozen_scaled_reactor():
         "next_draw": repr(gen.random()),
     }
     text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-    assert len(state.seqs) == 188
+    assert len(state.seqs) == 190
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d42789ce1ff1a10f76f0213b96ccada9b0184db8f746a39d0a03a69a0557be23"
+        "f990aa7b2c43c981aca8c1182cc8f23b88b363be3b9a2d7598b40feb6943cf5a"
     )
