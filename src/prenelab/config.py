@@ -24,8 +24,11 @@ import re
 from fractions import Fraction
 from typing import Optional
 
+from .rng import is_int
+
 __all__ = [
     "ConfigError",
+    "check_fields",
     "parse_pairs",
     "parse_fraction",
     "escape_config_from_text",
@@ -117,9 +120,25 @@ def _schema(config_class) -> dict[str, type]:
     }
 
 
+def check_fields(config) -> None:
+    """Each keyed field holds a value of its default's kind, so that the text form
+    parses back: an int field an integer (not a bool), a float field a float or an
+    integer, a str field a str.  The seed is an unsigned 64-bit integer."""
+    for key, kind in {**_schema(type(config)), "master_seed": int}.items():
+        value = getattr(config, key)
+        if kind is int and not is_int(value):
+            raise ConfigError("must be an integer", key=key)
+        if kind is float and not (isinstance(value, float) or is_int(value)):
+            raise ConfigError("must be a float or an integer", key=key)
+        if kind is str and not isinstance(value, str):
+            raise ConfigError("must be a string", key=key)
+    if not 0 <= config.master_seed < 2**64:
+        raise ConfigError("must be an unsigned 64-bit integer", key="master_seed")
+
+
 def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
-    """EscapeConfig from config text; field validation errors become ConfigError."""
-    from .replicator import EscapeConfig, ExperimentConfigError  # loads NumPy
+    """EscapeConfig from config text, including the coat_start/coat_stop keys."""
+    from .replicator import EscapeConfig  # loads NumPy
 
     schema = _schema(EscapeConfig)
     kwargs = {}
@@ -135,15 +154,11 @@ def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
         if set(coat) != {"coat_start", "coat_stop"}:
             raise ConfigError("coat_start and coat_stop must be given together")
         kwargs["coat_span"] = (coat["coat_start"], coat["coat_stop"])
-    try:
-        return EscapeConfig(master_seed=master_seed, **kwargs)
-    except ExperimentConfigError as exc:
-        raise ConfigError(str(exc), key=exc.field_name) from None
+    return EscapeConfig(master_seed=master_seed, **kwargs)
 
 
 def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
     """SoupConfig from config text, including free.<L> and polymer.<SEQ> keys."""
-    from .replicator import ExperimentConfigError
     from .soup import SOUP_LETTERS, SoupConfig  # loads NumPy
 
     schema = _schema(SoupConfig)
@@ -170,10 +185,7 @@ def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
     kwargs["initial_free"] = tuple(sorted(free.items()))
     if saw_polymer:
         kwargs["initial_polymers"] = tuple(sorted(polymers.items()))
-    try:
-        return SoupConfig(master_seed=master_seed, **kwargs)
-    except ExperimentConfigError as exc:
-        raise ConfigError(str(exc), key=exc.field_name) from None
+    return SoupConfig(master_seed=master_seed, **kwargs)
 
 
 def _fmt(value) -> str:

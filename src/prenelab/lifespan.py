@@ -526,7 +526,7 @@ def optimality_sweep(g_grid: Iterable) -> SweepResult:
     schedules whose rates are the same double are ordered by their exact
     roots (_highest_roots).
     """
-    species = [g if isinstance(g, TreeSpecies) else TreeSpecies(_as_exact(g)) for g in g_grid]
+    species = [g if isinstance(g, TreeSpecies) else TreeSpecies(g) for g in g_grid]
     if not species:
         raise ValueError("empty sweep grid")
 

@@ -93,9 +93,8 @@ class Prene:
     recognizer: Callable[[bytes], bool]
 
     @classmethod
-    def exact(cls, target: bytes, id: Optional[str] = None) -> "Prene":
-        name = id if id is not None else f"exact:{base64.b64encode(target).decode()}"
-        return cls(name, lambda content: content == target)
+    def exact(cls, target: bytes) -> "Prene":
+        return cls(f"exact:{base64.b64encode(target).decode()}", lambda content: content == target)
 
 
 class StoredObject(NamedTuple):
@@ -206,6 +205,8 @@ class World:
     def _resolve_t(self, t: Optional[int]) -> int:
         if t is None:
             return self.now
+        if not is_int(t):
+            raise TypeError(f"t must be an integer, got {t!r}")
         if not -1 <= t <= self.now:
             raise ValueError(f"t={t} outside log range [-1, {self.now}]")
         return t

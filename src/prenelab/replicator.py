@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
+from .config import ConfigError, check_fields
 from .kernels import constant_runs, mutate_sites
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "MissingRegion",
     "RegionMapMismatch",
     "SpaceExhausted",
-    "ExperimentConfigError",
     "replicate",
     "replicate_batch",
     "mutant_fraction",
@@ -72,29 +72,6 @@ class RegionMapMismatch(ValueError):
 
 class SpaceExhausted(ValueError):
     """More distinct variable regions requested than the alphabet allows."""
-
-
-class ExperimentConfigError(ValueError):
-    """Invalid experiment configuration; names the offending field."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
-
-
-def _check_field_types(config) -> None:
-    """Each field of a config dataclass holds a value of its default's kind,
-    so that the config's text form parses back: an int field an integer, a
-    float field a float or an integer, a str field a str.  Bools are refused,
-    as `rng.is_int` refuses them."""
-    for f in fields(config):
-        value, kind = getattr(config, f.name), type(f.default)
-        if kind is int and not rng_mod.is_int(value):
-            raise ExperimentConfigError(f.name, "must be an integer")
-        if kind is float and not (isinstance(value, float) or rng_mod.is_int(value)):
-            raise ExperimentConfigError(f.name, "must be a float or an integer")
-        if kind is str and not isinstance(value, str):
-            raise ExperimentConfigError(f.name, "must be a string")
 
 
 def _index(value) -> int:
@@ -491,40 +468,37 @@ class EscapeConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        def bad(name, msg):
-            raise ExperimentConfigError(name, msg)
-
-        _check_field_types(self)
+        check_fields(self)
+        if not (isinstance(self.coat_span, tuple) and len(self.coat_span) == 2):
+            raise ConfigError("must be a (start, stop) pair", key="coat_span")
         if not all(map(rng_mod.is_int, self.coat_span)):
-            bad("coat_span", "bounds must be integers")
+            raise ConfigError("bounds must be integers", key="coat_span")
         if self.genome_length < 1:
-            bad("genome_length", "must be >= 1")
+            raise ConfigError("must be >= 1", key="genome_length")
         lo, hi = self.coat_span
         if not (0 <= lo < hi <= self.genome_length):
-            bad("coat_span", "must be a non-empty interval inside the genome")
+            raise ConfigError("must be a non-empty interval inside the genome", key="coat_span")
         if not 0.0 <= self.base_rate < 1.0:
-            bad("base_rate", "must lie in [0, 1)")
+            raise ConfigError("must lie in [0, 1)", key="base_rate")
         hot_rate = self.base_rate * self.hot_factor
         if not (math.isfinite(self.hot_factor) and self.hot_factor >= 0 and hot_rate < 1.0):
-            bad("hot_factor", "hot-region rate must stay in [0, 1)")
+            raise ConfigError("hot-region rate must stay in [0, 1)", key="hot_factor")
         if not 0.0 <= self.fidelity_rate < 1.0:
-            bad("fidelity_rate", "must lie in [0, 1)")
+            raise ConfigError("must lie in [0, 1)", key="fidelity_rate")
         if self.offspring_per_virion < 1:
-            bad("offspring_per_virion", "must be >= 1")
+            raise ConfigError("must be >= 1", key="offspring_per_virion")
         if self.capacity < 1:
-            bad("capacity", "must be >= 1")
+            raise ConfigError("must be >= 1", key="capacity")
         if self.immune_delay < 0:
-            bad("immune_delay", "must be >= 0")
+            raise ConfigError("must be >= 0", key="immune_delay")
         if not 0.0 <= self.kill_probability <= 1.0:
-            bad("kill_probability", "must lie in [0, 1]")
+            raise ConfigError("must lie in [0, 1]", key="kill_probability")
         if self.horizon < 1:
-            bad("horizon", "must be >= 1")
+            raise ConfigError("must be >= 1", key="horizon")
         if self.n_founders < 1:
-            bad("n_founders", "must be >= 1")
+            raise ConfigError("must be >= 1", key="n_founders")
         if self.n_pairs < 1:
-            bad("n_pairs", "must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            bad("master_seed", "must be an unsigned 64-bit integer")
+            raise ConfigError("must be >= 1", key="n_pairs")
 
     def founder(self) -> Genome:
         return Genome(

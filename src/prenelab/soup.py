@@ -59,7 +59,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .replicator import ExperimentConfigError, _check_field_types, sign_test
+from .config import ConfigError, check_fields
+from .replicator import sign_test
 
 __all__ = [
     "SOUP_LETTERS",
@@ -562,36 +563,37 @@ class SoupConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        def bad(name, msg):
-            raise ExperimentConfigError(name, msg)
-
-        _check_field_types(self)
+        check_fields(self)
+        for name in ("initial_free", "initial_polymers"):
+            pool = getattr(self, name)
+            if not isinstance(pool, tuple) or any(
+                not isinstance(p, tuple) or len(p) != 2 or not isinstance(p[0], str) for p in pool
+            ):
+                raise ConfigError("must be a tuple of (str, count) pairs", key=name)
         free = dict(self.initial_free)
         if len(free) != len(self.initial_free):
-            bad("initial_free", "a letter is listed twice")
+            raise ConfigError("a letter is listed twice", key="initial_free")
         if set(free) - set(SOUP_LETTERS):
-            bad("initial_free", f"letters must be among {SOUP_LETTERS}")
+            raise ConfigError(f"letters must be among {SOUP_LETTERS}", key="initial_free")
         if not all(_is_count(v) for v in free.values()):
-            bad("initial_free", "counts must be integers >= 0")
+            raise ConfigError("counts must be integers >= 0", key="initial_free")
         if len(dict(self.initial_polymers)) != len(self.initial_polymers):
-            bad("initial_polymers", "a polymer is listed twice")
+            raise ConfigError("a polymer is listed twice", key="initial_polymers")
         for seq, n in self.initial_polymers:
             if len(seq) < 2 or not set(seq) <= set(SOUP_LETTERS):
-                bad("initial_polymers", f"bad polymer {seq!r}")
+                raise ConfigError(f"bad polymer {seq!r}", key="initial_polymers")
             if not _is_count(n):
-                bad("initial_polymers", "counts must be integers >= 0")
+                raise ConfigError("counts must be integers >= 0", key="initial_polymers")
         for name in ("k_on", "k_off", "k_cat"):
             k = getattr(self, name)
             if not (math.isfinite(k) and k >= 0):
-                bad(name, "must be finite and >= 0")
+                raise ConfigError("must be finite and >= 0", key=name)
         if not self.motif or not set(self.motif) <= set(SOUP_LETTERS):
-            bad("motif", f"must be a non-empty string over {SOUP_LETTERS}")
+            raise ConfigError(f"must be a non-empty string over {SOUP_LETTERS}", key="motif")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
-            bad("horizon", "must be finite and > 0")
+            raise ConfigError("must be finite and > 0", key="horizon")
         if self.n_replicates < 1:
-            bad("n_replicates", "must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            bad("master_seed", "must be an unsigned 64-bit integer")
+            raise ConfigError("must be >= 1", key="n_replicates")
 
     def build_state(self, k_cat: Optional[float] = None) -> ReactorState:
         return ReactorState(

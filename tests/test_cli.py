@@ -309,6 +309,19 @@ class TestSoupRun:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, message", [("replicator", "must be >= 1"), ("soup", "must be finite and > 0")]
+)
+def test_bad_config_names_the_field_once(tmp_path, capsys, command, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("horizon = 0\n")
+    args = [command, "run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"prene-lab: config error: key 'horizon': {message}\n"
+
+
 class TestRegistryCli:
     def test_ingest_golden_is_canonical_fixed_point(self, tmp_path):
         out = tmp_path / "canon.jsonl"

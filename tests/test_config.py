@@ -17,7 +17,7 @@ from prenelab.config import (
     serialize_soup_config,
     soup_config_from_text,
 )
-from prenelab.replicator import EscapeConfig, ExperimentConfigError
+from prenelab.replicator import EscapeConfig
 from prenelab.soup import SoupConfig
 
 
@@ -189,7 +189,7 @@ def test_float_fields_refuse_bools_and_round_trip(config_class, values, from_tex
     assert floats
     for key in floats:
         for refused in (True, False, "0.5", None):
-            with pytest.raises(ExperimentConfigError, match=f"^{key}: must be a float or an integer$"):
+            with pytest.raises(ConfigError, match=f"^key '{key}': must be a float or an integer$"):
                 config_class(**{key: refused})
         number = float(values[key])
         for accepted in (number, int(number), np.float64(number), np.int64(int(number))):

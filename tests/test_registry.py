@@ -418,6 +418,20 @@ class TestLoader:
         )
 
 
+@pytest.mark.parametrize("t", [0.5, True, "1"])
+@pytest.mark.parametrize("query", ["copy_number", "classify", "alive_objects"])
+def test_queries_refuse_non_integer_times(query, t):
+    w = World()
+    w.create(1, "document", b"x")
+    w.create(2, "document", b"x")
+    w.destroy(1)
+    with pytest.raises(TypeError, match="t must be an integer"):
+        if query == "alive_objects":
+            w.alive_objects(t)
+        else:
+            getattr(registry, query)(w, Prene.exact(b"x"), t)
+
+
 class TestCopyNumber:
     def test_empty_world_zero(self):
         assert copy_number(World(), Prene.exact(b"anything")) == 0

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from _replicator_oracle import board
 from prenelab import rng
+from prenelab.config import ConfigError
 from prenelab.replicator import (
     LETTERS,
     Antibody,
     EscapeConfig,
-    ExperimentConfigError,
     Genome,
     MissingRegion,
     MutationProfile,
@@ -423,11 +423,11 @@ class TestPopulationCycle:
 
 class TestEscapeExperiment:
     def test_config_validation_names_field(self):
-        with pytest.raises(ExperimentConfigError, match="coat_span"):
+        with pytest.raises(ConfigError, match="coat_span"):
             EscapeConfig(coat_span=(10, 5))
-        with pytest.raises(ExperimentConfigError, match="hot_factor"):
+        with pytest.raises(ConfigError, match="hot_factor"):
             EscapeConfig(base_rate=0.2, hot_factor=10.0)
-        with pytest.raises(ExperimentConfigError, match="horizon"):
+        with pytest.raises(ConfigError, match="horizon"):
             EscapeConfig(horizon=0)
 
     @pytest.mark.parametrize(
@@ -445,10 +445,12 @@ class TestEscapeExperiment:
             ("n_pairs", True),
             ("immune_delay", True),
             ("coat_span", (False, 60)),
+            ("coat_span", (0, 60, 1)),
+            ("coat_span", 5),
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, field, value):
-        with pytest.raises(ExperimentConfigError, match=f"^{field}: "):
+        with pytest.raises(ConfigError, match=f"^key '{field}': "):
             EscapeConfig(**{field: value})
 
     def test_hot_coat_outlives_high_fidelity(self):

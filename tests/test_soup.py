@@ -11,7 +11,7 @@ import pytest
 
 from _soup_oracle import enumerate_reactions
 from prenelab import rng, soup
-from prenelab.replicator import ExperimentConfigError
+from prenelab.config import ConfigError
 from prenelab.soup import (
     CatalysisReport,
     CatalystRule,
@@ -453,10 +453,13 @@ class TestCatalysisExperiment:
             ({"initial_polymers": (("AC", True),)}, "initial_polymers"),
             ({"initial_free": (("A", 40), ("A", 5))}, "initial_free"),
             ({"initial_polymers": (("GAAG", 10), ("GAAG", 5))}, "initial_polymers"),
+            ({"initial_free": (("A", 1, 2),)}, "initial_free"),
+            ({"initial_polymers": (("GA",),)}, "initial_polymers"),
+            ({"initial_polymers": ((("G", "A"), 3),)}, "initial_polymers"),
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, field):
-        with pytest.raises(ExperimentConfigError, match=field):
+        with pytest.raises(ConfigError, match=field):
             SoupConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -467,7 +470,7 @@ class TestCatalysisExperiment:
         ],
     )
     def test_config_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ExperimentConfigError, match=f"^{field}: must be an integer$"):
+        with pytest.raises(ConfigError, match=f"^key '{field}': must be an integer$"):
             SoupConfig(**{field: value})
 
     def test_config_accepts_numpy_integer_counts(self):
@@ -475,15 +478,15 @@ class TestCatalysisExperiment:
         assert config.n_replicates == 2 and config.master_seed == 3
 
     def test_config_validation_names_field(self):
-        with pytest.raises(ExperimentConfigError, match="k_cat"):
+        with pytest.raises(ConfigError, match="k_cat"):
             SoupConfig(k_cat=-1)
-        with pytest.raises(ExperimentConfigError, match="initial_polymers"):
+        with pytest.raises(ConfigError, match="initial_polymers"):
             SoupConfig(initial_polymers=(("A", 3),))
-        with pytest.raises(ExperimentConfigError, match="horizon"):
+        with pytest.raises(ConfigError, match="horizon"):
             SoupConfig(horizon=0)
-        with pytest.raises(ExperimentConfigError, match="motif"):
+        with pytest.raises(ConfigError, match="motif"):
             SoupConfig(motif="AXA")
-        with pytest.raises(ExperimentConfigError, match="^motif: must be a string$"):
+        with pytest.raises(ConfigError, match="^key 'motif': must be a string$"):
             SoupConfig(motif=("G", "A"))  # its text form would not parse back
 
     def test_zero_kcat_arms_identical(self):
