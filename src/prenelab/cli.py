@@ -162,30 +162,18 @@ def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
 
 # replicator
 
-def _trace_line(profile: str, e: dict) -> str:
-    """One pair-0 event, as `json.dumps({"pair": 0, "profile": profile, **e},
-    sort_keys=True, separators=(",", ":"))` writes it: each kind's keys sorted."""
-    kind = e["kind"]
-    if kind == "birth":
-        sites = ",".join(map(str, e["sites"]))
-        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"birth","pair":0,'
-                f'"parent":{e["parent"]},"profile":"{profile}","sites":[{sites}]}}\n')
-    if kind == "poster":
-        return (f'{{"activation":{e["activation"]},"day":{e["day"]},"kind":"poster",'
-                f'"pair":0,"profile":"{profile}","signature":"{e["signature"]}"}}\n')
-    if kind == "kill":
-        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"kill","pair":0,'
-                f'"profile":"{profile}","signature":"{e["signature"]}"}}\n')
-    removed = ",".join(map(str, e["removed"]))  # cull
-    return f'{{"day":{e["day"]},"kind":"cull","pair":0,"profile":"{profile}","removed":[{removed}]}}\n'
-
-
 def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
     from . import replicator  # loads NumPy
 
     text = _read_text(args.config) if args.config else ""
     config = escape_config_from_text(text, master_seed=args.seed)
-    report = replicator.run_escape_experiment(config)
+    if args.events:  # pair 0's event trace, written while the experiment runs it
+        events_path = Path(args.events)
+        events_path.parent.mkdir(parents=True, exist_ok=True)
+        with events_path.open("w", encoding="utf-8", newline="\n") as fh:
+            report = replicator.run_escape_experiment(config, trace=fh)
+    else:
+        report = replicator.run_escape_experiment(config)
 
     rows = []
     for o in report.outcomes:
@@ -193,23 +181,7 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
         rows.append([o.pair_index, "fidelity", o.fidelity_extinction_day, o.fidelity_peak])
     out = Path(args.out)
     _write_table(out, args.format, ["seed", "profile", "extinction_day", "peak_pop"], rows)
-    artifacts = [str(out)]
-
-    if args.events:
-        # full event trace of pair 0, both arms, for inspection
-        events_path = Path(args.events)
-        events_path.parent.mkdir(parents=True, exist_ok=True)
-        with events_path.open("w", encoding="utf-8", newline="\n") as fh:
-            for profile_name, profile in (
-                ("hot", config.hot_profile()),
-                ("fidelity", config.fidelity_profile()),
-            ):
-                state = replicator._run_arm(
-                    config, profile, rng.stream(config.master_seed, rng.REPLICATOR, 0),
-                    record_events=True,
-                )
-                fh.writelines(_trace_line(profile_name, event) for event in state.events)
-        artifacts.append(str(events_path))
+    artifacts = [str(out), str(events_path)] if args.events else [str(out)]
 
     echo = {key: value for _, key, value in parse_pairs(serialize_escape_config(config))}
     echo.update(hot_wins=report.hot_wins, fidelity_wins=report.fidelity_wins,
@@ -243,18 +215,8 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     rows = []
 
     def on_sample(t: float, state: soup.ReactorState) -> None:
-        rows.append(
-            [
-                t,
-                state.free_of("A"),
-                state.free_of("C"),
-                state.free_of("G"),
-                state.free_of("U"),
-                len(state.seqs),
-                state.n_catalysts(),
-                state.n_aaa_enders(),
-            ]
-        )
+        free = [state.free_of(letter) for letter in "ACGU"]
+        rows.append([t, *free, len(state.seqs), state.n_catalysts(), state.n_aaa_enders()])
 
     state = config.build_state()
     gen = rng.stream(config.master_seed, rng.SOUP, 0)  # soup experiment replicate 0's stream
@@ -280,7 +242,7 @@ def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(world.to_jsonl().encode("utf-8"))
-    echo = {"log": args.log, "events": world.now + 1, "objects": len(world._row)}
+    echo = {"log": args.log, "events": world.now + 1, "objects": world.n_objects}
     return echo, [str(out)]
 
 
@@ -299,7 +261,7 @@ def _cmd_registry_query(args) -> tuple[dict, list[str]]:
     world = _load_world(args.log)
     t = args.at
     try:
-        at = world._resolve_t(t)
+        at = world.resolve_t(t)
     except ValueError as exc:
         raise ConfigError(str(exc), key="--at") from None
 

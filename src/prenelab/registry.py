@@ -202,7 +202,13 @@ class World:
     def now(self) -> int:
         return len(self._kinds) - 1
 
-    def _resolve_t(self, t: Optional[int]) -> int:
+    @property
+    def n_objects(self) -> int:
+        """How many objects the log has created, alive or not."""
+        return len(self._ids)
+
+    def resolve_t(self, t: Optional[int]) -> int:
+        """t checked against the log's range; None means `now`."""
         if t is None:
             return self.now
         if not is_int(t):
@@ -247,7 +253,7 @@ class World:
         return out
 
     def alive_objects(self, t: Optional[int] = None) -> list[StoredObject]:
-        at = self._resolve_t(t)
+        at = self.resolve_t(t)
         return self._views(self._alive_rows(range(len(self._ids)), at))
 
     # serialization
@@ -405,7 +411,7 @@ def _accepted(world: World, prene: Prene) -> list[_Content]:
 
 def copy_number(world: World, prene: Prene, t: Optional[int] = None) -> int:
     """How many distinct alive objects store this prene at t."""
-    at = world._resolve_t(t)
+    at = world.resolve_t(t)
     return sum(len(world._alive_rows(c.rows, at)) for c in _accepted(world, prene))
 
 
@@ -422,7 +428,7 @@ def classify(world: World, prene: Prene, t: Optional[int] = None) -> Classificat
     Flags may overlap; copies on document or other substrates keep a
     prene alive without earning any flag.
     """
-    at = world._resolve_t(t)
+    at = world.resolve_t(t)
     present = {c.substrate for c in _accepted(world, prene) if world._alive_rows(c.rows, at)}
     return Classification(
         gene="nucleic_acid" in present,

@@ -20,7 +20,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -239,11 +239,13 @@ def replicate_batch(
     """
     if parent_codes.ndim != 2:
         raise ValueError("parent_codes must be a 2-d matrix")
-    if parent_codes.shape[1] != len(profile):
-        raise ProfileLengthMismatch(
-            f"profile length {len(profile)} != strand length {parent_codes.shape[1]}"
-        )
+    _check_width(profile, parent_codes.shape[1])
     return mutate_sites(parent_codes, profile.runs, gen)
+
+
+def _check_width(profile: MutationProfile, length: int) -> None:
+    if length != len(profile):
+        raise ProfileLengthMismatch(f"profile length {len(profile)} != strand length {length}")
 
 
 def mutant_fraction(
@@ -272,6 +274,9 @@ class PopulationState:
     fixed `immune_delay` after the day it is posted, `posters` never
     decreases.  Code that writes `codes` directly must set `coat` of the
     rows it wrote to -1.
+
+    `events` is the list that the day's steps append event dicts to, or
+    None.  Only a traced state numbers its virions, in `ids` and `next_id`.
     """
 
     def __init__(
@@ -282,7 +287,7 @@ class PopulationState:
         gen: np.random.Generator,
         immune_delay: int,
         kill_probability: float,
-        record_events: bool = False,
+        events: Optional[list] = None,
     ):
         capacity = _index(capacity)
         n_founders = _index(n_founders)
@@ -299,8 +304,6 @@ class PopulationState:
         self.coat_span = founder.regions["coat"]
         self.codes = np.repeat(founder.codes.reshape(1, -1), n_founders, axis=0)
         self.coat = np.full(n_founders, -1, dtype=np.int64)
-        self.ids = np.arange(n_founders, dtype=np.int64)
-        self.next_id = n_founders
         self.day = 0
         self.capacity = capacity
         self.gen = gen
@@ -308,8 +311,10 @@ class PopulationState:
         self.kill_probability = kill_probability
         self.coat_ids: dict[bytes, int] = {}  # coat letter codes -> coat id
         self.posters: list[int] = []  # coat id -> activation day
-        self.record_events = record_events
-        self.events: list[dict] = []
+        self.events = events
+        if events is not None:
+            self.ids = np.arange(n_founders, dtype=np.int64)
+            self.next_id = n_founders
         self.peak_population = n_founders
 
     @property
@@ -320,11 +325,6 @@ class PopulationState:
         """Keep only the virions that the mask or index array `keep` selects."""
         self.codes = self.codes[keep]
         self.coat = self.coat[keep]
-        self.ids = self.ids[keep]
-
-    def _log(self, **event) -> None:
-        if self.record_events:
-            self.events.append(event)
 
 
 def replicate_population(state: PopulationState, profile: MutationProfile, offspring_per_virion: int) -> None:
@@ -341,11 +341,10 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     coat = np.repeat(state.coat, offspring_per_virion)
     start, stop = state.coat_span
     coat[rows[(cols >= start) & (cols < stop)]] = -1
-    n = batch.shape[0]
-    child_ids = np.arange(state.next_id, state.next_id + n, dtype=np.int64)
-    state.next_id += n
-    if state.record_events:
+    if state.events is not None:
         parents = np.repeat(state.ids, offspring_per_virion).tolist()
+        state.ids = np.arange(state.next_id, state.next_id + len(batch), dtype=np.int64)
+        state.next_id += len(batch)
         sites_by_row: dict[int, list] = {}
         for r, c in zip(rows.tolist(), cols.tolist()):
             sites_by_row.setdefault(r, []).append(c)
@@ -353,11 +352,10 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
         state.events.extend(
             {"kind": "birth", "day": day, "id": child, "parent": parent,
              "sites": sites_by_row.get(i, [])}
-            for i, (child, parent) in enumerate(zip(child_ids.tolist(), parents))
+            for i, (child, parent) in enumerate(zip(state.ids.tolist(), parents))
         )
     state.codes = batch
     state.coat = coat
-    state.ids = child_ids
 
 
 def immune_step(state: PopulationState) -> PopulationState:
@@ -383,6 +381,7 @@ def immune_step(state: PopulationState) -> PopulationState:
         raise ValueError("coat must hold one id per virion")
     day = state.day
     posters = state.posters
+    events = state.events
     start, stop = state.coat_span
     unknown = np.flatnonzero(state.coat < 0)
     if unknown.size:
@@ -397,11 +396,11 @@ def immune_step(state: PopulationState) -> PopulationState:
         found = [setdefault(coat, len(interned)) for coat in coats]  # new coat: next id
         posters.extend([activation] * (len(interned) - issued))
         state.coat[unknown] = found
-        if state.record_events:
+        if events is not None:
             for coat, cid in zip(coats, found):
                 if cid == issued:  # first sighting of the next new coat
-                    state._log(kind="poster", day=day, signature=_codes_to_str(coat),
-                               activation=activation)
+                    events.append({"kind": "poster", "day": day, "signature": _codes_to_str(coat),
+                                   "activation": activation})
                     issued += 1
     shot = np.flatnonzero(state.coat < bisect_right(posters, day))
     if shot.size == 0:
@@ -409,12 +408,13 @@ def immune_step(state: PopulationState) -> PopulationState:
     dead = shot[state.gen.random(shot.size) < state.kill_probability]
     if dead.size == 0:
         return state
-    if state.record_events:
-        for i in dead.tolist():
-            signature = _codes_to_str(state.codes[i, start:stop])
-            state._log(kind="kill", day=day, id=int(state.ids[i]), signature=signature)
     keep = np.ones(state.population, dtype=bool)
     keep[dead] = False
+    if events is not None:
+        for i in dead.tolist():
+            signature = _codes_to_str(state.codes[i, start:stop])
+            events.append({"kind": "kill", "day": day, "id": int(state.ids[i]), "signature": signature})
+        state.ids = state.ids[keep]
     state._keep(keep)
     return state
 
@@ -429,8 +429,10 @@ def cull_to_capacity(state: PopulationState) -> None:
     if n <= state.capacity:
         return
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
-    if state.record_events:
-        state._log(kind="cull", day=state.day, removed=np.delete(state.ids, keep).tolist())
+    if state.events is not None:
+        state.events.append({"kind": "cull", "day": state.day,
+                             "removed": np.delete(state.ids, keep).tolist()})
+        state.ids = state.ids[keep]
     state._keep(keep)
 
 
@@ -438,10 +440,12 @@ def run_population_day(
     state: PopulationState, profile: MutationProfile, offspring_per_virion: int
 ) -> None:
     """One full day: replicate, immune step, capacity cull.  The offspring
-    count is checked before the day moves or anything is drawn."""
+    count and the profile's width are checked before the day moves or
+    anything is drawn, also for an empty population."""
     offspring_per_virion = _index(offspring_per_virion)
     if offspring_per_virion < 1:
         raise ValueError("offspring_per_virion must be >= 1")
+    _check_width(profile, state.codes.shape[1])
     state.day += 1
     replicate_population(state, profile, offspring_per_virion)
     immune_step(state)
@@ -539,12 +543,12 @@ class EscapeReport:
 
 def _run_arm(
     config: EscapeConfig, profile: MutationProfile, gen: np.random.Generator,
-    record_events: bool = False,
+    events: Optional[list] = None,
 ) -> PopulationState:
     state = PopulationState(
         config.founder(), config.n_founders, config.capacity, gen,
         immune_delay=config.immune_delay, kill_probability=config.kill_probability,
-        record_events=record_events,
+        events=events,
     )
     for _ in range(config.horizon):
         run_population_day(state, profile, config.offspring_per_virion)
@@ -567,21 +571,46 @@ def sign_test(scores) -> tuple[int, int, int, float]:
     return wins, n - wins, len(scores) - n, p
 
 
-def run_escape_experiment(config: EscapeConfig) -> EscapeReport:
+def _trace_line(profile: str, e: dict) -> str:
+    """One pair-0 event, as `json.dumps({"pair": 0, "profile": profile, **e},
+    sort_keys=True, separators=(",", ":"))` writes it: each kind's keys sorted."""
+    kind = e["kind"]
+    if kind == "birth":
+        sites = ",".join(map(str, e["sites"]))
+        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"birth","pair":0,'
+                f'"parent":{e["parent"]},"profile":"{profile}","sites":[{sites}]}}\n')
+    if kind == "poster":
+        return (f'{{"activation":{e["activation"]},"day":{e["day"]},"kind":"poster",'
+                f'"pair":0,"profile":"{profile}","signature":"{e["signature"]}"}}\n')
+    if kind == "kill":
+        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"kill","pair":0,'
+                f'"profile":"{profile}","signature":"{e["signature"]}"}}\n')
+    removed = ",".join(map(str, e["removed"]))  # cull
+    return f'{{"day":{e["day"]},"kind":"cull","pair":0,"profile":"{profile}","removed":[{removed}]}}\n'
+
+
+def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) -> EscapeReport:
     """Paired comparison: hot-coat mutator vs high-fidelity copier.
 
     Both arms of pair i consume the one stream of (master_seed,
     REPLICATOR, i), so differences are attributable to the profile.  An
     arm survives until its extinction day, or horizon + 1 if it outlives
-    the horizon; the longer survivor wins the pair.
+    the horizon; the longer survivor wins the pair.  With a text stream
+    `trace`, pair 0 is traced as it runs: its hot arm's events, then its
+    fidelity arm's, one JSON line each.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
     outcomes = []
     for i in range(config.n_pairs):
         key = (config.master_seed, rng_mod.REPLICATOR, i)
-        hot = _run_arm(config, hot_profile, rng_mod.stream(*key))
-        fid = _run_arm(config, fid_profile, rng_mod.stream(*key))
+        arms = []
+        for name, profile in (("hot", hot_profile), ("fidelity", fid_profile)):
+            events = [] if trace is not None and i == 0 else None
+            arms.append(_run_arm(config, profile, rng_mod.stream(*key), events))
+            if events is not None:
+                trace.writelines(_trace_line(name, e) for e in events)
+        hot, fid = arms
         outcomes.append(
             PairOutcome(
                 i,

@@ -8,9 +8,11 @@ active poster, compared with the run's kill probability, and the cull's
 removed-id list built on every call.  The vectorised functions must
 leave a state exactly as these do, down to the generator position.
 
-The reference reads and writes only the state's codes, ids, events and
-generator; `board` translates the package's interned board into the
-reference's form for comparison.
+The reference reads and writes only the state's codes, events and
+generator, and the ids of a traced state: it appends to `state.events`,
+and gathers `state.ids`, only when `state.events` is not None.  `board`
+translates the package's interned board into the reference's form for
+comparison.
 """
 
 import numpy as np
@@ -32,14 +34,16 @@ def board(state) -> dict[str, int]:
 
 def immune_step(state, posters: dict):
     """One immune step of `state` against the reference board `posters`."""
+    traced = state.events is not None
     sigs = signatures(state)
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
         if sig not in posters:
             posters[sig] = state.day + state.immune_delay
-            state._log(
-                kind="poster", day=state.day, signature=sig,
-                activation=posters[sig],
-            )
+            if traced:
+                state.events.append(dict(
+                    kind="poster", day=state.day, signature=sig,
+                    activation=posters[sig],
+                ))
     if state.population == 0:
         return state
     keep = np.ones(state.population, dtype=bool)
@@ -47,9 +51,12 @@ def immune_step(state, posters: dict):
         active = posters[sig] <= state.day
         if active and state.gen.random() < state.kill_probability:
             keep[i] = False
-            state._log(kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
+            if traced:
+                state.events.append(dict(kind="kill", day=state.day, id=int(state.ids[i]),
+                                         signature=sig))
     state.codes = state.codes[keep]
-    state.ids = state.ids[keep]
+    if traced:
+        state.ids = state.ids[keep]
     return state
 
 
@@ -59,6 +66,8 @@ def cull_to_capacity(state) -> None:
         return
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
     removed = np.setdiff1d(np.arange(n), keep)
-    state._log(kind="cull", day=state.day, removed=[int(state.ids[i]) for i in removed])
     state.codes = state.codes[keep]
-    state.ids = state.ids[keep]
+    if state.events is not None:
+        state.events.append(dict(kind="cull", day=state.day,
+                                 removed=[int(state.ids[i]) for i in removed]))
+        state.ids = state.ids[keep]

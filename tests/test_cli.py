@@ -168,6 +168,33 @@ class TestReplicatorRun:
         assert report["config"]["capacity"] == "20"
         assert set(report["artifacts"]) == {str(out), str(events)}
 
+    def test_traced_run_draws_one_stream_per_arm(self, tmp_path, monkeypatch):
+        # pair 0 is traced while the experiment runs it, not run a second time
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text("genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\nn_pairs = 3\n")
+        calls = []
+        stream = rng.stream
+        monkeypatch.setattr(rng, "stream", lambda *key: calls.append(key) or stream(*key))
+        run_cli(
+            ["replicator", "run", "--seed", "5", "--config", str(cfg),
+             "--out", str(tmp_path / "summary.csv"), "--events", str(tmp_path / "events.jsonl")],
+            tmp_path,
+        )
+        assert len(calls) == 2 * 3
+        assert (tmp_path / "events.jsonl").stat().st_size > 0
+
+    def test_events_path_naming_a_directory_exits_1_before_running(self, tmp_path, capsys):
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text("genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\nn_pairs = 2\n")
+        out = tmp_path / "summary.csv"
+        args = ["replicator", "run", "--config", str(cfg), "--out", str(out), "--events", str(tmp_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("prene-lab: io error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()  # the trace is opened before the experiment runs
+
     def test_survivors_marked_none_in_csv(self, tmp_path):
         # kill probability zero: nothing ever dies inside the horizon
         cfg = tmp_path / "rep.cfg"
@@ -220,7 +247,7 @@ class TestReplicatorRun:
         for profile, mutation in (("hot", config.hot_profile()),
                                   ("fidelity", config.fidelity_profile())):
             state = replicator._run_arm(
-                config, mutation, rng.stream(3, rng.REPLICATOR, 0), record_events=True
+                config, mutation, rng.stream(3, rng.REPLICATOR, 0), events=[]
             )
             expected += [
                 json.dumps({"pair": 0, "profile": profile, **e}, sort_keys=True,

@@ -89,3 +89,38 @@ def test_every_exported_name_is_used_outside_tests():
         if not used[x] and x not in PAPER_FEATURES
     ]
     assert unused == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(path: Path) -> list[str]:
+    """Underscore attributes that a file reads but never defines itself.
+
+    A file defines a name by a `def` or `class` statement, by binding it,
+    or by assigning it as an attribute (`self._x = ...`).  Reading another
+    module's private name couples the two modules behind its back.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return sorted({
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and _is_private(node.attr) and node.attr not in defined
+    })
+
+
+def test_no_module_reads_another_modules_private_names():
+    files = sorted((ROOT / "src" / "prenelab").glob("*.py"))
+    assert files
+    found = {path.name: names for path in files if (names := _foreign_private_reads(path))}
+    assert found == {}

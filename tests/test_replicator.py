@@ -1,6 +1,7 @@
 """Replication-error profiles, immune escape, and antibody generation."""
 
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -253,7 +254,6 @@ class TestImmuneStep:
         state = _founder_state()
         state.codes = state.codes[:0]
         state.coat = state.coat[:0]
-        state.ids = state.ids[:0]
         immune_step(state)
         assert state.population == 0 and state.posters == [] and state.coat_ids == {}
 
@@ -313,7 +313,7 @@ class TestImmuneStep:
         g = Genome(np.zeros(30, dtype=np.uint8), {"coat": (0, 10)})
         state = PopulationState(
             g, 8, 200, rng.stream(32, 0), immune_delay=2, kill_probability=1.0,
-            record_events=True,
+            events=[],
         )
         profile = MutationProfile.region_multiplier(
             0.001, 30, {"coat": (0, 10)}, {"coat": 50.0}
@@ -329,7 +329,7 @@ class TestImmuneStep:
 
     def test_kill_events_match_poster_signatures(self):
         state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7)
-        state.record_events = True
+        state.events, state.ids, state.next_id = [], np.arange(6), 6
         immune_step(state)
         kills = [e for e in state.events if e["kind"] == "kill"]
         assert kills
@@ -383,7 +383,7 @@ class TestPopulationCycle:
 
     def test_ids_unique_and_parents_exist(self):
         state = _founder_state(n_founders=3, capacity=30, kill_probability=0.2)
-        state.record_events = True
+        state.events, state.ids, state.next_id = [], np.arange(3), 3
         profile = MutationProfile.uniform(0.05, 8)
         for _ in range(6):
             run_population_day(state, profile, 2)
@@ -419,6 +419,20 @@ class TestPopulationCycle:
         assert state.day == 0
         assert np.array_equal(state.codes, codes) and np.array_equal(state.coat, coat)
         assert repr(state.gen.bit_generator.state) == repr(position)
+
+    @pytest.mark.parametrize("n_founders", [3, 0])
+    def test_refused_profile_width_leaves_state_unchanged(self, n_founders):
+        # an empty population replicates nothing, and is refused all the same
+        state = _founder_state(n_founders=max(n_founders, 1))
+        state.codes = state.codes[:n_founders]
+        state.coat = state.coat[:n_founders]
+        codes = state.codes.copy()
+        position = repr(state.gen.bit_generator.state)
+        with pytest.raises(ProfileLengthMismatch):
+            run_population_day(state, MutationProfile.uniform(0.1, 9), 2)
+        assert state.day == 0 and state.population == n_founders
+        assert np.array_equal(state.codes, codes)
+        assert repr(state.gen.bit_generator.state) == position
 
 
 class TestEscapeExperiment:
@@ -467,13 +481,21 @@ class TestEscapeExperiment:
         assert a.outcomes == b.outcomes
         assert a.p_value == b.p_value
 
+    def test_trace_leaves_the_outcomes_unchanged(self):
+        cfg = EscapeConfig(n_pairs=3, horizon=10, master_seed=5)
+        trace = io.StringIO()
+        assert run_escape_experiment(cfg, trace=trace) == run_escape_experiment(cfg)
+        profiles = [json.loads(line)["profile"] for line in trace.getvalue().splitlines()]
+        assert profiles == sorted(profiles, key=["hot", "fidelity"].index)
+        assert set(profiles) == {"hot", "fidelity"}
+
     def test_full_event_trace_deterministic(self):
         from prenelab.replicator import _run_arm
 
         cfg = EscapeConfig(n_pairs=1, horizon=12, master_seed=9)
         profile = cfg.hot_profile()
-        a = _run_arm(cfg, profile, rng.stream(9, 0), record_events=True)
-        b = _run_arm(cfg, profile, rng.stream(9, 0), record_events=True)
+        a = _run_arm(cfg, profile, rng.stream(9, 0), events=[])
+        b = _run_arm(cfg, profile, rng.stream(9, 0), events=[])
         assert a.events == b.events
         assert len(a.events) > 0
 
@@ -496,7 +518,7 @@ def test_frozen_event_trace(arm):
 
     cfg = EscapeConfig(horizon=15, master_seed=9)
     profile = cfg.hot_profile() if arm == "hot" else cfg.fidelity_profile()
-    state = _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), record_events=True)
+    state = _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), events=[])
     text = "".join(
         json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in state.events
     )
