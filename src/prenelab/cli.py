@@ -20,17 +20,12 @@ offender named); 1 IO or input-data failure.
 from __future__ import annotations
 
 import argparse
-import base64
-import binascii
-import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
 
-from . import __version__, lifespan, registry, rng
+from . import __version__, rng
 from .config import (
     ConfigError,
     escape_config_from_text,
@@ -47,7 +42,7 @@ __all__ = ["main"]
 # flag value parsers: argparse reports failures as exit-2 usage errors
 # that name the flag
 
-def _bounded_int(low: int, high: Optional[int], message: str):
+def _bounded_int(low: int, high: int | None, message: str):
     """Parser for a base-10 integer in [low, high); high=None is unbounded."""
 
     def parse(text: str) -> int:
@@ -79,7 +74,7 @@ def _fraction(text: str) -> Fraction:
 
 # artifact writers: explicit LF endings, header always present
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def _write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
@@ -103,23 +98,19 @@ def _cell(value) -> str:
         return "none"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     return str(value)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, error: type[Exception] = ConfigError) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        raise ConfigError(f"{path} is not valid UTF-8")
+        raise error(f"{path} is not valid UTF-8") from None
 
 
 # lifespan
 
-def _lambda_row(
-    species: lifespan.TreeSpecies, table: lifespan.LifeTable, rate: lifespan.GrowthRate, *extra
-) -> list:
+def _lambda_row(species, table, rate, *extra) -> list:
     """g as p/q, lambda, `extra`, then birth ages ("a;b;first+stepk") and death age."""
     g = species.gene_number
     ages = [str(a) for a in table.birth_ages]
@@ -131,7 +122,12 @@ def _lambda_row(
 
 
 def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
+    from fractions import Fraction
+    from . import lifespan
+
     genes = args.g if args.g else [Fraction(1), Fraction(1, 2)]
+    if len(set(genes)) < len(genes):  # Fractions compare reduced: 2/4 repeats 1/2
+        raise ConfigError("a gene number is given twice", key="--g")
     species = [lifespan.TreeSpecies(g) for g in genes]
     census = lifespan.simulate_census(species, args.days)
     rows = [[day, label, count] for day, label, count in census.csv_rows()]
@@ -141,6 +137,9 @@ def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_lifespan_sweep(args) -> tuple[dict, list[str]]:
+    from fractions import Fraction
+    from . import lifespan
+
     grid = [Fraction(i, args.steps) for i in range(args.steps + 1)]
     result = lifespan.optimality_sweep(grid)
     rows = [_lambda_row(*row) for row in result.rows]
@@ -150,6 +149,8 @@ def _cmd_lifespan_sweep(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
+    from . import lifespan
+
     species = lifespan.TreeSpecies(args.g)
     table = lifespan.life_table(species)
     rate = lifespan.growth_rate(table)
@@ -192,6 +193,7 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
 # soup
 
 def _cmd_soup_run(args) -> tuple[dict, list[str]]:
+    import dataclasses
     from . import soup  # loads NumPy
 
     text = _read_text(args.config) if args.config else ""
@@ -221,20 +223,25 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     state = config.build_state()
     gen = rng.stream(config.master_seed, rng.SOUP, 0)  # soup experiment replicate 0's stream
     soup.run_until(state, config.horizon, gen, grid, on_sample)
-    _write_table(
-        out,
-        args.format,
-        ["t", "free_A", "free_C", "free_G", "free_U", "n_species", "n_P", "n_AAA_enders"],
-        rows,
-    )
+    header = ["t", "free_A", "free_C", "free_G", "free_U", "n_species", "n_P", "n_AAA_enders"]
+    _write_table(out, args.format, header, rows)
     echo["samples"] = args.samples
     return echo, [str(out)]
 
 
 # registry
 
+class _LogError(Exception):
+    """A bad event log; main reports it as a log error, exit 1."""
+
+
 def _load_world(path: str) -> registry.World:
-    return registry.World.from_jsonl(_read_text(path))
+    from . import registry
+
+    try:
+        return registry.World.from_jsonl(_read_text(path, _LogError))
+    except registry.LogError as exc:
+        raise _LogError(str(exc)) from None
 
 
 def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
@@ -247,10 +254,12 @@ def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
 
 
 def _query_content(args) -> bytes:
+    import base64
+
     if args.content_b64 is not None:
         try:
             return base64.b64decode(args.content_b64, validate=True)
-        except (binascii.Error, ValueError):
+        except ValueError:  # binascii.Error is a ValueError
             raise ConfigError("--content-b64 is not valid base64")
     if args.content is not None:
         return args.content.encode("utf-8")
@@ -258,6 +267,9 @@ def _query_content(args) -> bytes:
 
 
 def _cmd_registry_query(args) -> tuple[dict, list[str]]:
+    import base64
+    from . import registry
+
     world = _load_world(args.log)
     t = args.at
     try:
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run one command; on success print its run report and return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -399,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"prene-lab: config error: {exc}", file=sys.stderr)
         return 2
-    except registry.LogError as exc:
+    except _LogError as exc:
         print(f"prene-lab: log error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

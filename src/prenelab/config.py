@@ -18,11 +18,8 @@ typed values, and serialize is canonical (sorted keys, one space around
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from fractions import Fraction
-from typing import Optional
 
 from .rng import is_int
 
@@ -43,7 +40,7 @@ _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_]+)*$")
 class ConfigError(ValueError):
     """Config rejected; carries the offending line number and key."""
 
-    def __init__(self, message: str, line: Optional[int] = None, key: Optional[str] = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         where = []
         if line is not None:
             where.append(f"line {line}")
@@ -90,6 +87,8 @@ def parse_pairs(text) -> list[tuple[int, str, str]]:
 
 def parse_fraction(value: str) -> Fraction:
     """Exact rational from `p/q` or a bare integer literal."""
+    from fractions import Fraction
+
     value = value.strip()
     if re.fullmatch(r"-?\d+(\s*/\s*\d+)?", value) is None:
         raise ValueError(f"not a fraction: {value!r}")
@@ -113,6 +112,8 @@ def _typed(value: str, kind: type, line: int, key: str):
 
 def _schema(config_class) -> dict[str, type]:
     """Config key -> type: each field with an int, float or str default but the seed."""
+    import dataclasses
+
     return {
         f.name: type(f.default)
         for f in dataclasses.fields(config_class)

@@ -93,6 +93,16 @@ class TestLifespanTable:
         assert lines[1] == "0,2/5,1"
         assert lines[2] == "0,0,1"
 
+    @pytest.mark.parametrize("second", ["1/2", "2/4", " 3 / 6"])
+    def test_gene_number_given_twice_exits_2(self, tmp_path, capsys, second):
+        out = tmp_path / "census.csv"
+        args = ["lifespan", "table", "--g", "1/2", "--g", second, "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "prene-lab: config error: key '--g': a gene number is given twice\n"
+        assert not out.exists()
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "census.jsonl"
         run_cli(
@@ -336,6 +346,16 @@ class TestSoupRun:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["replicator", "soup"])
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"horizon = \xff\n")
+    assert main([command, "run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"prene-lab: config error: {cfg} is not valid UTF-8\n"
+
+
 @pytest.mark.parametrize(
     "command, message", [("replicator", "must be >= 1"), ("soup", "must be finite and > 0")]
 )
@@ -465,6 +485,20 @@ class TestRegistryCli:
             check=False,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["ingest", "query"])
+    def test_non_utf8_log_is_a_log_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"i": 0, "kind": "create", "obj": 1, "substrate": "\xff"}\n')
+        extra = {
+            "ingest": ["--out", str(tmp_path / "o.jsonl")],
+            "query": ["--what", "copy-number", "--content", "ABC"],
+        }[command]
+        assert main(["registry", command, "--log", str(bad), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"prene-lab: log error: {bad} is not valid UTF-8\n"
+        assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize("content_b64", ["QUJ", "QU JD!!", "QUJD\u00e9", 5])
     @pytest.mark.parametrize("command", ["ingest", "query"])
@@ -692,32 +726,49 @@ import json, sys
 from prenelab.cli import main
 try:
     code = main(sys.argv[1:])
-except SystemExit as exc:  # --version exits from argparse
+except SystemExit as exc:  # --version and --help exit from argparse
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({
+    "code": code,
+    "numpy": "numpy" in sys.modules,
+    "prenelab": sorted(m for m in sys.modules if m.startswith("prenelab.")),
+    "stdlib": [m for m in ("dataclasses", "fractions", "inspect") if m in sys.modules],
+}))
 """
+_CORE = ["prenelab.cli", "prenelab.config", "prenelab.rng"]
+_STDLIB = ["dataclasses", "fractions", "inspect"]
 
 
 class TestImports:
-    """A command loads NumPy only if it runs a model that draws from it."""
+    """A command loads NumPy, and a model module, only if it runs that model.
+
+    `--version` and `--help` load no model module, nor `dataclasses`
+    (with the `inspect` it pulls in) or `fractions`; the registry
+    commands do without `fractions`.
+    """
 
     @pytest.mark.parametrize(
-        "args, artifact, numpy",
+        "args, artifact, numpy, models, absent",
         [
-            (["--version"], None, False),
-            (["lifespan", "table", "--days", "5", "--out", "census.csv"], "census.csv", False),
+            (["--version"], None, False, [], _STDLIB),
+            (["--help"], None, False, [], _STDLIB),
+            (["lifespan", "table", "--days", "5", "--out", "census.csv"], "census.csv", False,
+             ["lifespan"], []),
             (["registry", "ingest", "--log", GOLDEN_LOG, "--out", "canon.jsonl"],
-             "canon.jsonl", False),
+             "canon.jsonl", False, ["registry"], ["fractions"]),
             (["registry", "query", "--log", GOLDEN_LOG, "--what", "classify",
-              "--content", "POX", "--out", "query.json"], "query.json", False),
+              "--content", "POX", "--out", "query.json"], "query.json", False,
+             ["registry"], ["fractions"]),
             (["replicator", "run", "--config", "rep.cfg", "--out", "rep.csv",
-              "--events", "events.jsonl"], "events.jsonl", True),
+              "--events", "events.jsonl"], "events.jsonl", True, ["kernels", "replicator"], []),
             (["soup", "run", "--config", "soup.cfg", "--samples", "3", "--out", "soup.csv"],
-             "soup.csv", True),
+             "soup.csv", True, ["kernels", "replicator", "soup"], []),
         ],
-        ids=["version", "lifespan", "ingest", "query", "replicator", "soup"],
+        ids=["version", "help", "lifespan", "ingest", "query", "replicator", "soup"],
     )
-    def test_numpy_loads_only_for_the_models_that_use_it(self, tmp_path, args, artifact, numpy):
+    def test_numpy_loads_only_for_the_models_that_use_it(
+        self, tmp_path, args, artifact, numpy, models, absent
+    ):
         (tmp_path / "rep.cfg").write_text("n_pairs = 2\nhorizon = 4\n")
         (tmp_path / "soup.cfg").write_text("horizon = 1.0\n")
         proc = subprocess.run(
@@ -728,7 +779,11 @@ class TestImports:
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy": numpy}
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["code"] == 0
+        assert loaded["numpy"] == numpy
+        assert loaded["prenelab"] == sorted(_CORE + [f"prenelab.{m}" for m in models])
+        assert [m for m in loaded["stdlib"] if m in absent] == []
         if artifact is not None:
             assert (tmp_path / artifact).stat().st_size > 0
 
