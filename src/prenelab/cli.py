@@ -164,6 +164,8 @@ def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
 # replicator
 
 def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
+    if args.events and Path(args.events).resolve() == Path(args.out).resolve():
+        raise ConfigError("names the same file as --out", key="--events")
     from . import replicator  # loads NumPy
 
     text = _read_text(args.config) if args.config else ""

@@ -261,10 +261,21 @@ class CensusTable:
                 yield day, sp.label, series[day]
 
 
+def _refuse_repeats(species: Sequence[TreeSpecies]) -> None:
+    """A gene number given twice, compared reduced (2/4 repeats 1/2), is a ValueError."""
+    seen = set()  # (p, q) in lowest terms: a tuple hashes about 15x faster than a Fraction
+    for sp in species:
+        key = sp.gene_number.as_integer_ratio()
+        if key in seen:
+            raise ValueError(f"gene number {sp.gene_number} is given twice")
+        seen.add(key)
+
+
 def simulate_census(species_list: Sequence[TreeSpecies], days: int) -> CensusTable:
     """Cohort recurrence: one newborn founder per species, exact counts."""
     if days < 0:
         raise ValueError("days must be >= 0")
+    _refuse_repeats(species_list)
     columns = []
     for sp in species_list:
         cohort = CohortState(life_table(sp))
@@ -529,6 +540,7 @@ def optimality_sweep(g_grid: Iterable) -> SweepResult:
     species = [g if isinstance(g, TreeSpecies) else TreeSpecies(g) for g in g_grid]
     if not species:
         raise ValueError("empty sweep grid")
+    _refuse_repeats(species)
 
     tables = [life_table(sp) for sp in species]
 

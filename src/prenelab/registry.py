@@ -133,59 +133,57 @@ class World:
         self._content: list[_Content] = []
         self._contents: dict[tuple[bytes, str], _Content] = {}
 
-    # append API; ids are checked here (from_jsonl checks its own), events in _append
+    # append API; ids are checked here (from_jsonl checks its own), events by one method per kind
 
     def create(self, obj_id: int, substrate: str, content: bytes, src: Optional[int] = None) -> None:
         obj_id = _plain_id("obj_id", obj_id)
         src = None if src is None else _plain_id("src", src)
-        self._append("create", obj_id, substrate, bytes(content), src)
+        self._create(obj_id, substrate, bytes(content), src)
 
     def destroy(self, obj_id: int) -> None:
-        self._append("destroy", _plain_id("obj_id", obj_id))
+        self._destroy(_plain_id("obj_id", obj_id))
 
     def transcribe(self, src_id: int, new_id: int, substrate: str) -> None:
         new_id = _plain_id("new_id", new_id)
         src_id = None if src_id is None else _plain_id("src_id", src_id)  # None fails as dead
-        self._append("transcribe", new_id, substrate, None, src_id)
+        self._transcribe(new_id, substrate, src_id)
 
-    def _append(self, kind: str, obj_id: int, substrate=None, raw=None, src=None) -> None:
-        """The one place an event is validated and applied.
+    def _create(self, obj_id: int, substrate, raw: bytes, src: Optional[int]) -> None:
+        check_substrate(substrate)
+        if obj_id in self._row:
+            raise LogError(f"object id {obj_id} already exists")
+        if src is not None:
+            self._require_alive(src)
+        self._new_row("create", obj_id, raw, substrate, src)
 
-        raw is the content of a create; a transcribe copies its source's.
-        """
-        rows = self._row
-        if kind == "create":
-            check_substrate(substrate)
-            if obj_id in rows:
-                raise LogError(f"object id {obj_id} already exists")
-            if src is not None:
-                self._require_alive(src)
-        elif kind == "destroy":
-            row = rows.get(obj_id)
-            if row is None or self._destroyed[row] is not None:
-                raise LogError(f"destroy of missing or dead object {obj_id}")
-            self._destroyed[row] = len(self._kinds)
-        elif kind == "transcribe":
-            check_substrate(substrate)
-            source = self._content[self._require_alive(src)]
-            if obj_id in rows:
-                raise LogError(f"object id {obj_id} already exists")
-            if substrate == source.substrate:
-                raise LogError(f"transcription must change substrate, both are {substrate!r}")
-            raw = source.raw
-        else:
-            raise LogError(f"unknown event kind {kind!r}")
-        if kind != "destroy":
-            content = self._contents.get((raw, substrate))
-            if content is None:
-                content = self._contents[raw, substrate] = _Content(raw, substrate)
-            row = rows[obj_id] = len(self._ids)
-            content.rows.append(row)
-            self._ids.append(obj_id)
-            self._created.append(len(self._kinds))
-            self._destroyed.append(None)
-            self._source.append(src)
-            self._content.append(content)
+    def _transcribe(self, obj_id: int, substrate, src: Optional[int]) -> None:
+        check_substrate(substrate)
+        source = self._content[self._require_alive(src)]
+        if obj_id in self._row:
+            raise LogError(f"object id {obj_id} already exists")
+        if substrate == source.substrate:
+            raise LogError(f"transcription must change substrate, both are {substrate!r}")
+        self._new_row("transcribe", obj_id, source.raw, substrate, src)
+
+    def _destroy(self, obj_id: int) -> None:
+        row = self._row.get(obj_id)
+        if row is None or self._destroyed[row] is not None:
+            raise LogError(f"destroy of missing or dead object {obj_id}")
+        self._destroyed[row] = len(self._kinds)
+        self._kinds.append("destroy")
+        self._rows.append(row)
+
+    def _new_row(self, kind: str, obj_id: int, raw: bytes, substrate: str, src: Optional[int]) -> None:
+        content = self._contents.get((raw, substrate))
+        if content is None:
+            content = self._contents[raw, substrate] = _Content(raw, substrate)
+        row = self._row[obj_id] = len(self._ids)
+        content.rows.append(row)
+        self._ids.append(obj_id)
+        self._created.append(len(self._kinds))
+        self._destroyed.append(None)
+        self._source.append(src)
+        self._content.append(content)
         self._kinds.append(kind)
         self._rows.append(row)
 
@@ -285,14 +283,14 @@ class World:
         """Replay a log in the to_jsonl format, rejecting its first bad line.
 
         Each line is one JSON object whose `i`, `obj` and any non-null
-        `src` are JSON integers (booleans and floats are refused); every
-        event is validated and applied by _append.  Each distinct
-        `content_b64` text is decoded once.  _parse_lines parses many
-        lines per `json.loads` call without changing any `line N:`
-        message.
+        `src` are JSON integers (booleans and floats are refused); each
+        event is validated and applied by its kind's method, as in the
+        append API.  Each distinct `content_b64` text is decoded once.
+        _parse_lines parses many lines per `json.loads` call without
+        changing any `line N:` message.
         """
         world = cls()
-        append, kinds = world._append, world._kinds
+        create, transcribe, destroy, kinds = world._create, world._transcribe, world._destroy, world._kinds
         decoded: dict[str, bytes] = {}  # content_b64 text -> raw bytes
         for lineno, record in enumerate(_parse_lines(text), 1):
             try:
@@ -317,13 +315,15 @@ class World:
                             raise LogError("content_b64 is not valid base64") from None
                     if "content_b64" not in record or "substrate" not in record:
                         raise _missing(record, ("content_b64", "substrate"))
-                    append(kind, obj, record["substrate"], raw, src)
+                    create(obj, record["substrate"], raw, src)
                 elif kind == "transcribe":
                     if "src" not in record or "substrate" not in record:
                         raise _missing(record, ("src", "substrate"))
-                    append(kind, obj, record["substrate"], None, src)
+                    transcribe(obj, record["substrate"], src)
+                elif kind == "destroy":
+                    destroy(obj)
                 else:
-                    append(kind, obj)
+                    raise LogError(f"unknown event kind {kind!r}")
                 if i != len(kinds) - 1:
                     raise LogError(f"index {i} breaks append-only order")
             except LogError as exc:

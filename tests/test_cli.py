@@ -205,6 +205,20 @@ class TestReplicatorRun:
         assert captured.err.count("\n") == 1
         assert not out.exists()  # the trace is opened before the experiment runs
 
+    @pytest.mark.parametrize("out, events", [
+        ("a.csv", "a.csv"), ("a.csv", "./a.csv"), ("./a.csv", "sub/../a.csv"), ("a.csv", "{tmp}/a.csv"),
+    ])
+    def test_events_naming_the_out_file_exits_2(self, tmp_path, capsys, monkeypatch, out, events):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rep.cfg").write_text("genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\n")
+        args = ["replicator", "run", "--config", "rep.cfg", "--out", out,
+                "--events", events.format(tmp=tmp_path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "prene-lab: config error: key '--events': names the same file as --out\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rep.cfg"]
+
     def test_survivors_marked_none_in_csv(self, tmp_path):
         # kill probability zero: nothing ever dies inside the horizon
         cfg = tmp_path / "rep.cfg"

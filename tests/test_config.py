@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from _hypothesis import given, settings, st
 
 from prenelab.config import (
     ConfigError,

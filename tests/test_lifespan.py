@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from _hypothesis import given, settings, st
 
 from _lifespan_oracle import (
     alive_at_age,
@@ -173,6 +172,11 @@ class TestCensus:
     def test_negative_days_rejected(self):
         with pytest.raises(ValueError):
             simulate_census([G1], -1)
+
+    @pytest.mark.parametrize("second", [Fraction(1, 2), Fraction(2, 4), "3/6"])
+    def test_repeated_gene_number_rejected(self, second):
+        with pytest.raises(ValueError, match=r"^gene number 1/2 is given twice$"):
+            simulate_census([GHALF, G1, TreeSpecies(second)], 3)
 
     def test_cohort_census_range_check(self):
         c = CohortState(life_table(GHALF))
@@ -358,4 +362,10 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimality_sweep([])
+
+    def test_repeated_gene_number_rejected(self):
+        with pytest.raises(ValueError, match=r"^gene number 1/2 is given twice$"):
+            optimality_sweep([Fraction(1, 2), Fraction(1), Fraction(2, 4)])
+        with pytest.raises(ValueError, match=r"^gene number 1/2 is given twice$"):
+            optimality_sweep([GHALF, "2/4"])
 

@@ -252,10 +252,28 @@ def _corruptions(lines: list[str], k: int) -> dict[str, list[str]]:
     if k > 3:
         out["duplicate id"] = [_record(i, "create", 0, "brain", "eA==")]
         out["dead source"] = [_record(i, "transcribe", 10**6, "computer", src=1)]  # destroyed at 3
+        # each fails two checks; _ORDER_MESSAGES names the one that must win
+        out["create: substrate, duplicate id"] = [_record(i, "create", 0, "tablet", "eA==")]
+        out["create: duplicate id, dead source"] = [_record(i, "create", 0, "brain", "eA==", src=1)]
+        out["transcribe: substrate, dead source"] = [_record(i, "transcribe", 10**6, "tablet", src=1)]
+        out["transcribe: dead source, duplicate id"] = [_record(i, "transcribe", 0, "computer", src=1)]
+        out["transcribe: duplicate id, same substrate"] = [_record(i, "transcribe", 0, "brain", src=0)]
+        out["duplicate id, order break"] = [_record(i + 5, "create", 0, "brain", "eA==")]
     # same substrate as its source: line k - 1 created obj k - 1 on "document"
     if record["kind"] == "transcribe":
         out["same substrate"] = [_record(i, "transcribe", 10**6, "document", src=i - 1)]
     return {name: lines[:k] + bad + lines[k + 1 :] for name, bad in out.items()}
+
+
+_SUBSTRATE_MESSAGE = f"substrate must be one of {registry.SUBSTRATES} or 'other:<name>', got 'tablet'"
+_ORDER_MESSAGES = {
+    "create: substrate, duplicate id": _SUBSTRATE_MESSAGE,
+    "create: duplicate id, dead source": "object id 0 already exists",
+    "transcribe: substrate, dead source": _SUBSTRATE_MESSAGE,
+    "transcribe: dead source, duplicate id": "source object 1 does not exist or is not alive",
+    "transcribe: duplicate id, same substrate": "object id 0 already exists",
+    "duplicate id, order break": "object id 0 already exists",
+}
 
 
 def _message(load, text):
@@ -276,6 +294,8 @@ class TestLoader:
                 expected = _message(_registry_oracle.load, text)
                 assert _message(World.from_jsonl, text) == expected, (k, name)
                 assert expected.startswith(f"line {k + 1}: "), (k, name, expected)
+                if name in _ORDER_MESSAGES:
+                    assert expected == f"line {k + 1}: {_ORDER_MESSAGES[name]}", (k, name)
 
     def test_bracket_free_misaligned_log_rejected(self):
         ev0 = _record(0, "create", 1, "brain", "eA==")

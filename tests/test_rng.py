@@ -2,8 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from _hypothesis import assume, given, settings, st
 
 from prenelab import rng
 

@@ -13,8 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from _hypothesis import given, settings, st
 
 import _soup_oracle as oracle
 from prenelab import rng, soup
