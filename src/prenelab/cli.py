@@ -164,8 +164,6 @@ def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
 # replicator
 
 def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
-    if args.events and Path(args.events).resolve() == Path(args.out).resolve():
-        raise ConfigError("names the same file as --out", key="--events")
     from . import replicator  # loads NumPy
 
     text = _read_text(args.config) if args.config else ""
@@ -403,12 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_shared_paths(args) -> None:
+    """No output may name an input or another output: checked before any file is touched."""
+    seen: dict[Path, str] = {}
+    for flag in ("--log", "--config", "--out", "--events"):
+        path = getattr(args, flag[2:], None)
+        if path:
+            earlier = seen.setdefault(Path(path).resolve(), flag)
+            if earlier != flag:
+                raise ConfigError(f"names the same file as {earlier}", key=flag)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; on success print its run report and return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _refuse_shared_paths(args)
         echo, artifacts = args.func(args)
     except ConfigError as exc:
         print(f"prene-lab: config error: {exc}", file=sys.stderr)

@@ -23,8 +23,10 @@ Gene-numbers and accounts are exact rationals and census counts are exact
 unbounded integers: no threshold comparison is ever decided by float
 rounding.  Floating point appears only in the growth-rate estimate, and
 exact integer signs then pick the double nearest the root.
-The life-table walk scales every account by the denominator of g, so it
-compares integers; the comparisons are the rational ones.
+The life table is in closed form: with g = p/q and every account scaled
+by q, a mortal tree dies at age 3q // (q - p) and its k-th child
+materializes at age ceil(3qk / (2q - p)), integer quotients that decide
+each threshold exactly as the rational comparisons would.
 """
 
 from __future__ import annotations
@@ -57,15 +59,6 @@ BIRTH_COST = 3
 SUSTENANCE = 1
 
 
-def _as_exact(value) -> Fraction:
-    """Coerce to an exact rational, rejecting floats outright."""
-    if isinstance(value, float):
-        raise TypeError(
-            "gene_number must be exact (int, Fraction, or 'p/q' string), not float"
-        )
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class TreeSpecies:
     """A species is its gene-number: the survival share of daily energy."""
@@ -73,7 +66,9 @@ class TreeSpecies:
     gene_number: Fraction
 
     def __post_init__(self):
-        g = _as_exact(self.gene_number)
+        if isinstance(self.gene_number, float):  # exact rationals only
+            raise TypeError("gene_number must be exact (int, Fraction, or 'p/q' string), not float")
+        g = Fraction(self.gene_number)
         if not 0 <= g <= 1:
             raise ValueError(f"gene_number must lie in [0, 1], got {g}")
         object.__setattr__(self, "gene_number", g)
@@ -134,64 +129,27 @@ class LifeTable:
 
 
 def life_table(species: TreeSpecies) -> LifeTable:
-    """Derive the life table by simulating one tree under the daily schedule.
+    """The life table of g = p/q in closed form, every account scaled by q.
 
-    Mortal species (g < 1) run until death.  For g = 1 the survival account
-    is a fixed point of the daily update, so the tree never dies; the
-    reproduction account is then simulated until its state repeats, which
-    proves the birth schedule periodic from that point on.
-
-    The walk is in integers: with g = p/q every account is scaled by q, so
-    survival starts at 3q and gains p per day, reproduction gains 2q - p,
-    a birth costs 3q, and a tree with survival below q dies, else pays the
-    sustenance q.  Each comparison is the exact rational one.
+    After the collection at age a, survival is 3q + (a+1)p - aq; the tree
+    dies at the first age where that is below the sustenance q, which is
+    death = 3q // (q - p), and never for g = 1.  Reproduction gains
+    income = 2q - p a day, less than the birth cost 3q, so at most one
+    birth is scheduled a day: the k-th on the first day that brings the
+    account to k * cost, materializing the next morning at age
+    ceil(k * cost / income).  Births scheduled up to the death day, the
+    posthumous one included, are those with k <= (death + 1) * income // cost.
+    For g = 1 the income is q, one unit a day: a birth every 3 days.
     """
     g = species.gene_number
     p, q = g.numerator, g.denominator
+    if p == q:
+        return LifeTable((), None, periodic=(BIRTH_COST, BIRTH_COST))
     income = DAILY_INCOME * q - p
     cost = BIRTH_COST * q
-
-    if p == q:
-        # Immortal: survival is constant, so the whole daily state is the
-        # reproduction account; a repeated value proves periodicity.
-        ages: list[int] = []
-        seen: dict[int, int] = {}
-        reproduction = 0
-        day = 0
-        while reproduction not in seen:
-            seen[reproduction] = day
-            reproduction += income
-            births_today = 0
-            while reproduction >= cost:
-                reproduction -= cost
-                births_today += 1
-            if births_today:
-                # one birth per cycle is all this model produces (income < cost)
-                ages.append(day + 1)
-            day += 1
-        cycle_start = seen[reproduction]
-        cycle_len = day - cycle_start
-        in_cycle = [a for a in ages if a - 1 >= cycle_start]
-        if len(in_cycle) != 1:
-            raise AssertionError("immortal schedule should produce one birth per cycle")
-        prefix = tuple(a for a in ages if a - 1 < cycle_start)
-        return LifeTable(prefix, None, periodic=(in_cycle[0], cycle_len))
-
-    ages = []
-    survival = NEWBORN_SURVIVAL * q
-    sustenance = SUSTENANCE * q
-    reproduction = 0
-    age = 0
-    while True:
-        survival += p
-        reproduction += income
-        while reproduction >= cost:
-            reproduction -= cost
-            ages.append(age + 1)  # materializes tomorrow morning
-        if survival < sustenance:
-            return LifeTable(tuple(ages), age)
-        survival -= sustenance
-        age += 1
+    death = NEWBORN_SURVIVAL * q // (SUSTENANCE * q - p)
+    births = (death + 1) * income // cost
+    return LifeTable(tuple(-(-k * cost // income) for k in range(1, births + 1)), death)
 
 
 @dataclass
@@ -306,6 +264,7 @@ def simulate_individuals(
     """
     if days < 0:
         raise ValueError("days must be >= 0")
+    _refuse_repeats(species_list)
     trees: list[list[Tree]] = [[Tree.newborn(sp, 0)] for sp in species_list]
     pending: list[int] = [0 for _ in species_list]  # births for tomorrow
     columns: list[list[int]] = [[] for _ in species_list]
@@ -490,7 +449,9 @@ def growth_rate(table: LifeTable) -> GrowthRate:
     if not table.birth_ages and table.periodic is None:
         return GrowthRate(0.0, 0.0)
     if table.periodic is None and len(table.birth_ages) == 1:
-        return GrowthRate(1.0, 0.0)  # replacement only, root is exact
+        # Not a shortcut: the root is exactly 1.0, and _residual_sign at the
+        # midpoint above it would divide by num / den - 1.0, which rounds to 0.
+        return GrowthRate(1.0, 0.0)
     lam = _nearest_root(table, _newton_root(table))
     return GrowthRate(lam, _residual(table, lam)[0])
 

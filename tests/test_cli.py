@@ -609,6 +609,24 @@ class TestRunReport:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, text", [
+        (["registry", "ingest"], "--log", None),
+        (["registry", "query", "--what", "extinct", "--content", "POX"], "--log", None),
+        (["replicator", "run"], "--config", "genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\n"),
+        (["soup", "run"], "--config", "horizon = 0.1\n"),
+    ], ids=["ingest", "query", "replicator", "soup"])
+    def test_out_naming_an_input_exits_2_and_leaves_it(self, tmp_path, capsys, monkeypatch,
+                                                       command, flag, text):
+        monkeypatch.chdir(tmp_path)
+        data = Path(GOLDEN_LOG).read_bytes() if text is None else text.encode("utf-8")
+        (tmp_path / "input").write_bytes(data)
+        assert main([*command, flag, "input", "--out", "./input"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"prene-lab: config error: key '--out': names the same file as {flag}\n"
+        assert (tmp_path / "input").read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == ["input"]
+
     def test_query_result_printed_before_the_report(self, capsys):
         args = ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX"]
         assert main(args) == 0

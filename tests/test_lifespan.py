@@ -175,8 +175,9 @@ class TestCensus:
 
     @pytest.mark.parametrize("second", [Fraction(1, 2), Fraction(2, 4), "3/6"])
     def test_repeated_gene_number_rejected(self, second):
-        with pytest.raises(ValueError, match=r"^gene number 1/2 is given twice$"):
-            simulate_census([GHALF, G1, TreeSpecies(second)], 3)
+        for simulate in (simulate_census, simulate_individuals):
+            with pytest.raises(ValueError, match=r"^gene number 1/2 is given twice$"):
+                simulate([GHALF, G1, TreeSpecies(second)], 3)
 
     def test_cohort_census_range_check(self):
         c = CohortState(life_table(GHALF))
@@ -241,6 +242,24 @@ class TestAgainstReferenceWalks:
         for i in range(4001):
             sp = TreeSpecies(Fraction(i, 4000))
             assert life_table(sp) == fraction_life_table(sp), sp.label
+
+    def test_life_table_matches_fraction_walk_on_small_denominators(self):
+        # Every reduced k/n with n <= 100 holds the closed forms' exact-division
+        # edges: death at an integer 3q / (q - p), a birth on the day the account
+        # reaches the cost exactly, and a posthumous birth.  No g makes
+        # (death + 1) * income a multiple of the cost: that needs q to divide
+        # death + 1, which holds only at g = 0, where 4 * 2 is no multiple of 3.
+        edges = {"exact death": 0, "exact birth": 0, "posthumous": 0}
+        for g in {Fraction(k, n) for n in range(1, 101) for k in range(n + 1)}:
+            sp = TreeSpecies(g)
+            table = fraction_life_table(sp)
+            assert life_table(sp) == table, sp.label
+            if g < 1:
+                p, q = g.numerator, g.denominator
+                edges["exact death"] += 3 * q % (q - p) == 0
+                edges["exact birth"] += any(a * (2 * q - p) % (3 * q) == 0 for a in table.birth_ages)
+                edges["posthumous"] += table.birth_ages[-1:] == (table.death_age + 1,)
+        assert min(edges.values()) > 0, edges
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.fractions(min_value=0, max_value=1, max_denominator=1000))
