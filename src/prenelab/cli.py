@@ -126,10 +126,11 @@ def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
     from . import lifespan
 
     genes = args.g if args.g else [Fraction(1), Fraction(1, 2)]
-    if len(set(genes)) < len(genes):  # Fractions compare reduced: 2/4 repeats 1/2
-        raise ConfigError("a gene number is given twice", key="--g")
     species = [lifespan.TreeSpecies(g) for g in genes]
-    census = lifespan.simulate_census(species, args.days)
+    try:
+        census = lifespan.simulate_census(species, args.days)
+    except ValueError as exc:  # a gene number given twice (2/4 repeats 1/2)
+        raise ConfigError(str(exc), key="--g") from None
     rows = [[day, label, count] for day, label, count in census.csv_rows()]
     out = Path(args.out)
     _write_table(out, args.format, ["day", "species_g", "alive"], rows)

@@ -275,8 +275,9 @@ class PopulationState:
     decreases.  Code that writes `codes` directly must set `coat` of the
     rows it wrote to -1.
 
-    `events` is the list that the day's steps append event dicts to, or
-    None.  Only a traced state numbers its virions, in `ids` and `next_id`.
+    `events` is what the day's steps `append` and `extend` event dicts to:
+    a list, the trace sink of `run_escape_experiment`, or None.  Only a
+    traced state numbers its virions, in `ids` and `next_id`.
     """
 
     def __init__(
@@ -589,6 +590,15 @@ def _trace_line(profile: str, e: dict) -> str:
     return f'{{"day":{e["day"]},"kind":"cull","pair":0,"profile":"{profile}","removed":[{removed}]}}\n'
 
 
+class _TraceSink:
+    """A traced arm's `events`: `append` and `extend` write each event's line
+    to `trace` at once, so no arm's events are held in memory."""
+
+    def __init__(self, trace: TextIO, profile: str):
+        self.append = lambda e: trace.write(_trace_line(profile, e))
+        self.extend = lambda es: trace.writelines(_trace_line(profile, e) for e in es)
+
+
 def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) -> EscapeReport:
     """Paired comparison: hot-coat mutator vs high-fidelity copier.
 
@@ -597,7 +607,7 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
     arm survives until its extinction day, or horizon + 1 if it outlives
     the horizon; the longer survivor wins the pair.  With a text stream
     `trace`, pair 0 is traced as it runs: its hot arm's events, then its
-    fidelity arm's, one JSON line each.
+    fidelity arm's, one JSON line each, each written as it happens.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
@@ -606,10 +616,8 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
         key = (config.master_seed, rng_mod.REPLICATOR, i)
         arms = []
         for name, profile in (("hot", hot_profile), ("fidelity", fid_profile)):
-            events = [] if trace is not None and i == 0 else None
+            events = _TraceSink(trace, name) if trace is not None and i == 0 else None
             arms.append(_run_arm(config, profile, rng_mod.stream(*key), events))
-            if events is not None:
-                trace.writelines(_trace_line(name, e) for e in events)
         hot, fid = arms
         outcomes.append(
             PairOutcome(

@@ -100,7 +100,7 @@ class TestLifespanTable:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "prene-lab: config error: key '--g': a gene number is given twice\n"
+        assert captured.err == "prene-lab: config error: key '--g': gene number 1/2 is given twice\n"
         assert not out.exists()
 
     def test_jsonl_format(self, tmp_path):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -487,6 +488,27 @@ class TestEscapeExperiment:
         profiles = [json.loads(line)["profile"] for line in trace.getvalue().splitlines()]
         assert profiles == sorted(profiles, key=["hot", "fidelity"].index)
         assert set(profiles) == {"hot", "fidelity"}
+
+    def test_trace_holds_no_arm_in_memory(self):
+        # Each event is written as it happens, so a traced pair at the
+        # default config peaks where an untraced one does; holding one
+        # arm's events until the arm ends would add about 5 MiB.
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        def peak(trace):
+            tracemalloc.start()
+            try:
+                report = run_escape_experiment(EscapeConfig(master_seed=1, n_pairs=1), trace)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        untraced, untraced_peak = peak(None)
+        traced, traced_peak = peak(Discard())
+        assert traced.outcomes == untraced.outcomes
+        assert traced_peak <= untraced_peak + 2**20
 
     def test_full_event_trace_deterministic(self):
         from prenelab.replicator import _run_arm
