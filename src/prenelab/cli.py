@@ -62,7 +62,7 @@ _u32 = _bounded_int(0, 2**32, "must be an unsigned 32-bit integer")
 _positive_int = _bounded_int(1, None, "must be >= 1")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
     try:
         value = parse_fraction(text)
     except ValueError as exc:
@@ -236,7 +236,7 @@ class _LogError(Exception):
     """A bad event log; main reports it as a log error, exit 1."""
 
 
-def _load_world(path: str) -> registry.World:
+def _load_world(path: str):
     from . import registry
 
     try:

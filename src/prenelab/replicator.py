@@ -607,27 +607,22 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
     arm survives until its extinction day, or horizon + 1 if it outlives
     the horizon; the longer survivor wins the pair.  With a text stream
     `trace`, pair 0 is traced as it runs: its hot arm's events, then its
-    fidelity arm's, one JSON line each, each written as it happens.
+    fidelity arm's, one JSON line each, each written as it happens.  Pairs
+    run on the CPUs in the affinity mask (`rng.fan_out`) with the same
+    output for any number of them; `taskset -c 0` runs them in one process.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
-    outcomes = []
-    for i in range(config.n_pairs):
-        key = (config.master_seed, rng_mod.REPLICATOR, i)
-        arms = []
-        for name, profile in (("hot", hot_profile), ("fidelity", fid_profile)):
-            events = _TraceSink(trace, name) if trace is not None and i == 0 else None
-            arms.append(_run_arm(config, profile, rng_mod.stream(*key), events))
-        hot, fid = arms
-        outcomes.append(
-            PairOutcome(
-                i,
-                None if hot.population > 0 else hot.day,
-                None if fid.population > 0 else fid.day,
-                hot.peak_population,
-                fid.peak_population,
-            )
-        )
+
+    def pair(i: int) -> PairOutcome:
+        hot, fid = (_run_arm(config, profile, rng_mod.stream(config.master_seed, rng_mod.REPLICATOR, i),
+                             _TraceSink(trace, name) if trace is not None and i == 0 else None)
+                    for name, profile in (("hot", hot_profile), ("fidelity", fid_profile)))
+        return PairOutcome(i, None if hot.population > 0 else hot.day,
+                           None if fid.population > 0 else fid.day,
+                           hot.peak_population, fid.peak_population)
+
+    outcomes = rng_mod.fan_out(pair, config.n_pairs)
 
     def survival(day: Optional[int]) -> int:
         return config.horizon + 1 if day is None else day

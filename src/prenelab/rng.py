@@ -58,3 +58,52 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     words = [_word(k, 32, "key word") for k in key]
     entropy = [seed & 0xFFFFFFFF, seed >> 32, len(words), *words]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def fan_out(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], computed on the CPUs in the process's affinity mask.
+
+    Of W = min(those CPUs, n) processes, forked child k computes k, k + W, ...
+    and pipes them back pickled, and this process computes 0, W, ..., so index
+    0 and what it writes stay here.  The result is the same for any W; under
+    `taskset -c 0` nothing is forked.  A child's exception, or the exit status
+    of a child that dies unanswered, is raised here; every child is reaped.
+    """
+    import os
+    import pickle
+
+    workers = max(1, min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1))
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # leaves by os._exit: no cleanup, no inherited flush
+                try:
+                    try:
+                        reply = True, [fn(i) for i in range(k, n, workers)]
+                    except BaseException as exc:
+                        reply = False, exc
+                    with open(write, "wb") as fh:
+                        fh.write(pickle.dumps(reply))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        shares = [[fn(i) for i in range(0, n, workers)]]
+        for pid in list(children):
+            data = children[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if not data:
+                raise ChildProcessError(f"fan_out child {pid} exited with status {status} before answering")
+            done, value = pickle.loads(data)
+            if not done:
+                raise value
+            shares.append(value)
+    finally:
+        for pid, pipe in children.items():  # left only if a share failed: stop the rest
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(n)]

@@ -631,23 +631,19 @@ def run_catalysis_experiment(config: SoupConfig) -> CatalysisReport:
     Replicate i of both arms consumes an identical RNG stream derived
     from (master_seed, SOUP, i): with k_cat = 0 in both arms the traces
     are identical event for event.  The arm that ends with more free A
-    wins the replicate.
+    wins the replicate.  Replicates run on the CPUs in the affinity mask
+    (`rng.fan_out`) with the same output for any number of them; `taskset
+    -c 0` runs them in one process.
     """
-    outcomes = []
-    for i in range(config.n_replicates):
+    def replicate(i: int) -> ReplicateOutcome:
         key = (config.master_seed, rng_mod.SOUP, i)
         treatment = config.build_state()
         run_until(treatment, config.horizon, rng_mod.stream(*key))
         control = config.build_state(k_cat=0.0)
         run_until(control, config.horizon, rng_mod.stream(*key))
-        outcomes.append(
-            ReplicateOutcome(
-                i,
-                treatment.free_of("A"),
-                control.free_of("A"),
-                treatment.n_catalysts(),
-                control.n_catalysts(),
-            )
-        )
+        return ReplicateOutcome(i, treatment.free_of("A"), control.free_of("A"),
+                                treatment.n_catalysts(), control.n_catalysts())
+
+    outcomes = rng_mod.fan_out(replicate, config.n_replicates)
     scores = [(o.treatment_free_a, o.control_free_a) for o in outcomes]
     return CatalysisReport(config, tuple(outcomes), *sign_test(scores))

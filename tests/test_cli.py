@@ -179,9 +179,11 @@ class TestReplicatorRun:
         assert set(report["artifacts"]) == {str(out), str(events)}
 
     def test_traced_run_draws_one_stream_per_arm(self, tmp_path, monkeypatch):
-        # pair 0 is traced while the experiment runs it, not run a second time
+        # pair 0 is traced while the experiment runs it, not run a second time;
+        # on one CPU every pair runs here, where the calls can be counted
         cfg = tmp_path / "rep.cfg"
         cfg.write_text("genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\nn_pairs = 3\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
         stream = rng.stream
         monkeypatch.setattr(rng, "stream", lambda *key: calls.append(key) or stream(*key))
@@ -764,19 +766,23 @@ print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
     "prenelab": sorted(m for m in sys.modules if m.startswith("prenelab.")),
-    "stdlib": [m for m in ("dataclasses", "fractions", "inspect") if m in sys.modules],
+    "stdlib": [m for m in ("dataclasses", "fractions", "inspect", "pickle", "multiprocessing",
+                           "concurrent.futures", "subprocess") if m in sys.modules],
 }))
 """
 _CORE = ["prenelab.cli", "prenelab.config", "prenelab.rng"]
-_STDLIB = ["dataclasses", "fractions", "inspect"]
+_STDLIB = ["dataclasses", "fractions", "inspect", "pickle"]
+# the replicates fork by hand: no command loads a process-pool library
+_NO_POOL = ["multiprocessing", "concurrent.futures", "subprocess"]
 
 
 class TestImports:
     """A command loads NumPy, and a model module, only if it runs that model.
 
     `--version` and `--help` load no model module, nor `dataclasses`
-    (with the `inspect` it pulls in) or `fractions`; the registry
-    commands do without `fractions`.
+    (with the `inspect` it pulls in), `fractions` or `pickle`; the
+    registry commands do without `fractions` and `pickle`, lifespan
+    without `pickle`, and no command loads a process-pool library.
     """
 
     @pytest.mark.parametrize(
@@ -785,12 +791,12 @@ class TestImports:
             (["--version"], None, False, [], _STDLIB),
             (["--help"], None, False, [], _STDLIB),
             (["lifespan", "table", "--days", "5", "--out", "census.csv"], "census.csv", False,
-             ["lifespan"], []),
+             ["lifespan"], ["pickle"]),
             (["registry", "ingest", "--log", GOLDEN_LOG, "--out", "canon.jsonl"],
-             "canon.jsonl", False, ["registry"], ["fractions"]),
+             "canon.jsonl", False, ["registry"], ["fractions", "pickle"]),
             (["registry", "query", "--log", GOLDEN_LOG, "--what", "classify",
               "--content", "POX", "--out", "query.json"], "query.json", False,
-             ["registry"], ["fractions"]),
+             ["registry"], ["fractions", "pickle"]),
             (["replicator", "run", "--config", "rep.cfg", "--out", "rep.csv",
               "--events", "events.jsonl"], "events.jsonl", True, ["kernels", "replicator"], []),
             (["soup", "run", "--config", "soup.cfg", "--samples", "3", "--out", "soup.csv"],
@@ -815,9 +821,30 @@ class TestImports:
         assert loaded["code"] == 0
         assert loaded["numpy"] == numpy
         assert loaded["prenelab"] == sorted(_CORE + [f"prenelab.{m}" for m in models])
-        assert [m for m in loaded["stdlib"] if m in absent] == []
+        assert [m for m in loaded["stdlib"] if m in absent + _NO_POOL] == []
         if artifact is not None:
             assert (tmp_path / artifact).stat().st_size > 0
+
+    def test_every_cli_annotation_resolves_without_loading_a_model(self):
+        # annotations naming what start-up does not import would raise
+        # NameError in typing.get_type_hints
+        script = """\
+import json, sys, types, typing
+import prenelab.cli as cli
+functions = [f for f in vars(cli).values()
+             if isinstance(f, types.FunctionType) and f.__module__ == cli.__name__]
+for f in functions:
+    typing.get_type_hints(f)
+print(json.dumps([len(functions), "fractions" in sys.modules, "prenelab.registry" in sys.modules]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        checked, fractions, registry_loaded = json.loads(proc.stdout)
+        assert checked > 10
+        assert not fractions and not registry_loaded
 
 
 class TestConsoleScript:
