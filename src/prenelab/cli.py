@@ -25,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, rng
+from . import __version__
 from .config import (
     ConfigError,
     escape_config_from_text,
@@ -195,7 +195,7 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
 
 def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     import dataclasses
-    from . import soup  # loads NumPy
+    from . import rng, soup  # soup loads NumPy
 
     text = _read_text(args.config) if args.config else ""
     config = soup_config_from_text(text, master_seed=args.seed)
@@ -218,7 +218,7 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     rows = []
 
     def on_sample(t: float, state: soup.ReactorState) -> None:
-        free = [state.free_of(letter) for letter in "ACGU"]
+        free = [state.free_of(letter) for letter in soup.SOUP_LETTERS]
         rows.append([t, *free, len(state.seqs), state.n_catalysts(), state.n_aaa_enders()])
 
     state = config.build_state()
@@ -430,6 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"prene-lab: io error: {exc}", file=sys.stderr)
         return 1
+    from . import rng  # not at start-up: --version and --help never reach here
     report = {
         "tool": "prene-lab",
         "version": __version__,

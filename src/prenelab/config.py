@@ -9,7 +9,8 @@ fields have key families of their own: `coat_start`/`coat_stop` for
 `coat_span`, `free.<LETTER>` and `polymer.<SEQUENCE>` for the soup
 pools.  Unknown keys, bad types, and out-of-range values are rejected
 with the line number and key named.  The parser never raises anything
-but ConfigError, no matter the input bytes.
+but ConfigError, no matter the input bytes.  `is_int` (an int or NumPy
+integer, never a bool) is the integer test of every field check.
 
 Accepted configs round-trip: parse -> serialize -> parse gives the same
 typed values, and serialize is canonical (sorted keys, one space around
@@ -19,9 +20,8 @@ typed values, and serialize is canonical (sorted keys, one space around
 from __future__ import annotations
 
 import math
+import operator
 import re
-
-from .rng import is_int
 
 __all__ = [
     "ConfigError",
@@ -119,6 +119,15 @@ def _schema(config_class) -> dict[str, type]:
         for f in dataclasses.fields(config_class)
         if type(f.default) in (int, float, str) and f.name != "master_seed"
     }
+
+
+def is_int(value) -> bool:
+    """True for ints and NumPy integers; bools and floats such as 2.0 are refused."""
+    try:
+        operator.index(value)  # operator.index(True) is 1, hence the bool test
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def check_fields(config) -> None:

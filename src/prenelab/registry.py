@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .rng import is_int
+from .config import is_int
 
 __all__ = [
     "SUBSTRATES",

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import rng as rng_mod
-from .config import ConfigError, check_fields
+from .config import ConfigError, check_fields, is_int
 from .kernels import constant_runs, mutate_sites
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "cull_to_capacity",
     "run_population_day",
     "run_escape_experiment",
-    "sign_test",
     "vdj_generate",
     "happiness",
 ]
@@ -77,7 +76,7 @@ class SpaceExhausted(ValueError):
 def _index(value) -> int:
     """A count or bound as an int: NumPy integers pass; bools, and floats
     such as 2.0, raise the TypeError that `operator.index` raises for a float."""
-    if not rng_mod.is_int(value):
+    if not is_int(value):
         raise TypeError(f"{type(value).__name__!r} object cannot be interpreted as an integer")
     return operator.index(value)
 
@@ -476,7 +475,7 @@ class EscapeConfig:
         check_fields(self)
         if not (isinstance(self.coat_span, tuple) and len(self.coat_span) == 2):
             raise ConfigError("must be a (start, stop) pair", key="coat_span")
-        if not all(map(rng_mod.is_int, self.coat_span)):
+        if not all(map(is_int, self.coat_span)):
             raise ConfigError("bounds must be integers", key="coat_span")
         if self.genome_length < 1:
             raise ConfigError("must be >= 1", key="genome_length")
@@ -558,20 +557,6 @@ def _run_arm(
     return state
 
 
-def sign_test(scores) -> tuple[int, int, int, float]:
-    """One-sided sign test with ties dropped (Dixon & Mood, JASA 1946).
-
-    `scores` holds one (a, b) pair per paired run; a wins when a > b.
-    Returns (wins, losses, ties, p), p = P[X >= wins] for
-    X ~ Binomial(wins + losses, 1/2).
-    """
-    scores = list(scores)
-    wins = sum(a > b for a, b in scores)
-    n = wins + sum(b > a for a, b in scores)
-    p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
-    return wins, n - wins, len(scores) - n, p
-
-
 def _trace_line(profile: str, e: dict) -> str:
     """One pair-0 event, as `json.dumps({"pair": 0, "profile": profile, **e},
     sort_keys=True, separators=(",", ":"))` writes it: each kind's keys sorted."""
@@ -629,7 +614,7 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
 
     scores = [(survival(o.hot_extinction_day), survival(o.fidelity_extinction_day))
               for o in outcomes]
-    return EscapeReport(config, tuple(outcomes), *sign_test(scores))
+    return EscapeReport(config, tuple(outcomes), *rng_mod.sign_test(scores))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Seeded random-number streams shared by every stochastic module.
+"""Seeded random-number streams, and the paired-run driver of both experiments.
 
 All randomness flows through counter-based Philox generators keyed by
 (master_seed, *key) via `numpy.random.SeedSequence`, which is documented
@@ -10,12 +10,17 @@ share a stream.
 
 A Generator's `random(n)` fills n consecutive `next_double` values, the
 same numbers n scalar `random()` calls return, so a model may read its
-uniforms in blocks (soup does) without changing what it draws.
+uniforms in blocks (soup does) without changing what it draws.  The
+experiments run their pairs through `fan_out`, on every CPU the process
+may use, and score them with `sign_test`.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+
+from .config import is_int
 
 # Stamped into every run report so a run can be reproduced bit-exactly.  The
 # suffix names the (master_seed, *key) -> SeedSequence derivation above and
@@ -25,15 +30,6 @@ RNG_ALGORITHM = "philox4x64-10/keyed-u32-v3"
 
 REPLICATOR = int.from_bytes(b"repl", "big")
 SOUP = int.from_bytes(b"soup", "big")
-
-
-def is_int(value) -> bool:
-    """True for ints and NumPy integers; bools and floats such as 2.0 are refused."""
-    try:
-        operator.index(value)  # operator.index(True) is 1, hence the bool test
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
 
 
 def _word(value, bits: int, name: str) -> int:
@@ -52,7 +48,7 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     unsigned 64-bit and each key word an unsigned 32-bit integer (int or
     NumPy); other types raise TypeError and other values ValueError.
     """
-    import numpy as np  # here, so that modules needing only is_int load without NumPy
+    import numpy as np  # here: lifespan and registry reports read RNG_ALGORITHM without NumPy
 
     seed = _word(master_seed, 64, "master_seed")
     words = [_word(k, 32, "key word") for k in key]
@@ -107,3 +103,16 @@ def fan_out(fn, n: int) -> list:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
     return [shares[i % workers][i // workers] for i in range(n)]
+
+
+def sign_test(scores) -> tuple[int, int, int, float]:
+    """One-sided sign test with ties dropped (Dixon & Mood, JASA 1946).
+
+    `scores` holds one (a, b) pair per paired run; a wins when a > b.
+    Returns (wins, losses, ties, p), p = P[X >= wins] for X ~ Binomial(wins + losses, 1/2).
+    """
+    scores = list(scores)
+    wins = sum(a > b for a, b in scores)
+    n = wins + sum(b > a for a, b in scores)
+    p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
+    return wins, n - wins, len(scores) - n, p

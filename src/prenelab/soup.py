@@ -59,8 +59,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .config import ConfigError, check_fields
-from .replicator import sign_test
+from .config import ConfigError, check_fields, is_int
 
 __all__ = [
     "SOUP_LETTERS",
@@ -104,7 +103,7 @@ class CatalystRule:
 
 def _is_count(n) -> bool:
     """A non-negative integer; bools and floats such as 2.0 or 2.7 are refused."""
-    return rng_mod.is_int(n) and n >= 0
+    return is_int(n) and n >= 0
 
 
 # Integer Fenwick (binary indexed) trees over species rows, 1-based, with
@@ -646,4 +645,4 @@ def run_catalysis_experiment(config: SoupConfig) -> CatalysisReport:
 
     outcomes = rng_mod.fan_out(replicate, config.n_replicates)
     scores = [(o.treatment_free_a, o.control_free_a) for o in outcomes]
-    return CatalysisReport(config, tuple(outcomes), *sign_test(scores))
+    return CatalysisReport(config, tuple(outcomes), *rng_mod.sign_test(scores))

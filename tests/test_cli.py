@@ -12,7 +12,7 @@ import pytest
 from prenelab import replicator, rng
 from prenelab.cli import build_parser, main
 from prenelab.config import escape_config_from_text
-from prenelab.replicator import sign_test
+from prenelab.rng import sign_test
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_LOG = str(Path(__file__).parent / "data" / "registry_golden.jsonl")
@@ -350,6 +350,19 @@ class TestSoupRun:
         scores = [(int(r["treatment_free_a"]), int(r["control_free_a"])) for r in read_rows(out)]
         assert len(scores) == 12
         assert_scored_as_reported(scores, report["config"], "treatment_wins", "control_wins")
+
+    def test_time_series_runs_replicate_zeros_stream(self, tmp_path):
+        # at t = horizon the single run is the experiment's replicate 0 treatment arm
+        cfg = tmp_path / "soup.cfg"
+        cfg.write_text("n_replicates = 2\nhorizon = 3.0\n")
+        series, exp = tmp_path / "soup.csv", tmp_path / "exp.csv"
+        for extra, out in (([], series), (["--experiment"], exp)):
+            run_cli(["soup", "run", "--seed", "7", "--config", str(cfg), *extra, "--out", str(out)],
+                    tmp_path)
+        last, first = read_rows(series)[-1], read_rows(exp)[0]
+        assert float(last["t"]) == 3.0 and first["replicate"] == "0"
+        assert last["free_A"] == first["treatment_free_a"]
+        assert last["n_P"] == first["treatment_p_count"]
 
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "soup.cfg"
@@ -770,7 +783,7 @@ print(json.dumps({
                            "concurrent.futures", "subprocess") if m in sys.modules],
 }))
 """
-_CORE = ["prenelab.cli", "prenelab.config", "prenelab.rng"]
+_START = ["cli", "config"]  # all that --version and --help load
 _STDLIB = ["dataclasses", "fractions", "inspect", "pickle"]
 # the replicates fork by hand: no command loads a process-pool library
 _NO_POOL = ["multiprocessing", "concurrent.futures", "subprocess"]
@@ -779,33 +792,36 @@ _NO_POOL = ["multiprocessing", "concurrent.futures", "subprocess"]
 class TestImports:
     """A command loads NumPy, and a model module, only if it runs that model.
 
-    `--version` and `--help` load no model module, nor `dataclasses`
-    (with the `inspect` it pulls in), `fractions` or `pickle`; the
-    registry commands do without `fractions` and `pickle`, lifespan
-    without `pickle`, and no command loads a process-pool library.
+    `--version` and `--help` load only `cli` and `config`: no `rng`, no
+    model module, nor `dataclasses` (with the `inspect` it pulls in),
+    `fractions` or `pickle`.  `soup run` loads neither `kernels` nor
+    `replicator`; the registry commands do without `fractions` and
+    `pickle`, lifespan without `pickle`, and no command loads a
+    process-pool library.
     """
 
     @pytest.mark.parametrize(
-        "args, artifact, numpy, models, absent",
+        "args, artifact, numpy, modules, absent",
         [
-            (["--version"], None, False, [], _STDLIB),
-            (["--help"], None, False, [], _STDLIB),
+            (["--version"], None, False, _START, _STDLIB),
+            (["--help"], None, False, _START, _STDLIB),
             (["lifespan", "table", "--days", "5", "--out", "census.csv"], "census.csv", False,
-             ["lifespan"], ["pickle"]),
+             _START + ["rng", "lifespan"], ["pickle"]),
             (["registry", "ingest", "--log", GOLDEN_LOG, "--out", "canon.jsonl"],
-             "canon.jsonl", False, ["registry"], ["fractions", "pickle"]),
+             "canon.jsonl", False, _START + ["rng", "registry"], ["fractions", "pickle"]),
             (["registry", "query", "--log", GOLDEN_LOG, "--what", "classify",
               "--content", "POX", "--out", "query.json"], "query.json", False,
-             ["registry"], ["fractions", "pickle"]),
+             _START + ["rng", "registry"], ["fractions", "pickle"]),
             (["replicator", "run", "--config", "rep.cfg", "--out", "rep.csv",
-              "--events", "events.jsonl"], "events.jsonl", True, ["kernels", "replicator"], []),
+              "--events", "events.jsonl"], "events.jsonl", True,
+             _START + ["rng", "kernels", "replicator"], []),
             (["soup", "run", "--config", "soup.cfg", "--samples", "3", "--out", "soup.csv"],
-             "soup.csv", True, ["kernels", "replicator", "soup"], []),
+             "soup.csv", True, _START + ["rng", "soup"], []),
         ],
         ids=["version", "help", "lifespan", "ingest", "query", "replicator", "soup"],
     )
     def test_numpy_loads_only_for_the_models_that_use_it(
-        self, tmp_path, args, artifact, numpy, models, absent
+        self, tmp_path, args, artifact, numpy, modules, absent
     ):
         (tmp_path / "rep.cfg").write_text("n_pairs = 2\nhorizon = 4\n")
         (tmp_path / "soup.cfg").write_text("horizon = 1.0\n")
@@ -820,7 +836,7 @@ class TestImports:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded["code"] == 0
         assert loaded["numpy"] == numpy
-        assert loaded["prenelab"] == sorted(_CORE + [f"prenelab.{m}" for m in models])
+        assert loaded["prenelab"] == sorted(f"prenelab.{m}" for m in modules)
         assert [m for m in loaded["stdlib"] if m in absent + _NO_POOL] == []
         if artifact is not None:
             assert (tmp_path / artifact).stat().st_size > 0

@@ -146,3 +146,55 @@ def test_no_module_reads_another_modules_private_names():
     assert files
     found = {path.name: names for path in files if (names := _foreign_private_reads(path))}
     assert found == {}
+
+
+# What each module imports from the package at module level.  No model
+# module imports another: the models share only `config` (the field rules)
+# and `rng` (the streams and the paired-run driver), and a command that
+# runs one model loads no other.
+PACKAGE_IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"config", "__version__"},
+    "config": set(),
+    "kernels": set(),
+    "lifespan": set(),
+    "rng": {"config"},
+    "registry": {"config"},
+    "soup": {"config", "rng"},
+    "replicator": {"config", "rng", "kernels"},
+}
+
+
+def _package_imports_in(source: str) -> set[str]:
+    """The `prenelab` names that a file's module-level imports bind: a
+    submodule by its name, a package attribute (`__version__`) by its own."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["prenelab" * (node.level > 0), node.module]))
+            if module == "prenelab":
+                names += [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                names.append(module)
+    parts = [name.split(".") for name in names]
+    return {(p + ["__init__"])[1] for p in parts if p[0] == "prenelab"}
+
+
+@pytest.mark.parametrize("source, imported", [
+    ("import numpy as np\nfrom typing import Optional\n", set()),
+    ("from . import rng as rng_mod\nfrom .config import is_int\n", {"rng", "config"}),
+    ("from prenelab import soup\nimport prenelab.kernels\nimport prenelab\n",
+     {"soup", "kernels", "__init__"}),
+    ("def f():\n    from . import replicator\n", set()),
+])
+def test_package_imports_reads_module_level_imports(source, imported):
+    assert _package_imports_in(source) == imported
+
+
+def test_no_model_module_imports_another():
+    files = sorted((ROOT / "src" / "prenelab").glob("*.py"))
+    found = {path.stem: _package_imports_in(path.read_text(encoding="utf-8")) for path in files}
+    assert found == PACKAGE_IMPORTS

@@ -32,9 +32,9 @@ from prenelab.replicator import (
     replicate,
     run_escape_experiment,
     run_population_day,
-    sign_test,
     vdj_generate,
 )
+from prenelab.rng import sign_test
 
 
 class TestGenome:
