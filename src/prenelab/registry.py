@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import is_int
 
@@ -132,6 +133,7 @@ class World:
         self._source: list[Optional[int]] = []
         self._content: list[_Content] = []
         self._contents: dict[tuple[bytes, str], _Content] = {}
+        self._substrates: set[str] = set()  # the substrates check_substrate has accepted
 
     # append API; ids are checked here (from_jsonl checks its own), events by one method per kind
 
@@ -149,7 +151,8 @@ class World:
         self._transcribe(new_id, substrate, src_id)
 
     def _create(self, obj_id: int, substrate, raw: bytes, src: Optional[int]) -> None:
-        check_substrate(substrate)
+        if type(substrate) is not str or substrate not in self._substrates:  # a JSON list is unhashable
+            self._substrates.add(check_substrate(substrate))
         if obj_id in self._row:
             raise LogError(f"object id {obj_id} already exists")
         if src is not None:
@@ -157,7 +160,8 @@ class World:
         self._new_row("create", obj_id, raw, substrate, src)
 
     def _transcribe(self, obj_id: int, substrate, src: Optional[int]) -> None:
-        check_substrate(substrate)
+        if type(substrate) is not str or substrate not in self._substrates:
+            self._substrates.add(check_substrate(substrate))
         source = self._content[self._require_alive(src)]
         if obj_id in self._row:
             raise LogError(f"object id {obj_id} already exists")
@@ -282,44 +286,44 @@ class World:
     def from_jsonl(cls, text: str) -> "World":
         """Replay a log in the to_jsonl format, rejecting its first bad line.
 
-        Each line is one JSON object whose `i`, `obj` and any non-null
-        `src` are JSON integers (booleans and floats are refused); each
-        event is validated and applied by its kind's method, as in the
-        append API.  Each distinct `content_b64` text is decoded once.
-        _parse_lines parses many lines per `json.loads` call without
-        changing any `line N:` message.
+        One streaming pass of _LINE over the text reads one line per
+        match, counting lines as `str.splitlines` does.  A line in
+        to_jsonl's own form gives its fields as regex groups and needs
+        no `json.loads`; any other line is read by `json.loads` and
+        shape-checked by _parse.  Either way `i`, `obj` and any non-null
+        `src` are JSON integers (booleans and floats are refused), and
+        each event is validated and applied by its kind's method, as in
+        the append API.  Each distinct `content_b64` text is decoded once.
         """
         world = cls()
         create, transcribe, destroy, kinds = world._create, world._transcribe, world._destroy, world._kinds
         decoded: dict[str, bytes] = {}  # content_b64 text -> raw bytes
-        for lineno, record in enumerate(_parse_lines(text), 1):
+        for lineno, match in enumerate(_LINE.finditer(text), 1):
+            i, kind, obj, substrate, b64, src, line = match.groups()
             try:
-                if not isinstance(record, dict):
-                    raise LogError("event must be a JSON object")
-                try:
-                    i, kind, obj = record["i"], record["kind"], record["obj"]
-                except KeyError:
-                    raise _missing(record, ("i", "kind", "obj")) from None
-                src = record.get("src")
-                if not (type(i) is int and type(obj) is int
-                        and (src is None or type(src) is int)):
-                    raise LogError(_id_error(record))
+                if line is None:  # to_jsonl's own form
+                    i, obj, record = int(i), int(obj), None
+                    if src is not None:
+                        src = int(src)
+                else:
+                    record = _parse(line)
+                    i, kind, obj, substrate, b64, src = map(record.get, _FIELDS)
                 if kind == "create":
                     # JSON null, false, 0, "", [] and {} all read as empty content
-                    b64 = record.get("content_b64") or ""
+                    b64 = b64 or ""
                     raw = decoded.get(b64) if type(b64) is str else None
                     if raw is None:
                         try:
                             raw = decoded[b64] = base64.b64decode(b64, validate=True)
                         except (ValueError, TypeError):  # binascii.Error is a ValueError
                             raise LogError("content_b64 is not valid base64") from None
-                    if "content_b64" not in record or "substrate" not in record:
+                    if record is not None and ("content_b64" not in record or "substrate" not in record):
                         raise _missing(record, ("content_b64", "substrate"))
-                    create(obj, record["substrate"], raw, src)
+                    create(obj, substrate, raw, src)
                 elif kind == "transcribe":
-                    if "src" not in record or "substrate" not in record:
+                    if record is not None and ("src" not in record or "substrate" not in record):
                         raise _missing(record, ("src", "substrate"))
-                    transcribe(obj, record["substrate"], src)
+                    transcribe(obj, substrate, src)
                 elif kind == "destroy":
                     destroy(obj)
                 else:
@@ -331,6 +335,43 @@ class World:
         return world
 
 
+_FIELDS = ("i", "kind", "obj", "substrate", "content_b64", "src")
+
+# One log line and its break, as str.splitlines splits them.  A line in
+# to_jsonl's own form (its keys in order, integers in JSON grammar, and
+# strings holding no escape, quote, control character or line break)
+# gives the six fields as groups 1-6, a null as None; any other line,
+# including one with anything after its "}", is group 7.  As in
+# splitlines, the end of the text starts no line.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_STR = r'(?:"([^"\\\x00-\x1f\x85\u2028\u2029]*)"|null)'
+_LINE = re.compile(
+    rf'(?!\Z)(?:\{{"i":{_INT},"kind":"(create|transcribe|destroy)","obj":{_INT},'
+    rf'"substrate":{_STR},"content_b64":{_STR},"src":(?:{_INT}|null)\}}(?=[{_BREAKS}]|\Z)'
+    rf"|([^{_BREAKS}]*))(?:\r\n|[{_BREAKS}])?"
+)
+
+
+def _parse(line: str) -> dict:
+    """A line not in to_jsonl's form, read by `json.loads` and shape-checked."""
+    if not line.strip():
+        raise LogError("blank line in event log")
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise LogError(f"not valid JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise LogError("event must be a JSON object")
+    if not record.keys() >= {"i", "kind", "obj"}:
+        raise _missing(record, ("i", "kind", "obj"))
+    for name in ("i", "obj", "src"):
+        value = record.get(name)
+        if type(value) is not int and (name != "src" or value is not None):
+            raise LogError(f"{name} must be an integer, got {json.dumps(value)}")
+    return record
+
+
 def _missing(record: dict, fields: tuple[str, ...]) -> LogError:
     return LogError(f"missing fields {sorted(set(fields) - record.keys())}")
 
@@ -340,63 +381,6 @@ def _plain_id(name: str, value) -> int:
     if not is_int(value):
         raise LogError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _id_error(record: dict) -> str:
-    """Names the first of i, obj and a non-null src that is not a JSON integer."""
-    name = next(key for key in ("i", "obj", "src") if type(record.get(key)) is not int)
-    return f"{name} must be an integer, got {json.dumps(record[name])}"
-
-
-# Lines per guarded parse: bounds how many parsed records are held at once.
-_PARSE_CHUNK = 1024
-
-
-def _parse_lines(text: str) -> Iterator:
-    """The JSON value of each line of a log, in order, parsed as needed.
-
-    A log without '[' or ']' is parsed a chunk of lines per call, as the
-    array of one-element rows "[[" + "]\\n,[".join(chunk) + "]]".  The
-    result is used only when it has one row per line and each row holds
-    exactly one value: without brackets in the text each row is
-    self-contained, and strict JSON forbids a raw newline inside a
-    string, so no string can run from one row into the next; a
-    one-element row is then exactly the value `json.loads(line)` returns.
-    In every other case (a blank line, a line holding two values, bad
-    JSON, brackets anywhere) the chunk's lines are parsed one at a time
-    as the replay reaches them, so every error names the same line, with
-    the same message, as a per-line loader.
-    """
-    lines = text.splitlines()
-    guarded = "[" not in text and "]" not in text
-    for start in range(0, len(lines), _PARSE_CHUNK):
-        chunk = lines[start : start + _PARSE_CHUNK]
-        rows = _parse_rows(chunk) if guarded else None
-        if rows is None:
-            yield from _parse_each(chunk, start)
-        else:
-            for (value,) in rows:
-                yield value
-
-
-def _parse_rows(chunk: list[str]) -> Optional[list]:
-    try:
-        rows = json.loads("[[" + "]\n,[".join(chunk) + "]]")
-    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
-        return None
-    if len(rows) == len(chunk) and all(type(row) is list and len(row) == 1 for row in rows):
-        return rows
-    return None
-
-
-def _parse_each(lines: list[str], offset: int) -> Iterator:
-    for lineno, line in enumerate(lines, offset + 1):
-        if not line.strip():
-            raise LogError(f"line {lineno}: blank line in event log")
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogError(f"line {lineno}: not valid JSON ({exc.msg})") from None
 
 
 # queries: the recognizer runs once per distinct normalized content

@@ -1,11 +1,16 @@
 """Reference event-log loader: one `json.loads` and one public append per line.
 
-This is the loader the guarded one-pass parse replaced.  It reads each
-line on its own and replays it through `World.create`, `World.destroy`
-and `World.transcribe`, so its `line N: ...` messages are the contract
-for every log it rejects.  It reads kind-specific fields with
-`record[...]`, so a record that lacks one escapes as a `KeyError`; the
-loader under test reports those as missing fields instead.
+`World.from_jsonl` reads lines in `to_jsonl`'s own form from a regular
+expression's groups and hands only other lines to `json.loads`; this
+loader reads every line with `str.splitlines` and `json.loads` and
+replays it through `World.create`, `World.destroy` and
+`World.transcribe`, so its `line N: ...` messages are the contract for
+every log it rejects.  Two exceptions: it reads kind-specific fields
+with `record[...]`, so a record that lacks one escapes as a `KeyError`
+where the loader under test reports missing fields; and for an id that
+is not a JSON integer it names the append API's argument and shows the
+value by `repr` (`obj_id must be an integer, got True`) where the loader
+names the log field and shows JSON (`obj must be an integer, got true`).
 """
 
 import base64

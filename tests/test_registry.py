@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -213,7 +214,7 @@ def _record(i, kind, obj, substrate=None, content_b64=None, src=None) -> str:
 
 
 def _long_log(n_events: int) -> list[str]:
-    """A valid log longer than one parse chunk: creates, transcribes, destroys."""
+    """A valid log of creates, transcribes and destroys, every line in to_jsonl's form."""
     w = World()
     for i in range(n_events):
         if i % 3 == 2:
@@ -276,6 +277,27 @@ _ORDER_MESSAGES = {
 }
 
 
+def _create_holding(field: str, inner: str) -> str:
+    """A create line whose substrate or content_b64 string has `inner` in its middle."""
+    line = _record(0, "create", 1, "other:ab", "eA==")
+    if field == "substrate":
+        return line.replace('"other:ab"', f'"other:a{inner}b"')
+    return line.replace('"eA=="', f'"eA{inner}=="')
+
+
+def _loads_like_oracle(text: str) -> World:
+    got, expected = World.from_jsonl(text), _registry_oracle.load(text)
+    assert got.events == expected.events
+    assert all_objects(got) == all_objects(expected)
+    return got
+
+
+def _fails_like_oracle(text: str) -> str:
+    message = _message(World.from_jsonl, text)
+    assert message == _message(_registry_oracle.load, text)
+    return message
+
+
 def _message(load, text):
     with pytest.raises(LogError) as info:
         load(text)
@@ -283,7 +305,7 @@ def _message(load, text):
 
 
 class TestLoader:
-    """The chunked loader must reject exactly what the per-line loader
+    """The streaming loader must reject exactly what the per-line loader
     rejects, with the same message, and accept the same logs."""
 
     def test_corrupted_logs_match_per_line_loader(self):
@@ -328,20 +350,37 @@ class TestLoader:
         assert message == _message(_registry_oracle.load, text)
         assert message == "line 1: not valid JSON (Extra data)"
 
-    def test_clean_log_parsed_in_chunks(self, monkeypatch):
+    def test_only_lines_outside_the_writers_form_reach_json_loads(self, monkeypatch):
         calls = []
         loads = registry.json.loads
 
         def counting(text, *args, **kwargs):
-            calls.append(len(text))
+            calls.append(text)
             return loads(text, *args, **kwargs)
 
         monkeypatch.setattr(registry.json, "loads", counting)
+        lines = _long_log(2600)
+        text = "\n".join(lines) + "\n"
+        assert World.from_jsonl(text).now + 1 == 2600
+        assert calls == []
+        # the same record with its keys in another order
+        lines[1300] = json.dumps(dict(reversed(json.loads(lines[1300]).items())), separators=(",", ":"))
+        calls.clear()
+        permuted = "\n".join(lines) + "\n"
+        assert World.from_jsonl(permuted).events == World.from_jsonl(text).events
+        assert calls == [lines[1300]]
+
+    def test_load_holds_no_copy_of_the_log(self):
+        # one streaming pass: no list of lines or of parsed records lives beside the world
         text = "\n".join(_long_log(2600)) + "\n"
-        world = World.from_jsonl(text)
-        assert len(world.events) == 2600
-        # one guarded parse per chunk, no per-line fallback
-        assert len(calls) == -(-2600 // registry._PARSE_CHUNK)
+        tracemalloc.start()
+        try:
+            world = World.from_jsonl(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert world.now + 1 == 2600
+        assert peak - retained <= 0.1 * len(text), (peak - retained, len(text))
 
     def test_valid_logs_load_like_per_line_loader(self):
         gen = np.random.default_rng(3)
@@ -436,6 +475,69 @@ class TestLoader:
             "line 1: substrate must be one of ('nucleic_acid', 'brain', 'computer', "
             "'document') or 'other:<name>', got None"
         )
+
+    @pytest.mark.parametrize("substrate", ['["brain"]', '{"brain":1}'])
+    def test_unhashable_substrate_is_a_log_error(self, substrate):
+        first = _record(0, "create", 1, "brain", "eA==") + "\n"
+        for line in (_record(1, "create", 2, "brain", "eA=="), _record(1, "transcribe", 2, "computer", src=1)):
+            line = line.replace('"brain"', substrate).replace('"computer"', substrate)
+            assert _fails_like_oracle(first + line + "\n").startswith("line 2: substrate must be one of")
+
+    # every character str.splitlines breaks a line at, besides "\n"
+    BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    def test_line_breaks_split_lines_as_the_per_line_loader_does(self, brk):
+        first = _record(0, "create", 1, "brain", "eA==")
+        second = _record(1, "transcribe", 2, "computer", src=1)
+        for text in (first + brk + second, first + brk + second + brk):
+            assert _loads_like_oracle(text).now == 1
+        assert _fails_like_oracle(first + brk + brk + second) == "line 2: blank line in event log"
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    @pytest.mark.parametrize("field", ["substrate", "content_b64"])
+    def test_line_break_inside_a_string_ends_the_line(self, field, brk):
+        text = _create_holding(field, brk) + "\n" + _record(1, "destroy", 1) + "\n"
+        assert _fails_like_oracle(text) == "line 1: not valid JSON (Unterminated string starting at)"
+
+    @pytest.mark.parametrize("char", ["\t", "\x00", "\x1f", "\x7f", "\\u0041", '\\"'], ids=ascii)
+    @pytest.mark.parametrize("field", ["substrate", "content_b64"])
+    def test_other_characters_inside_a_string_match_the_per_line_loader(self, field, char):
+        text = _create_holding(field, char) + "\n" + _record(1, "destroy", 1) + "\n"
+        if (field, char) in {("substrate", "\x7f"), ("substrate", "\\u0041"), ("substrate", '\\"')}:
+            assert _loads_like_oracle(text).now == 1
+        else:
+            assert _fails_like_oracle(text).startswith("line 1: ")
+
+    @pytest.mark.parametrize("number", ["-0", "01", "1.0", "1e2", "true"])
+    @pytest.mark.parametrize("field", ["i", "obj", "src"])
+    def test_integers_follow_json_grammar(self, field, number):
+        lines = [_record(0, "create", 0, "brain", "eA=="), _record(1, "transcribe", 2, "computer", src=0)]
+        k = 1 if field == "src" else 0
+        lines[k] = lines[k].replace(f'"{field}":0', f'"{field}":{number}', 1)
+        text = "\n".join(lines) + "\n"
+        if number == "-0":
+            assert [obj for _, _, obj, *_ in _loads_like_oracle(text).events] == [0, 2]
+        elif number == "01":
+            assert _fails_like_oracle(text) == f"line {k + 1}: not valid JSON (Expecting ',' delimiter)"
+        else:  # the per-line loader names the append API's argument, and shows it by repr
+            shown = json.dumps(json.loads(number))
+            message = _message(World.from_jsonl, text)
+            assert message == f"line {k + 1}: {field} must be an integer, got {shown}"
+            assert _message(_registry_oracle.load, text).startswith(f"line {k + 1}: ")
+
+    def test_grammar_edges_match_the_per_line_loader(self):
+        first = _record(0, "create", 1, "brain", "eA==")
+        second = _record(1, "destroy", 1)
+        assert _fails_like_oracle(first.replace('"brain"', '""') + "\n") == (
+            f"line 1: substrate must be one of {registry.SUBSTRATES} or 'other:<name>', got ''")
+        escaped = _loads_like_oracle(first.replace('"brain"', '"\\u0062rain"') + "\n")
+        assert all_objects(escaped)[1].substrate == "brain"
+        assert _loads_like_oracle(first + " \n" + second + "\n").now == 1
+        assert _fails_like_oracle("\ufeff" + first + "\n") == (
+            "line 1: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")
+        assert _loads_like_oracle(first + "\n" + second).now == 1
+        assert _loads_like_oracle("").now == -1
 
 
 @pytest.mark.parametrize("t", [0.5, True, "1"])
