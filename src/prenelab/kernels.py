@@ -28,8 +28,9 @@ def constant_runs(site_prob: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     )
 
 
-def _flip_sites(n, length, runs, gen):
-    """Sorted flat indices (row * length + col) of the sites that flip."""
+def flip_sites(n, length, runs, gen):
+    """Sorted flat indices (row * length + col) of the sites of an (n, length)
+    batch that flip: the kernel's position draws, with no letter drawn."""
     parts = [np.empty(0, np.int64)]
     for start, width, p in runs:
         k = gen.binomial(n * width, p)
@@ -58,6 +59,6 @@ def mutate_sites(codes: np.ndarray, runs, gen: np.random.Generator):
     the three other letters uniformly.
     """
     n, length = codes.shape
-    rows, cols = np.divmod(_flip_sites(n, length, runs, gen), length)
+    rows, cols = np.divmod(flip_sites(n, length, runs, gen), length)
     old, new = _apply_flips(codes, rows, cols, gen)
     return rows, cols, old, new

@@ -31,6 +31,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -302,9 +303,12 @@ class World:
             i, kind, obj, substrate, b64, src, line = match.groups()
             try:
                 if line is None:  # to_jsonl's own form
-                    i, obj, record = int(i), int(obj), None
-                    if src is not None:
-                        src = int(src)
+                    try:
+                        i, obj, record = int(i), int(obj), None
+                        if src is not None:
+                            src = int(src)
+                    except ValueError:  # _INT admits only digits: past int()'s limit
+                        raise _long_int() from None
                 else:
                     record = _parse(line)
                     i, kind, obj, substrate, b64, src = map(record.get, _FIELDS)
@@ -361,6 +365,8 @@ def _parse(line: str) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogError(f"not valid JSON ({exc.msg})") from None
+    except ValueError:  # an integer past int()'s digit limit
+        raise _long_int() from None
     if not isinstance(record, dict):
         raise LogError("event must be a JSON object")
     if not record.keys() >= {"i", "kind", "obj"}:
@@ -370,6 +376,10 @@ def _parse(line: str) -> dict:
         if type(value) is not int and (name != "src" or value is not None):
             raise LogError(f"{name} must be an integer, got {json.dumps(value)}")
     return record
+
+
+def _long_int() -> LogError:
+    return LogError(f"integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 def _missing(record: dict, fields: tuple[str, ...]) -> LogError:

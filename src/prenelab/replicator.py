@@ -9,9 +9,12 @@ populations escape by mutating the coat faster than posters appear.
 
 The daily population cycle is: replicate (each virion is replaced by R
 mutated offspring), immune step (new posters for unseen coats, active
-posters kill), capacity cull (uniform random).  Everything is driven by
-one per-run RNG stream, so a (config, seed) pair fixes the full event
-trace.
+posters kill), capacity cull (uniform random).  As the immune system
+reads nothing but the coat, a population holds and copies only its
+coat's letters, driven by one per-run RNG stream.  A traced run also
+draws where its body sites flip, from a second stream that only the
+trace reads, so a (config, seed) pair fixes the full event trace and
+tracing changes no outcome.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .config import ConfigError, check_fields, is_int
-from .kernels import constant_runs, mutate_sites
+from .kernels import constant_runs, flip_sites, mutate_sites
 
 __all__ = [
     "LETTERS",
@@ -160,7 +163,7 @@ class MutationProfile:
     the kernel, computed once here rather than on every replication.
     """
 
-    __slots__ = ("site_prob", "kind", "runs")
+    __slots__ = ("site_prob", "kind", "runs", "_split")
 
     def __init__(self, site_prob: np.ndarray, kind: str = "custom"):
         p = np.array(site_prob, dtype=np.float64)  # a private copy, frozen below
@@ -172,6 +175,16 @@ class MutationProfile:
         self.site_prob = p
         self.kind = kind
         self.runs = constant_runs(p)
+        self._split: dict = {}
+
+    def split(self, start: int, stop: int) -> tuple[tuple, tuple]:
+        """(coat, body): the runs of sites [start, stop), counted from
+        `start`, and the runs of every other site; computed once per span."""
+        if (start, stop) not in self._split:
+            body = self.site_prob.copy()
+            body[start:stop] = 0.0  # constant_runs drops zero-rate runs
+            self._split[start, stop] = constant_runs(self.site_prob[start:stop]), constant_runs(body)
+        return self._split[start, stop]
 
     def __len__(self) -> int:
         return self.site_prob.size
@@ -262,10 +275,11 @@ def mutant_fraction(
 class PopulationState:
     """A day-indexed virion population with its immune poster board.
 
-    Virions live in parallel arrays (one codes row per virion) so the
-    mutation kernel can run on the whole population at once.  Each
-    virion carries the id of its coat, the letters of the founder's
-    `coat` region, in `coat`, or -1 while its coat is not yet interned.
+    Virions live in parallel arrays so the mutation kernel can run on
+    the whole population at once.  As no outcome reads the body, a
+    virion's `codes` row holds only its coat: sites `coat_span` of a
+    genome `length` sites long.  Each virion carries the id of its coat
+    in `coat`, or -1 while its coat is not yet interned.
     `coat_ids` interns each postered coat (its letter codes as bytes) to
     an id, issued in posting order; `posters[id]` is that coat's
     activation day.  Every coat seen by `immune_step` is postered, so
@@ -276,7 +290,9 @@ class PopulationState:
 
     `events` is what the day's steps `append` and `extend` event dicts to:
     a list, the trace sink of `run_escape_experiment`, or None.  Only a
-    traced state numbers its virions, in `ids` and `next_id`.
+    traced state numbers its virions, in `ids` and `next_id`, and a
+    traced state needs `body`, the generator of its births' flip sites
+    outside the coat: `events` and `body` are given together or not at all.
     """
 
     def __init__(
@@ -288,6 +304,7 @@ class PopulationState:
         immune_delay: int,
         kill_probability: float,
         events: Optional[list] = None,
+        body: Optional[np.random.Generator] = None,
     ):
         capacity = _index(capacity)
         n_founders = _index(n_founders)
@@ -300,13 +317,17 @@ class PopulationState:
             raise ValueError("immune delay must be >= 0")
         if not 0.0 <= kill_probability <= 1.0:
             raise ValueError("kill probability must lie in [0, 1]")
-        founder.region_slice("coat")  # raises MissingRegion early
+        if (events is None) != (body is None):
+            raise ValueError("a traced state needs both events and a body generator")
+        coat = founder.region_slice("coat")  # raises MissingRegion early
         self.coat_span = founder.regions["coat"]
-        self.codes = np.repeat(founder.codes.reshape(1, -1), n_founders, axis=0)
+        self.length = len(founder)
+        self.codes = np.repeat(coat.reshape(1, -1), n_founders, axis=0)
         self.coat = np.full(n_founders, -1, dtype=np.int64)
         self.day = 0
         self.capacity = capacity
         self.gen = gen
+        self.body = body
         self.immune_delay = immune_delay
         self.kill_probability = kill_probability
         self.coat_ids: dict[bytes, int] = {}  # coat letter codes -> coat id
@@ -330,21 +351,29 @@ class PopulationState:
 def replicate_population(state: PopulationState, profile: MutationProfile, offspring_per_virion: int) -> None:
     """Generational replacement: every virion is replaced by R offspring.
 
-    A child inherits its parent's coat id unless the kernel flipped a
-    site inside `coat_span`; such a child's coat is left for
-    `immune_step` to intern.  `run_population_day` checks the count.
+    Only the coat is copied: the kernel runs the profile's runs inside
+    `coat_span` on the state's stream `gen`.  A child inherits its
+    parent's coat id unless the kernel flipped one of its sites; such a
+    child's coat is left for `immune_step` to intern.  A traced birth
+    lists its flipped sites, in the genome's numbering: its coat flips
+    and its body flips, whose positions `body` draws as the kernel draws
+    positions, run by run over the body runs, with no letters (no
+    outcome reads them).  `run_population_day` checks the count.
     """
     if state.population == 0:
         return
+    coat_runs, body_runs = profile.split(*state.coat_span)
     batch = np.repeat(state.codes, offspring_per_virion, axis=0)
-    rows, cols, old, new = replicate_batch(batch, profile, state.gen)
+    rows, cols, _, _ = mutate_sites(batch, coat_runs, state.gen)
     coat = np.repeat(state.coat, offspring_per_virion)
-    start, stop = state.coat_span
-    coat[rows[(cols >= start) & (cols < stop)]] = -1
+    coat[rows] = -1
     if state.events is not None:
         parents = np.repeat(state.ids, offspring_per_virion).tolist()
         state.ids = np.arange(state.next_id, state.next_id + len(batch), dtype=np.int64)
         state.next_id += len(batch)
+        sites = rows * state.length + cols + state.coat_span[0]
+        body = flip_sites(len(batch), state.length, body_runs, state.body)
+        rows, cols = np.divmod(np.sort(np.concatenate([sites, body])), state.length)
         sites_by_row: dict[int, list] = {}
         for r, c in zip(rows.tolist(), cols.tolist()):
             sites_by_row.setdefault(r, []).append(c)
@@ -382,14 +411,13 @@ def immune_step(state: PopulationState) -> PopulationState:
     day = state.day
     posters = state.posters
     events = state.events
-    start, stop = state.coat_span
     unknown = np.flatnonzero(state.coat < 0)
     if unknown.size:
         activation = day + state.immune_delay
         if posters and activation < posters[-1]:
             raise ValueError(f"day {day} is before the day of an earlier poster")
-        block = np.ascontiguousarray(state.codes[unknown, start:stop])
-        coats = block.view(f"V{stop - start}").ravel().tolist()  # one bytes per row
+        block = state.codes[unknown]  # a C-contiguous copy
+        coats = block.view(f"V{block.shape[1]}").ravel().tolist()  # one bytes per row
         interned = state.coat_ids
         issued = len(interned)
         setdefault = interned.setdefault
@@ -412,7 +440,7 @@ def immune_step(state: PopulationState) -> PopulationState:
     keep[dead] = False
     if events is not None:
         for i in dead.tolist():
-            signature = _codes_to_str(state.codes[i, start:stop])
+            signature = _codes_to_str(state.codes[i])
             events.append({"kind": "kill", "day": day, "id": int(state.ids[i]), "signature": signature})
         state.ids = state.ids[keep]
     state._keep(keep)
@@ -445,7 +473,7 @@ def run_population_day(
     offspring_per_virion = _index(offspring_per_virion)
     if offspring_per_virion < 1:
         raise ValueError("offspring_per_virion must be >= 1")
-    _check_width(profile, state.codes.shape[1])
+    _check_width(profile, state.length)
     state.day += 1
     replicate_population(state, profile, offspring_per_virion)
     immune_step(state)
@@ -543,12 +571,12 @@ class EscapeReport:
 
 def _run_arm(
     config: EscapeConfig, profile: MutationProfile, gen: np.random.Generator,
-    events: Optional[list] = None,
+    events: Optional[list] = None, body: Optional[np.random.Generator] = None,
 ) -> PopulationState:
     state = PopulationState(
         config.founder(), config.n_founders, config.capacity, gen,
         immune_delay=config.immune_delay, kill_probability=config.kill_probability,
-        events=events,
+        events=events, body=body,
     )
     for _ in range(config.horizon):
         run_population_day(state, profile, config.offspring_per_virion)
@@ -592,17 +620,23 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
     arm survives until its extinction day, or horizon + 1 if it outlives
     the horizon; the longer survivor wins the pair.  With a text stream
     `trace`, pair 0 is traced as it runs: its hot arm's events, then its
-    fidelity arm's, one JSON line each, each written as it happens.  Pairs
+    fidelity arm's, one JSON line each, each written as it happens.  Its
+    births' body sites come from (master_seed, REPLICATOR, 0, BODY), a
+    stream no untraced arm opens, so the trace changes no outcome.  Pairs
     run on the CPUs in the affinity mask (`rng.fan_out`) with the same
     output for any number of them; `taskset -c 0` runs them in one process.
     """
     hot_profile = config.hot_profile()
     fid_profile = config.fidelity_profile()
 
+    def arm(i: int, name: str, profile: MutationProfile) -> PopulationState:
+        key = (config.master_seed, rng_mod.REPLICATOR, i)
+        traced = trace is not None and i == 0
+        trace_args = (_TraceSink(trace, name), rng_mod.stream(*key, rng_mod.BODY)) if traced else ()
+        return _run_arm(config, profile, rng_mod.stream(*key), *trace_args)
+
     def pair(i: int) -> PairOutcome:
-        hot, fid = (_run_arm(config, profile, rng_mod.stream(config.master_seed, rng_mod.REPLICATOR, i),
-                             _TraceSink(trace, name) if trace is not None and i == 0 else None)
-                    for name, profile in (("hot", hot_profile), ("fidelity", fid_profile)))
+        hot, fid = arm(i, "hot", hot_profile), arm(i, "fidelity", fid_profile)
         return PairOutcome(i, None if hot.population > 0 else hot.day,
                            None if fid.population > 0 else fid.day,
                            hot.peak_population, fid.peak_population)

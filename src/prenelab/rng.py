@@ -25,11 +25,14 @@ from .config import is_int
 # Stamped into every run report so a run can be reproduced bit-exactly.  The
 # suffix names the (master_seed, *key) -> SeedSequence derivation above and
 # moves with each deliberate artifact break: v3 made every soup variate a
-# uniform and every lifespan growth rate the double nearest its root.
-RNG_ALGORITHM = "philox4x64-10/keyed-u32-v3"
+# uniform and every lifespan growth rate the double nearest its root; v4
+# made escape arms draw only their coat sites from (seed, REPLICATOR, i),
+# and a traced arm its body sites from (seed, REPLICATOR, i, BODY).
+RNG_ALGORITHM = "philox4x64-10/keyed-u32-v4"
 
 REPLICATOR = int.from_bytes(b"repl", "big")
 SOUP = int.from_bytes(b"soup", "big")
+BODY = int.from_bytes(b"body", "big")  # a key's last word: the trace-only substream
 
 
 def _word(value, bits: int, name: str) -> int:

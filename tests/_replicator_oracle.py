@@ -21,8 +21,8 @@ from prenelab.replicator import LETTERS
 
 
 def signatures(state) -> list[str]:
-    start, stop = state.coat_span
-    return ["".join(LETTERS[c] for c in row.tolist()) for row in state.codes[:, start:stop]]
+    """Each virion's coat, the whole of its codes row."""
+    return ["".join(LETTERS[c] for c in row.tolist()) for row in state.codes]
 
 
 def board(state) -> dict[str, int]:

@@ -75,7 +75,7 @@ class TestLifespanTable:
         assert len(lines) == 1 + 31 * 2
         assert lines[-1] == "30,1/2,11536"
         assert report["config"]["g"] == ["1", "1/2"]
-        assert report["rng_algorithm"] == "philox4x64-10/keyed-u32-v3"
+        assert report["rng_algorithm"] == "philox4x64-10/keyed-u32-v4"
         assert report["artifacts"] == [str(out)]
 
     def test_days_zero_is_header_plus_founders(self, tmp_path):
@@ -192,7 +192,9 @@ class TestReplicatorRun:
              "--out", str(tmp_path / "summary.csv"), "--events", str(tmp_path / "events.jsonl")],
             tmp_path,
         )
-        assert len(calls) == 2 * 3
+        # one outcome stream per arm, and pair 0's arms each open the trace's body stream
+        outcome = [(5, rng.REPLICATOR, i) for i in range(3) for _ in ("hot", "fidelity")]
+        assert sorted(calls) == sorted(outcome + [(5, rng.REPLICATOR, 0, rng.BODY)] * 2)
         assert (tmp_path / "events.jsonl").stat().st_size > 0
 
     def test_events_path_naming_a_directory_exits_1_before_running(self, tmp_path, capsys):
@@ -273,7 +275,8 @@ class TestReplicatorRun:
         for profile, mutation in (("hot", config.hot_profile()),
                                   ("fidelity", config.fidelity_profile())):
             state = replicator._run_arm(
-                config, mutation, rng.stream(3, rng.REPLICATOR, 0), events=[]
+                config, mutation, rng.stream(3, rng.REPLICATOR, 0), events=[],
+                body=rng.stream(3, rng.REPLICATOR, 0, rng.BODY),
             )
             expected += [
                 json.dumps({"pair": 0, "profile": profile, **e}, sort_keys=True,
@@ -597,6 +600,18 @@ class TestRegistryCli:
         assert proc.returncode == 1
         assert proc.stderr == f"prene-lab: log error: line 2: {message}\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_integer_past_the_digit_limit_is_a_log_error(self, tmp_path, capsys, canonical):
+        log = tmp_path / "big.jsonl"
+        first = '{"i":0,"kind":"create","obj":1,"substrate":"brain","content_b64":"QUJD","src":null}'
+        big = '{"i":1,"kind":"destroy","obj":%s,"substrate":null,"content_b64":null,"src":null}' % ("9" * 5000)
+        log.write_text(first + "\n" + (big if canonical else big.replace('"i":1,', '"i": 1,')) + "\n")
+        args = ["registry", "query", "--log", str(log), "--what", "copy-number", "--content", "ABC"]
+        code, _ = run_cli(args, tmp_path, check=False)
+        assert code == 1
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"prene-lab: log error: line 2: integer of more than {limit} digits\n"
 
 
 class TestRunReport:

@@ -48,7 +48,7 @@ def _soup():
     return run_catalysis_experiment(SoupConfig(n_replicates=4, horizon=2.0, master_seed=6))
 
 
-@pytest.mark.parametrize("count", [3, 64], ids=["three-cpus", "more-cpus-than-replicates"])
+@pytest.mark.parametrize("count", [2, 3, 64], ids=["two-cpus", "three-cpus", "more-cpus-than-replicates"])
 def test_experiments_give_one_cpus_report_and_trace(monkeypatch, count):
     _cpus(monkeypatch, 1)
     escape, soup = _escape(), _soup()

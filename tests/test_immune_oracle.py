@@ -34,6 +34,7 @@ def _twins(seed, capacity=1000, immune_delay=1, kill_probability=0.5, traced=Tru
             founder, 1, capacity, rng.stream(seed, 2),
             immune_delay=immune_delay, kill_probability=kill_probability,
             events=[] if traced else None,
+            body=rng.stream(seed, 2, rng.BODY) if traced else None,
         )
         for _ in range(2)
     )
@@ -41,8 +42,9 @@ def _twins(seed, capacity=1000, immune_delay=1, kill_probability=0.5, traced=Tru
 
 
 def _populate(states, setup, n, letters=2):
-    """Give both states the same n random virions; few letters so coats repeat."""
-    codes = setup.integers(0, letters, size=(n, LENGTH), dtype=np.uint8)
+    """Give both states the same n random virions (coats, the codes a state
+    holds); few letters so coats repeat."""
+    codes = setup.integers(0, letters, size=(n, COAT[1] - COAT[0]), dtype=np.uint8)
     ids = setup.permutation(10 * n + 1)[:n].astype(np.int64)
     for state in states:
         state.codes = codes.copy()

@@ -30,3 +30,21 @@ def test_traced_benchmark_hooks_install_and_restore():
     assert patched
     for owner, attr, raw in patched:
         assert owner.__dict__[attr] is raw, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_escape_counts_its_work():
+    # the counts perfbench's traced pass reports for the escape workload;
+    # pair 0 runs in this process, so its counts are seen on any CPU count
+    import io
+
+    from prenelab import replicator
+
+    instrument, spans = _load("instrument"), _load("spans")
+    tracer = spans.Tracer()
+    try:
+        instrument.install(tracer)
+        replicator.run_escape_experiment(replicator.EscapeConfig(n_pairs=2, horizon=5), io.StringIO())
+    finally:
+        tracer.restore()
+    for count in ("replicator.days", "kernels.flips", "replicator.posters", "replicator.culled"):
+        assert tracer.counts[count] > 0, count

@@ -459,6 +459,17 @@ class TestLoader:
         line = line.replace('"i":0,', '"i":1,')
         assert _message(World.from_jsonl, f"{first}\n{line}\n") == f"line 2: {message}"
 
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_integer_past_the_digit_limit_is_a_log_error(self, canonical):
+        # int() and json.loads refuse a 5000-digit integer with a plain ValueError
+        first = _record(0, "create", 7, "brain", "eA==")
+        line = _record(1, "create", 0, "brain", "eA==").replace('"obj":0', '"obj":' + "9" * 5000)
+        if not canonical:
+            line = line.replace('"i":1,', '"i": 1,')
+        limit = sys.get_int_max_str_digits()
+        message = _message(World.from_jsonl, f"{first}\n{line}\n")
+        assert message == f"line 2: integer of more than {limit} digits"
+
     def test_true_id_no_longer_collides_with_one(self):
         text = _record(0, "create", 1, "brain", "eA==") + "\n"
         text += _record(1, "create", True, "brain", "eA==") + "\n"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -188,31 +189,52 @@ class TestReplicate:
 
 
 class TestCoatSignature:
-    """The board interns the exact coat subsequence of each virion."""
+    """A population holds only its coat, and the board interns each virion's coat exactly."""
 
     @staticmethod
-    def _board(*seqs):
+    def _board(*coats):
         state = PopulationState(
-            Genome.from_string(seqs[0], {"coat": (0, 4)}), len(seqs), 10,
+            Genome.from_string(coats[0], {"coat": (0, 4)}), len(coats), 10,
             rng.stream(30, 0), immune_delay=1, kill_probability=0.5,
         )
-        for row, seq in enumerate(seqs):
-            state.codes[row] = Genome.from_string(seq).codes
+        for row, coat in enumerate(coats):
+            state.codes[row] = Genome.from_string(coat).codes
         immune_step(state)
         return list(board(state))
 
     def test_direct_slice(self):
-        assert self._board("ACGUUGCA") == ["ACGU"]
+        state = PopulationState(
+            Genome.from_string("ACGUUGCA", {"coat": (2, 6)}), 3, 10, rng.stream(30, 0), 1, 0.5,
+        )
+        assert state.codes.shape == (3, 4) and state.length == 8
+        immune_step(state)
+        assert list(board(state)) == ["GUUG"]
 
     def test_requires_coat_region(self):
         with pytest.raises(MissingRegion):
             PopulationState(Genome.from_string("ACGU"), 1, 10, rng.stream(30, 0), 3, 0.5)
 
+    @pytest.mark.parametrize("trace", [{"events": []}, {"body": rng.stream(30, 0, rng.BODY)}],
+                             ids=["events-alone", "body-alone"])
+    def test_trace_needs_events_and_body_together(self, trace):
+        founder = Genome.from_string("ACGU", {"coat": (0, 2)})
+        with pytest.raises(ValueError, match="both events and a body generator"):
+            PopulationState(founder, 1, 10, rng.stream(30, 0), 3, 0.5, **trace)
+
     def test_coat_mutation_changes_signature(self):
-        assert self._board("AAAACCCC", "AAGACCCC") == ["AAAA", "AAGA"]
+        assert self._board("AAAA", "AAGA") == ["AAAA", "AAGA"]
 
     def test_mutation_outside_coat_keeps_signature(self):
-        assert self._board("AAAACCCC", "AAAACGCC") == ["AAAA"]
+        # every traced birth flips body sites, and no coat is ever new
+        founder = Genome.from_string("ACGUACGU", {"coat": (2, 6)})
+        state = PopulationState(founder, 2, 10, rng.stream(30, 0), 5, 0.5,
+                                events=[], body=rng.stream(30, 0, rng.BODY))
+        profile = MutationProfile.region_multiplier(0.9, 8, {"coat": (2, 6)}, {"coat": 0.0})
+        run_population_day(state, profile, 3)
+        births = [e for e in state.events if e["kind"] == "birth"]
+        assert len(births) == 6 and all(e["sites"] for e in births)
+        assert all(c < 2 or c >= 6 for e in births for c in e["sites"])
+        assert list(board(state)) == ["GUAC"] and state.coat.tolist() == [0] * 6
 
 
 def _founder_state(**kw):
@@ -313,7 +335,7 @@ class TestImmuneStep:
         g = Genome(np.zeros(30, dtype=np.uint8), {"coat": (0, 10)})
         state = PopulationState(
             g, 8, 200, rng.stream(32, 0), immune_delay=2, kill_probability=1.0,
-            events=[],
+            events=[], body=rng.stream(32, 0, rng.BODY),
         )
         profile = MutationProfile.region_multiplier(
             0.001, 30, {"coat": (0, 10)}, {"coat": 50.0}
@@ -328,8 +350,8 @@ class TestImmuneStep:
             assert posted[sig] > state.day  # not yet active
 
     def test_kill_events_match_poster_signatures(self):
-        state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7)
-        state.events, state.ids, state.next_id = [], np.arange(6), 6
+        state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7,
+                               events=[], body=rng.stream(31, 0, rng.BODY))
         immune_step(state)
         kills = [e for e in state.events if e["kind"] == "kill"]
         assert kills
@@ -352,7 +374,7 @@ class TestPopulationCycle:
             run_population_day(state, profile, 3)
             assert state.coat.shape == (state.population,)
             for row, cid in zip(state.codes, state.coat.tolist()):
-                assert cid == state.coat_ids[row[4:12].tobytes()]
+                assert cid == state.coat_ids[row.tobytes()]
             assert len(state.posters) == len(state.coat_ids)
             assert sorted(state.coat_ids.values()) == list(range(len(state.posters)))
             assert all(a <= b for a, b in zip(state.posters, state.posters[1:]))
@@ -382,8 +404,8 @@ class TestPopulationCycle:
             assert state.population <= 7
 
     def test_ids_unique_and_parents_exist(self):
-        state = _founder_state(n_founders=3, capacity=30, kill_probability=0.2)
-        state.events, state.ids, state.next_id = [], np.arange(3), 3
+        state = _founder_state(n_founders=3, capacity=30, kill_probability=0.2,
+                               events=[], body=rng.stream(31, 0, rng.BODY))
         profile = MutationProfile.uniform(0.05, 8)
         for _ in range(6):
             run_population_day(state, profile, 2)
@@ -510,25 +532,61 @@ class TestEscapeExperiment:
         assert traced.outcomes == untraced.outcomes
         assert traced_peak <= untraced_peak + 2**20
 
+    def test_body_flips_leave_the_outcome_stream_alone(self):
+        from prenelab.replicator import _run_arm
+
+        cfg = EscapeConfig(horizon=10, master_seed=9)
+        key = (9, rng.REPLICATOR, 0)
+        traced = _run_arm(cfg, cfg.hot_profile(), rng.stream(*key), events=[],
+                          body=rng.stream(*key, rng.BODY))
+        untraced = _run_arm(cfg, cfg.hot_profile(), rng.stream(*key))
+        assert any(site >= 60 for e in traced.events if e["kind"] == "birth" for site in e["sites"])
+        assert repr(traced.gen.bit_generator.state) == repr(untraced.gen.bit_generator.state)
+        assert (traced.day, traced.peak_population) == (untraced.day, untraced.peak_population)
+
+    def test_untraced_run_opens_no_body_stream(self, monkeypatch):
+        # on one CPU every pair runs here, where the keys can be recorded
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        keys = []
+        stream = rng.stream
+        monkeypatch.setattr(rng, "stream", lambda *key: keys.append(key) or stream(*key))
+        run_escape_experiment(EscapeConfig(n_pairs=3, horizon=5, master_seed=5))
+        assert sorted(keys) == [(5, rng.REPLICATOR, i) for i in range(3) for _ in "hf"]
+        assert not any(key[-1] == rng.BODY for key in keys)
+
+    def test_trace_sites_with_the_coat_mid_genome(self):
+        trace = io.StringIO()
+        cfg = EscapeConfig(coat_span=(100, 160), n_pairs=1, horizon=10, master_seed=3)
+        run_escape_experiment(cfg, trace)
+        births = [e for e in map(json.loads, trace.getvalue().splitlines()) if e["kind"] == "birth"]
+        sites = [site for e in births for site in e["sites"]]
+        for e in births:
+            assert all(a < b for a, b in zip(e["sites"], e["sites"][1:]))
+        assert all(0 <= site < cfg.genome_length for site in sites)
+        assert min(sites) < 100 and max(sites) >= 160  # the body, on both sides of the coat
+        assert any(100 <= site < 160 for site in sites)
+
     def test_full_event_trace_deterministic(self):
         from prenelab.replicator import _run_arm
 
         cfg = EscapeConfig(n_pairs=1, horizon=12, master_seed=9)
         profile = cfg.hot_profile()
-        a = _run_arm(cfg, profile, rng.stream(9, 0), events=[])
-        b = _run_arm(cfg, profile, rng.stream(9, 0), events=[])
+        a, b = (_run_arm(cfg, profile, rng.stream(9, 0), events=[], body=rng.stream(9, 0, rng.BODY))
+                for _ in range(2))
         assert a.events == b.events
-        assert len(a.events) > 0
+        assert any(site >= 60 for e in a.events if e["kind"] == "birth" for site in e["sites"])
 
 
 # sha256 of the canonical JSONL event trace (sorted keys, compact
 # separators, one line per event) of _run_arm for EscapeConfig(horizon=15,
-# master_seed=9) on pair 0's stream rng.stream(9, rng.REPLICATOR, 0),
-# frozen: any change in the number or order of RNG draws changes these.
-# hot: 3508 births, 893 posters, 742 kills, 11 culls; fidelity: 440 births,
+# master_seed=9) on pair 0's streams rng.stream(9, rng.REPLICATOR, 0) and,
+# for the body sites, rng.stream(9, rng.REPLICATOR, 0, rng.BODY), frozen
+# (label keyed-u32-v4): any change in the number or order of RNG draws
+# changes these.  hot: 3522 births listing 1489 flipped sites (445 in the
+# body), 883 posters, 770 kills, 11 culls; fidelity: 440 births, no flip,
 # 1 poster, 230 kills, extinct on day 13.
 GOLDEN_TRACE_SHA256 = {
-    "hot": "3f963577a67a9f3f6b200183d360fc1b7e6f8a4c7409571f44a188331d733707",
+    "hot": "d7187741083410f9de89b3ad7ef55b2abcd7f362974090eb079883bd873dbe01",
     "fidelity": "9155381a76babe46308ee6b6ff3244d43fbfc607ff8e5b128375a906762317db",
 }
 
@@ -539,7 +597,8 @@ def test_frozen_event_trace(arm):
 
     cfg = EscapeConfig(horizon=15, master_seed=9)
     profile = cfg.hot_profile() if arm == "hot" else cfg.fidelity_profile()
-    state = _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), events=[])
+    state = _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), events=[],
+                     body=rng.stream(9, rng.REPLICATOR, 0, rng.BODY))
     text = "".join(
         json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in state.events
     )

@@ -54,12 +54,20 @@ def test_seed_high_word_does_not_spill_into_the_key():
 
 
 def test_models_have_their_own_domain_word():
-    assert rng.REPLICATOR != rng.SOUP
+    assert len({rng.REPLICATOR, rng.SOUP, rng.BODY}) == 3
     assert _draws(rng.stream(3, rng.REPLICATOR, 0)) != _draws(rng.stream(3, rng.SOUP, 0))
     assert _draws(rng.stream(3, rng.SOUP, 0)) != _draws(rng.stream(3, 0))
 
 
-_KEY = st.lists(st.integers(0, 2**32 - 1), max_size=3)
+def test_body_substream_is_its_own_stream():
+    body = _draws(rng.stream(3, rng.REPLICATOR, 0, rng.BODY))
+    assert body != _draws(rng.stream(3, rng.REPLICATOR, 0))
+    assert body != _draws(rng.stream(3, rng.REPLICATOR, 1, rng.BODY))
+    assert body != _draws(rng.stream(3, rng.BODY, 0))
+
+
+# key words: any 32-bit word, or the body substream's last word
+_KEY = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.just(rng.BODY)), max_size=3)
 _TUPLE = st.tuples(
     st.sampled_from([rng.REPLICATOR, rng.SOUP]), st.integers(0, 2**64 - 1), _KEY
 )
