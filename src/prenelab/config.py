@@ -85,7 +85,7 @@ def parse_pairs(text) -> list[tuple[int, str, str]]:
     return out
 
 
-def parse_fraction(value: str) -> Fraction:
+def parse_fraction(value: str):
     """Exact rational from `p/q` or a bare integer literal."""
     from fractions import Fraction
 
@@ -146,7 +146,7 @@ def check_fields(config) -> None:
         raise ConfigError("must be an unsigned 64-bit integer", key="master_seed")
 
 
-def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
+def escape_config_from_text(text, master_seed: int = 0):
     """EscapeConfig from config text, including the coat_start/coat_stop keys."""
     from .replicator import EscapeConfig  # loads NumPy
 
@@ -167,7 +167,7 @@ def escape_config_from_text(text, master_seed: int = 0) -> EscapeConfig:
     return EscapeConfig(master_seed=master_seed, **kwargs)
 
 
-def soup_config_from_text(text, master_seed: int = 0) -> SoupConfig:
+def soup_config_from_text(text, master_seed: int = 0):
     """SoupConfig from config text, including free.<L> and polymer.<SEQ> keys."""
     from .soup import SOUP_LETTERS, SoupConfig  # loads NumPy
 
@@ -202,14 +202,14 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)  # NumPy floats too
 
 
-def serialize_escape_config(config: EscapeConfig) -> str:
+def serialize_escape_config(config) -> str:
     """Canonical text form; master_seed is a flag, not a config key."""
     pairs = {key: getattr(config, key) for key in _schema(type(config))}
     pairs["coat_start"], pairs["coat_stop"] = config.coat_span
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(pairs.items()))
 
 
-def serialize_soup_config(config: SoupConfig) -> str:
+def serialize_soup_config(config) -> str:
     pairs = {key: getattr(config, key) for key in _schema(type(config))}
     pairs.update((f"free.{letter}", n) for letter, n in config.initial_free)
     pairs.update((f"polymer.{seq}", n) for seq, n in config.initial_polymers)

@@ -23,7 +23,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "Genome",
     "MutationProfile",
     "PopulationState",
+    "ArmTrace",
     "Antibody",
     "EscapeConfig",
     "PairOutcome",
@@ -272,6 +273,17 @@ def mutant_fraction(
     return np.unique(rows).size / n
 
 
+class ArmTrace(NamedTuple):
+    """A traced arm: the text stream's `write`, the arm's profile name, and
+    the generator of its births' flip sites outside the coat.  Each event
+    goes to `write` as the line that `json.dumps` writes with sorted keys
+    and compact separators, with `"pair":0` and `"profile"` among its keys."""
+
+    write: Callable[[str], object]
+    profile: str
+    body: np.random.Generator
+
+
 class PopulationState:
     """A day-indexed virion population with its immune poster board.
 
@@ -288,11 +300,9 @@ class PopulationState:
     decreases.  Code that writes `codes` directly must set `coat` of the
     rows it wrote to -1.
 
-    `events` is what the day's steps `append` and `extend` event dicts to:
-    a list, the trace sink of `run_escape_experiment`, or None.  Only a
-    traced state numbers its virions, in `ids` and `next_id`, and a
-    traced state needs `body`, the generator of its births' flip sites
-    outside the coat: `events` and `body` are given together or not at all.
+    A state given an `ArmTrace` as `trace` is traced: it numbers its
+    virions, in `ids` and `next_id`, and each of the day's steps writes
+    its own events as JSON lines to `trace.write`.
     """
 
     def __init__(
@@ -303,8 +313,7 @@ class PopulationState:
         gen: np.random.Generator,
         immune_delay: int,
         kill_probability: float,
-        events: Optional[list] = None,
-        body: Optional[np.random.Generator] = None,
+        trace: Optional[ArmTrace] = None,
     ):
         capacity = _index(capacity)
         n_founders = _index(n_founders)
@@ -317,8 +326,6 @@ class PopulationState:
             raise ValueError("immune delay must be >= 0")
         if not 0.0 <= kill_probability <= 1.0:
             raise ValueError("kill probability must lie in [0, 1]")
-        if (events is None) != (body is None):
-            raise ValueError("a traced state needs both events and a body generator")
         coat = founder.region_slice("coat")  # raises MissingRegion early
         self.coat_span = founder.regions["coat"]
         self.length = len(founder)
@@ -327,13 +334,12 @@ class PopulationState:
         self.day = 0
         self.capacity = capacity
         self.gen = gen
-        self.body = body
         self.immune_delay = immune_delay
         self.kill_probability = kill_probability
         self.coat_ids: dict[bytes, int] = {}  # coat letter codes -> coat id
         self.posters: list[int] = []  # coat id -> activation day
-        self.events = events
-        if events is not None:
+        self.trace = trace
+        if trace is not None:
             self.ids = np.arange(n_founders, dtype=np.int64)
             self.next_id = n_founders
         self.peak_population = n_founders
@@ -346,6 +352,8 @@ class PopulationState:
         """Keep only the virions that the mask or index array `keep` selects."""
         self.codes = self.codes[keep]
         self.coat = self.coat[keep]
+        if self.trace is not None:
+            self.ids = self.ids[keep]
 
 
 def replicate_population(state: PopulationState, profile: MutationProfile, offspring_per_virion: int) -> None:
@@ -356,9 +364,10 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     parent's coat id unless the kernel flipped one of its sites; such a
     child's coat is left for `immune_step` to intern.  A traced birth
     lists its flipped sites, in the genome's numbering: its coat flips
-    and its body flips, whose positions `body` draws as the kernel draws
-    positions, run by run over the body runs, with no letters (no
-    outcome reads them).  `run_population_day` checks the count.
+    and its body flips, whose positions `trace.body` draws as the kernel
+    draws positions, run by run over the body runs, with no letters (no
+    outcome reads them).  The day's birth lines go out in one write.
+    `run_population_day` checks the count.
     """
     if state.population == 0:
         return
@@ -367,22 +376,20 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     rows, cols, _, _ = mutate_sites(batch, coat_runs, state.gen)
     coat = np.repeat(state.coat, offspring_per_virion)
     coat[rows] = -1
-    if state.events is not None:
+    trace = state.trace
+    if trace is not None:
+        coat_sites = rows * state.length + cols + state.coat_span[0]
+        body = flip_sites(len(batch), state.length, body_runs, trace.body)
+        rows, cols = np.divmod(np.sort(np.concatenate([coat_sites, body])), state.length)
+        flipped = [""] * len(batch)  # each child's flipped sites, each after a comma
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            flipped[r] += f",{c}"
         parents = np.repeat(state.ids, offspring_per_virion).tolist()
         state.ids = np.arange(state.next_id, state.next_id + len(batch), dtype=np.int64)
         state.next_id += len(batch)
-        sites = rows * state.length + cols + state.coat_span[0]
-        body = flip_sites(len(batch), state.length, body_runs, state.body)
-        rows, cols = np.divmod(np.sort(np.concatenate([sites, body])), state.length)
-        sites_by_row: dict[int, list] = {}
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            sites_by_row.setdefault(r, []).append(c)
-        day = state.day
-        state.events.extend(
-            {"kind": "birth", "day": day, "id": child, "parent": parent,
-             "sites": sites_by_row.get(i, [])}
-            for i, (child, parent) in enumerate(zip(state.ids.tolist(), parents))
-        )
+        head, tail = f'{{"day":{state.day},"id":', f',"profile":"{trace.profile}","sites":['
+        trace.write("".join(f'{head}{child},"kind":"birth","pair":0,"parent":{parent}{tail}{sites[1:]}]}}\n'
+                            for child, parent, sites in zip(state.ids.tolist(), parents, flipped)))
     state.codes = batch
     state.coat = coat
 
@@ -410,7 +417,7 @@ def immune_step(state: PopulationState) -> PopulationState:
         raise ValueError("coat must hold one id per virion")
     day = state.day
     posters = state.posters
-    events = state.events
+    trace = state.trace
     unknown = np.flatnonzero(state.coat < 0)
     if unknown.size:
         activation = day + state.immune_delay
@@ -424,12 +431,10 @@ def immune_step(state: PopulationState) -> PopulationState:
         found = [setdefault(coat, len(interned)) for coat in coats]  # new coat: next id
         posters.extend([activation] * (len(interned) - issued))
         state.coat[unknown] = found
-        if events is not None:
-            for coat, cid in zip(coats, found):
-                if cid == issued:  # first sighting of the next new coat
-                    events.append({"kind": "poster", "day": day, "signature": _codes_to_str(coat),
-                                   "activation": activation})
-                    issued += 1
+        if trace is not None:  # the coats interned after `issued`, in id order
+            head = (f'{{"activation":{activation},"day":{day},"kind":"poster","pair":0,'
+                    f'"profile":"{trace.profile}","signature":"')
+            trace.write("".join(f'{head}{_codes_to_str(coat)}"}}\n' for coat in list(interned)[issued:]))
     shot = np.flatnonzero(state.coat < bisect_right(posters, day))
     if shot.size == 0:
         return state
@@ -438,11 +443,10 @@ def immune_step(state: PopulationState) -> PopulationState:
         return state
     keep = np.ones(state.population, dtype=bool)
     keep[dead] = False
-    if events is not None:
-        for i in dead.tolist():
-            signature = _codes_to_str(state.codes[i])
-            events.append({"kind": "kill", "day": day, "id": int(state.ids[i]), "signature": signature})
-        state.ids = state.ids[keep]
+    if trace is not None:
+        tail = f',"kind":"kill","pair":0,"profile":"{trace.profile}","signature":"'
+        trace.write("".join(f'{{"day":{day},"id":{i}{tail}{_codes_to_str(coat)}"}}\n'
+                            for i, coat in zip(state.ids[dead].tolist(), state.codes[dead])))
     state._keep(keep)
     return state
 
@@ -457,10 +461,11 @@ def cull_to_capacity(state: PopulationState) -> None:
     if n <= state.capacity:
         return
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
-    if state.events is not None:
-        state.events.append({"kind": "cull", "day": state.day,
-                             "removed": np.delete(state.ids, keep).tolist()})
-        state.ids = state.ids[keep]
+    trace = state.trace
+    if trace is not None:
+        removed = ",".join(map(str, np.delete(state.ids, keep).tolist()))
+        trace.write(f'{{"day":{state.day},"kind":"cull","pair":0,"profile":"{trace.profile}",'
+                    f'"removed":[{removed}]}}\n')
     state._keep(keep)
 
 
@@ -571,45 +576,18 @@ class EscapeReport:
 
 def _run_arm(
     config: EscapeConfig, profile: MutationProfile, gen: np.random.Generator,
-    events: Optional[list] = None, body: Optional[np.random.Generator] = None,
+    trace: Optional[ArmTrace] = None,
 ) -> PopulationState:
     state = PopulationState(
         config.founder(), config.n_founders, config.capacity, gen,
         immune_delay=config.immune_delay, kill_probability=config.kill_probability,
-        events=events, body=body,
+        trace=trace,
     )
     for _ in range(config.horizon):
         run_population_day(state, profile, config.offspring_per_virion)
         if state.population == 0:
             break
     return state
-
-
-def _trace_line(profile: str, e: dict) -> str:
-    """One pair-0 event, as `json.dumps({"pair": 0, "profile": profile, **e},
-    sort_keys=True, separators=(",", ":"))` writes it: each kind's keys sorted."""
-    kind = e["kind"]
-    if kind == "birth":
-        sites = ",".join(map(str, e["sites"]))
-        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"birth","pair":0,'
-                f'"parent":{e["parent"]},"profile":"{profile}","sites":[{sites}]}}\n')
-    if kind == "poster":
-        return (f'{{"activation":{e["activation"]},"day":{e["day"]},"kind":"poster",'
-                f'"pair":0,"profile":"{profile}","signature":"{e["signature"]}"}}\n')
-    if kind == "kill":
-        return (f'{{"day":{e["day"]},"id":{e["id"]},"kind":"kill","pair":0,'
-                f'"profile":"{profile}","signature":"{e["signature"]}"}}\n')
-    removed = ",".join(map(str, e["removed"]))  # cull
-    return f'{{"day":{e["day"]},"kind":"cull","pair":0,"profile":"{profile}","removed":[{removed}]}}\n'
-
-
-class _TraceSink:
-    """A traced arm's `events`: `append` and `extend` write each event's line
-    to `trace` at once, so no arm's events are held in memory."""
-
-    def __init__(self, trace: TextIO, profile: str):
-        self.append = lambda e: trace.write(_trace_line(profile, e))
-        self.extend = lambda es: trace.writelines(_trace_line(profile, e) for e in es)
 
 
 def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) -> EscapeReport:
@@ -620,7 +598,8 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
     arm survives until its extinction day, or horizon + 1 if it outlives
     the horizon; the longer survivor wins the pair.  With a text stream
     `trace`, pair 0 is traced as it runs: its hot arm's events, then its
-    fidelity arm's, one JSON line each, each written as it happens.  Its
+    fidelity arm's, one JSON line each, which each step of a day writes
+    as it runs, so no arm's events are held in memory.  Its
     births' body sites come from (master_seed, REPLICATOR, 0, BODY), a
     stream no untraced arm opens, so the trace changes no outcome.  Pairs
     run on the CPUs in the affinity mask (`rng.fan_out`) with the same
@@ -632,8 +611,8 @@ def run_escape_experiment(config: EscapeConfig, trace: Optional[TextIO] = None) 
     def arm(i: int, name: str, profile: MutationProfile) -> PopulationState:
         key = (config.master_seed, rng_mod.REPLICATOR, i)
         traced = trace is not None and i == 0
-        trace_args = (_TraceSink(trace, name), rng_mod.stream(*key, rng_mod.BODY)) if traced else ()
-        return _run_arm(config, profile, rng_mod.stream(*key), *trace_args)
+        arm_trace = ArmTrace(trace.write, name, rng_mod.stream(*key, rng_mod.BODY)) if traced else None
+        return _run_arm(config, profile, rng_mod.stream(*key), arm_trace)
 
     def pair(i: int) -> PairOutcome:
         hot, fid = arm(i, "hot", hot_profile), arm(i, "fidelity", fid_profile)

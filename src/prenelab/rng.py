@@ -44,8 +44,8 @@ def _word(value, bits: int, name: str) -> int:
     return value
 
 
-def stream(master_seed: int, *key: int) -> np.random.Generator:
-    """Return the Philox generator for (master_seed, *key).
+def stream(master_seed: int, *key: int):
+    """Return the Philox `np.random.Generator` for (master_seed, *key).
 
     Distinct arguments give distinct, independent streams.  The seed is an
     unsigned 64-bit and each key word an unsigned 32-bit integer (int or

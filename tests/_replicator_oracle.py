@@ -8,12 +8,15 @@ active poster, compared with the run's kill probability, and the cull's
 removed-id list built on every call.  The vectorised functions must
 leave a state exactly as these do, down to the generator position.
 
-The reference reads and writes only the state's codes, events and
-generator, and the ids of a traced state: it appends to `state.events`,
-and gathers `state.ids`, only when `state.events` is not None.  `board`
-translates the package's interned board into the reference's form for
-comparison.
+The reference reads and writes only the state's codes and generator,
+and the ids and trace of a traced state: only when `state.trace` is not
+None does it gather `state.ids` and write each event to `state.trace`
+as `json.dumps` writes it with sorted keys and compact separators.
+`board` translates the package's interned board into the reference's
+form for comparison.
 """
+
+import json
 
 import numpy as np
 
@@ -32,18 +35,22 @@ def board(state) -> dict[str, int]:
     return {"".join(LETTERS[c] for c in coat): state.posters[cid] for coat, cid in by_id}
 
 
+def _write(state, **event):
+    """One event of pair 0 as its canonical JSON line."""
+    event.update(pair=0, profile=state.trace.profile)
+    state.trace.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def immune_step(state, posters: dict):
     """One immune step of `state` against the reference board `posters`."""
-    traced = state.events is not None
+    traced = state.trace is not None
     sigs = signatures(state)
     for sig in dict.fromkeys(sigs):  # first-seen order, deduplicated
         if sig not in posters:
             posters[sig] = state.day + state.immune_delay
             if traced:
-                state.events.append(dict(
-                    kind="poster", day=state.day, signature=sig,
-                    activation=posters[sig],
-                ))
+                _write(state, kind="poster", day=state.day, signature=sig,
+                       activation=posters[sig])
     if state.population == 0:
         return state
     keep = np.ones(state.population, dtype=bool)
@@ -52,8 +59,7 @@ def immune_step(state, posters: dict):
         if active and state.gen.random() < state.kill_probability:
             keep[i] = False
             if traced:
-                state.events.append(dict(kind="kill", day=state.day, id=int(state.ids[i]),
-                                         signature=sig))
+                _write(state, kind="kill", day=state.day, id=int(state.ids[i]), signature=sig)
     state.codes = state.codes[keep]
     if traced:
         state.ids = state.ids[keep]
@@ -67,7 +73,6 @@ def cull_to_capacity(state) -> None:
     keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
     removed = np.setdiff1d(np.arange(n), keep)
     state.codes = state.codes[keep]
-    if state.events is not None:
-        state.events.append(dict(kind="cull", day=state.day,
-                                 removed=[int(state.ids[i]) for i in removed]))
+    if state.trace is not None:
+        _write(state, kind="cull", day=state.day, removed=[int(state.ids[i]) for i in removed])
         state.ids = state.ids[keep]

@@ -1,6 +1,8 @@
 """Command line contract: artifacts, formats, exit codes, determinism."""
 
 import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -197,6 +199,20 @@ class TestReplicatorRun:
         assert sorted(calls) == sorted(outcome + [(5, rng.REPLICATOR, 0, rng.BODY)] * 2)
         assert (tmp_path / "events.jsonl").stat().st_size > 0
 
+    @pytest.mark.parametrize("seed, csv_sha, events_sha", [
+        ("1", "eeaf282ed896bb71a3834df6abc3f6d18a5953664750452c07f9b261b3ecf48a",
+         "a1348dfdecd10b47395e8684ce12e273f9f281687175655d693c8d35d1c092e1"),
+        ("2", "e03b8da5a6efe33121bf1c6d7b11ad8172b8fcc704e2ace2b67158a39f8241c7",
+         "e574af438f3f48293fc1c02a836ad1b55405c69def8270e4c0c88fec3eae4139"),
+    ])
+    def test_shipped_defaults_keep_their_artifact_bytes(self, tmp_path, seed, csv_sha, events_sha):
+        # `replicator run --seed N` with no config, under label keyed-u32-v4
+        out, events = tmp_path / "escape.csv", tmp_path / "escape_events.jsonl"
+        run_cli(["replicator", "run", "--seed", seed, "--out", str(out), "--events", str(events)],
+                tmp_path)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == events_sha
+
     def test_events_path_naming_a_directory_exits_1_before_running(self, tmp_path, capsys):
         cfg = tmp_path / "rep.cfg"
         cfg.write_text("genome_length = 40\ncoat_start = 0\ncoat_stop = 8\nhorizon = 4\nn_pairs = 2\n")
@@ -271,22 +287,22 @@ class TestReplicatorRun:
             tmp_path,
         )
         config = escape_config_from_text(text, master_seed=3)
-        expected = []
+        expected = io.StringIO()
         for profile, mutation in (("hot", config.hot_profile()),
                                   ("fidelity", config.fidelity_profile())):
-            state = replicator._run_arm(
-                config, mutation, rng.stream(3, rng.REPLICATOR, 0), events=[],
-                body=rng.stream(3, rng.REPLICATOR, 0, rng.BODY),
-            )
-            expected += [
-                json.dumps({"pair": 0, "profile": profile, **e}, sort_keys=True,
-                           separators=(",", ":")) + "\n"
-                for e in state.events
-            ]
-        records = [json.loads(line) for line in expected]
+            trace = replicator.ArmTrace(expected.write, profile,
+                                        rng.stream(3, rng.REPLICATOR, 0, rng.BODY))
+            replicator._run_arm(config, mutation, rng.stream(3, rng.REPLICATOR, 0), trace)
+        lines = expected.getvalue().splitlines()
+        records = [json.loads(line) for line in lines]
+        for line, record in zip(lines, records):
+            assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
         assert {r["kind"] for r in records} == {"birth", "poster", "kill", "cull"}
         assert {bool(r["sites"]) for r in records if r["kind"] == "birth"} == {True, False}
-        assert events.read_bytes() == "".join(expected).encode("utf-8")
+        assert [r["profile"] for r in records] == sorted(
+            (r["profile"] for r in records), key=["hot", "fidelity"].index)
+        assert {r["pair"] for r in records} == {0}
+        assert events.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "rep.cfg"
@@ -857,25 +873,29 @@ class TestImports:
             assert (tmp_path / artifact).stat().st_size > 0
 
     def test_every_cli_annotation_resolves_without_loading_a_model(self):
-        # annotations naming what start-up does not import would raise
-        # NameError in typing.get_type_hints
+        # annotations in the start-up modules (cli, config, rng) naming what
+        # start-up does not import would raise NameError in typing.get_type_hints
         script = """\
 import json, sys, types, typing
-import prenelab.cli as cli
-functions = [f for f in vars(cli).values()
-             if isinstance(f, types.FunctionType) and f.__module__ == cli.__name__]
-for f in functions:
-    typing.get_type_hints(f)
-print(json.dumps([len(functions), "fractions" in sys.modules, "prenelab.registry" in sys.modules]))
+import prenelab.cli, prenelab.config, prenelab.rng
+checked = {}
+for module in (prenelab.cli, prenelab.config, prenelab.rng):
+    functions = [f for f in vars(module).values()
+                 if isinstance(f, types.FunctionType) and f.__module__ == module.__name__]
+    for f in functions:
+        typing.get_type_hints(f)
+    checked[module.__name__] = len(functions)
+print(json.dumps([checked, sorted({"fractions", "numpy", "prenelab.registry"} & set(sys.modules))]))
 """
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert proc.returncode == 0, proc.stderr
-        checked, fractions, registry_loaded = json.loads(proc.stdout)
-        assert checked > 10
-        assert not fractions and not registry_loaded
+        checked, loaded = json.loads(proc.stdout)
+        assert checked["prenelab.cli"] > 10
+        assert checked["prenelab.config"] > 10 and checked["prenelab.rng"] > 3
+        assert loaded == []
 
 
 class TestConsoleScript:

@@ -2,11 +2,12 @@
 
 Each case builds two identical population states, steps one with the
 package functions and the other with `_replicator_oracle`, and requires
-the same codes, ids (of traced twins), poster board, events and generator
-position afterwards.  The package's interned board is compared with the
+the same codes, ids (of traced twins), poster board, trace text and
+generator position afterwards.  The package's interned board is compared with the
 reference's `{signature: activation day}` board through `oracle.board`.
 """
 
+import io
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import _replicator_oracle as oracle
 from prenelab import rng
 from prenelab.replicator import (
+    ArmTrace,
     Genome,
     PopulationState,
     cull_to_capacity,
@@ -27,14 +29,14 @@ COAT = (2, 5)
 
 def _twins(seed, capacity=1000, immune_delay=1, kill_probability=0.5, traced=True):
     """Two identical states, the second with the reference's own empty board;
-    traced twins each record their events in a list of their own."""
+    traced twins each write their events to a text buffer of their own."""
     founder = Genome(np.zeros(LENGTH, dtype=np.uint8), {"coat": COAT})
     new, ref = (
         PopulationState(
             founder, 1, capacity, rng.stream(seed, 2),
             immune_delay=immune_delay, kill_probability=kill_probability,
-            events=[] if traced else None,
-            body=rng.stream(seed, 2, rng.BODY) if traced else None,
+            trace=ArmTrace(io.StringIO().write, "hot", rng.stream(seed, 2, rng.BODY))
+            if traced else None,
         )
         for _ in range(2)
     )
@@ -49,8 +51,13 @@ def _populate(states, setup, n, letters=2):
     for state in states:
         state.codes = codes.copy()
         state.coat = np.full(n, -1, dtype=np.int64)  # new rows: coats not yet interned
-        if state.events is not None:
+        if state.trace is not None:
             state.ids = ids.copy()
+
+
+def _text(state):
+    """All the lines a traced state has written to its text buffer."""
+    return state.trace.write.__self__.getvalue()
 
 
 def _position(gen):
@@ -61,11 +68,11 @@ def _position(gen):
 def _assert_same(new, ref, ref_board):
     assert new.codes.dtype == ref.codes.dtype
     assert np.array_equal(new.codes, ref.codes)
-    if ref.events is not None:
+    if ref.trace is not None:
         assert np.array_equal(new.ids, ref.ids)
+        assert _text(new) == _text(ref)
     assert list(oracle.board(new)) == list(ref_board)  # coats in posting order
     assert oracle.board(new) == ref_board  # activation days
-    assert new.events == ref.events
     assert _position(new.gen) == _position(ref.gen)
     assert new.coat.shape == (new.population,)
 
@@ -102,8 +109,7 @@ def test_prefilled_board_with_mixed_activation_days(kill_probability):
         immune_step(new)
         oracle.immune_step(ref, ref_board)
         _assert_same(new, ref, ref_board)
-    new.events.clear()
-    ref.events.clear()
+    written = len(_text(new))
     _populate((new, ref), setup, 80, letters=3)
     present = set(oracle.signatures(ref))
     assert {ref_board[sig] for sig in present & ref_board.keys()} == {2, 3, 4}
@@ -112,7 +118,7 @@ def test_prefilled_board_with_mixed_activation_days(kill_probability):
     immune_step(new)
     oracle.immune_step(ref, ref_board)
     _assert_same(new, ref, ref_board)
-    kinds = {e["kind"] for e in new.events}
+    kinds = {json.loads(line)["kind"] for line in _text(new)[written:].splitlines()}
     assert kinds == ({"poster", "kill"} if kill_probability else {"poster"})
     assert new.gen.random() == ref.gen.random()
 
@@ -125,7 +131,7 @@ def test_no_events_recorded_unless_asked():
     cull_to_capacity(new)
     oracle.cull_to_capacity(ref)
     _assert_same(new, ref, ref_board)
-    assert new.events is None and new.population == 10
+    assert new.trace is None and new.population == 10
     assert not hasattr(new, "ids") and not hasattr(new, "next_id")
 
 
@@ -138,5 +144,5 @@ def test_empty_population_draws_nothing():
     cull_to_capacity(new)
     oracle.cull_to_capacity(ref)
     _assert_same(new, ref, ref_board)
-    assert new.posters == [] and new.coat_ids == {} and new.events == []
+    assert new.posters == [] and new.coat_ids == {} and _text(new) == ""
     assert _position(new.gen) == before

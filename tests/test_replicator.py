@@ -19,6 +19,7 @@ from prenelab.config import ConfigError
 from prenelab.replicator import (
     LETTERS,
     Antibody,
+    ArmTrace,
     EscapeConfig,
     Genome,
     MissingRegion,
@@ -36,6 +37,17 @@ from prenelab.replicator import (
     vdj_generate,
 )
 from prenelab.rng import sign_test
+
+
+def _traced(*key, profile="hot"):
+    """A trace of an arm named `profile` into a fresh text buffer, its body
+    sites drawn from `rng.stream(*key, rng.BODY)`, and that buffer."""
+    buf = io.StringIO()
+    return ArmTrace(buf.write, profile, rng.stream(*key, rng.BODY)), buf
+
+
+def _events(buf) -> list[dict]:
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
 
 
 class TestGenome:
@@ -214,24 +226,17 @@ class TestCoatSignature:
         with pytest.raises(MissingRegion):
             PopulationState(Genome.from_string("ACGU"), 1, 10, rng.stream(30, 0), 3, 0.5)
 
-    @pytest.mark.parametrize("trace", [{"events": []}, {"body": rng.stream(30, 0, rng.BODY)}],
-                             ids=["events-alone", "body-alone"])
-    def test_trace_needs_events_and_body_together(self, trace):
-        founder = Genome.from_string("ACGU", {"coat": (0, 2)})
-        with pytest.raises(ValueError, match="both events and a body generator"):
-            PopulationState(founder, 1, 10, rng.stream(30, 0), 3, 0.5, **trace)
-
     def test_coat_mutation_changes_signature(self):
         assert self._board("AAAA", "AAGA") == ["AAAA", "AAGA"]
 
     def test_mutation_outside_coat_keeps_signature(self):
         # every traced birth flips body sites, and no coat is ever new
         founder = Genome.from_string("ACGUACGU", {"coat": (2, 6)})
-        state = PopulationState(founder, 2, 10, rng.stream(30, 0), 5, 0.5,
-                                events=[], body=rng.stream(30, 0, rng.BODY))
+        trace, buf = _traced(30, 0)
+        state = PopulationState(founder, 2, 10, rng.stream(30, 0), 5, 0.5, trace=trace)
         profile = MutationProfile.region_multiplier(0.9, 8, {"coat": (2, 6)}, {"coat": 0.0})
         run_population_day(state, profile, 3)
-        births = [e for e in state.events if e["kind"] == "birth"]
+        births = [e for e in _events(buf) if e["kind"] == "birth"]
         assert len(births) == 6 and all(e["sites"] for e in births)
         assert all(c < 2 or c >= 6 for e in births for c in e["sites"])
         assert list(board(state)) == ["GUAC"] and state.coat.tolist() == [0] * 6
@@ -335,7 +340,7 @@ class TestImmuneStep:
         g = Genome(np.zeros(30, dtype=np.uint8), {"coat": (0, 10)})
         state = PopulationState(
             g, 8, 200, rng.stream(32, 0), immune_delay=2, kill_probability=1.0,
-            events=[], body=rng.stream(32, 0, rng.BODY),
+            trace=_traced(32, 0)[0],
         )
         profile = MutationProfile.region_multiplier(
             0.001, 30, {"coat": (0, 10)}, {"coat": 50.0}
@@ -350,10 +355,10 @@ class TestImmuneStep:
             assert posted[sig] > state.day  # not yet active
 
     def test_kill_events_match_poster_signatures(self):
-        state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7,
-                               events=[], body=rng.stream(31, 0, rng.BODY))
+        trace, buf = _traced(31, 0)
+        state = _founder_state(n_founders=6, immune_delay=0, kill_probability=0.7, trace=trace)
         immune_step(state)
-        kills = [e for e in state.events if e["kind"] == "kill"]
+        kills = [e for e in _events(buf) if e["kind"] == "kill"]
         assert kills
         for e in kills:
             assert e["signature"] in board(state)
@@ -404,15 +409,16 @@ class TestPopulationCycle:
             assert state.population <= 7
 
     def test_ids_unique_and_parents_exist(self):
-        state = _founder_state(n_founders=3, capacity=30, kill_probability=0.2,
-                               events=[], body=rng.stream(31, 0, rng.BODY))
+        trace, buf = _traced(31, 0)
+        state = _founder_state(n_founders=3, capacity=30, kill_probability=0.2, trace=trace)
         profile = MutationProfile.uniform(0.05, 8)
         for _ in range(6):
             run_population_day(state, profile, 2)
-        born = {e["id"] for e in state.events if e["kind"] == "birth"}
-        assert len(born) == sum(1 for e in state.events if e["kind"] == "birth")
+        events = _events(buf)
+        born = {e["id"] for e in events if e["kind"] == "birth"}
+        assert len(born) == sum(1 for e in events if e["kind"] == "birth")
         known = set(range(3)) | born
-        for e in state.events:
+        for e in events:
             if e["kind"] == "birth":
                 assert e["parent"] in known
 
@@ -537,10 +543,10 @@ class TestEscapeExperiment:
 
         cfg = EscapeConfig(horizon=10, master_seed=9)
         key = (9, rng.REPLICATOR, 0)
-        traced = _run_arm(cfg, cfg.hot_profile(), rng.stream(*key), events=[],
-                          body=rng.stream(*key, rng.BODY))
+        trace, buf = _traced(*key)
+        traced = _run_arm(cfg, cfg.hot_profile(), rng.stream(*key), trace)
         untraced = _run_arm(cfg, cfg.hot_profile(), rng.stream(*key))
-        assert any(site >= 60 for e in traced.events if e["kind"] == "birth" for site in e["sites"])
+        assert any(site >= 60 for e in _events(buf) if e["kind"] == "birth" for site in e["sites"])
         assert repr(traced.gen.bit_generator.state) == repr(untraced.gen.bit_generator.state)
         assert (traced.day, traced.peak_population) == (untraced.day, untraced.peak_population)
 
@@ -571,14 +577,16 @@ class TestEscapeExperiment:
 
         cfg = EscapeConfig(n_pairs=1, horizon=12, master_seed=9)
         profile = cfg.hot_profile()
-        a, b = (_run_arm(cfg, profile, rng.stream(9, 0), events=[], body=rng.stream(9, 0, rng.BODY))
-                for _ in range(2))
-        assert a.events == b.events
-        assert any(site >= 60 for e in a.events if e["kind"] == "birth" for site in e["sites"])
+        (a, a_buf), (b, b_buf) = _traced(9, 0), _traced(9, 0)
+        for trace in (a, b):
+            _run_arm(cfg, profile, rng.stream(9, 0), trace)
+        assert a_buf.getvalue() == b_buf.getvalue()
+        assert any(site >= 60 for e in _events(a_buf) if e["kind"] == "birth" for site in e["sites"])
 
 
 # sha256 of the canonical JSONL event trace (sorted keys, compact
-# separators, one line per event) of _run_arm for EscapeConfig(horizon=15,
+# separators, one line per event, without the `pair` and `profile` keys
+# of the written lines) of _run_arm for EscapeConfig(horizon=15,
 # master_seed=9) on pair 0's streams rng.stream(9, rng.REPLICATOR, 0) and,
 # for the body sites, rng.stream(9, rng.REPLICATOR, 0, rng.BODY), frozen
 # (label keyed-u32-v4): any change in the number or order of RNG draws
@@ -597,11 +605,11 @@ def test_frozen_event_trace(arm):
 
     cfg = EscapeConfig(horizon=15, master_seed=9)
     profile = cfg.hot_profile() if arm == "hot" else cfg.fidelity_profile()
-    state = _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), events=[],
-                     body=rng.stream(9, rng.REPLICATOR, 0, rng.BODY))
-    text = "".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in state.events
-    )
+    trace, buf = _traced(9, rng.REPLICATOR, 0, profile=arm)
+    _run_arm(cfg, profile, rng.stream(9, rng.REPLICATOR, 0), trace)
+    events = _events(buf)
+    assert {(e.pop("pair"), e.pop("profile")) for e in events} == {(0, arm)}
+    text = "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACE_SHA256[arm]
 
 
