@@ -28,37 +28,45 @@ def constant_runs(site_prob: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     )
 
 
+# _OTHER[old] lists the three letters other than `old`, in code order
+_OTHER = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.uint8)
+
+
 def flip_sites(n, length, runs, gen):
     """Sorted flat indices (row * length + col) of the sites of an (n, length)
     batch that flip: the kernel's position draws, with no letter drawn."""
-    parts = [np.empty(0, np.int64)]
+    parts = []
     for start, width, p in runs:
         k = gen.binomial(n * width, p)
         if k:  # an empty subset draws nothing, so skipping it moves no draw
-            r, c = np.divmod(gen.choice(n * width, k, replace=False, shuffle=False), width)
-            parts.append(r * length + c + start)
-    return np.sort(np.concatenate(parts))
-
-
-def _apply_flips(codes, rows, cols, gen):
-    old = codes[rows, cols]
-    # one of the 3 other letters, uniformly; gen.random() < 1 always
-    c = (gen.random(rows.shape[0]) * 3.0).astype(np.uint8)
-    new = np.where(c >= old, c + 1, c).astype(np.uint8)
-    codes[rows, cols] = new
-    return old, new
+            sites = gen.choice(n * width, k, replace=False, shuffle=False)
+            if width != length:  # the run's r * width + c becomes r * length + start + c
+                sites += sites // width * (length - width) + start
+            parts.append(sites)
+    if not parts:
+        return np.empty(0, np.int64)
+    return np.sort(np.concatenate(parts) if len(parts) > 1 else parts[0])
 
 
 def mutate_sites(codes: np.ndarray, runs, gen: np.random.Generator):
     """Mutate a batch of coded sequences in place, one Bernoulli trial per site.
 
-    codes: (n, L) uint8 matrix of letter codes 0..3, modified in place.
-    runs: `constant_runs` of the (L,) per-site substitution probabilities.
-    Returns (rows, cols, old, new): the flipped positions in row-major order
-    with the letter codes before and after.  Each flip substitutes one of
-    the three other letters uniformly.
+    codes: (n, L) uint8 matrix of letter codes 0..3, modified in place in
+    any 2-d layout: the flips are written through `codes.reshape(-1)`, a
+    view only when `codes` is C-contiguous, so otherwise the flat result is
+    written back.  runs: `constant_runs` of the (L,) per-site substitution
+    probabilities.  Returns (rows, cols, old, new): the flipped positions in
+    row-major order with the letter codes before and after.  Each flip's
+    uniform u picks the floor(3u)-th of the three other letters, in code
+    order, so each is substituted with probability 1/3.
     """
     n, length = codes.shape
-    rows, cols = np.divmod(flip_sites(n, length, runs, gen), length)
-    old, new = _apply_flips(codes, rows, cols, gen)
+    sites = flip_sites(n, length, runs, gen)
+    flat = codes.reshape(-1)
+    old = flat[sites]
+    new = _OTHER[old, (gen.random(sites.size) * 3.0).astype(np.intp)]  # u < 1 always
+    flat[sites] = new
+    if not codes.flags.c_contiguous:
+        codes[...] = flat.reshape(n, length)
+    rows, cols = np.divmod(sites, length)
     return rows, cols, old, new

@@ -349,8 +349,10 @@ class PopulationState:
         return self.codes.shape[0]
 
     def _keep(self, keep: np.ndarray) -> None:
-        """Keep only the virions that the mask or index array `keep` selects."""
-        self.codes = self.codes[keep]
+        """Keep only the virions at the sorted index array `keep`.  Callers
+        pass indices, not a mask that every parallel array would scan again,
+        and `take` copies the rows of `codes` for less than `codes[keep]`."""
+        self.codes = self.codes.take(keep, axis=0)
         self.coat = self.coat[keep]
         if self.trace is not None:
             self.ids = self.ids[keep]
@@ -423,7 +425,7 @@ def immune_step(state: PopulationState) -> PopulationState:
         activation = day + state.immune_delay
         if posters and activation < posters[-1]:
             raise ValueError(f"day {day} is before the day of an earlier poster")
-        block = state.codes[unknown]  # a C-contiguous copy
+        block = state.codes.take(unknown, axis=0)  # a C-contiguous copy
         coats = block.view(f"V{block.shape[1]}").ravel().tolist()  # one bytes per row
         interned = state.coat_ids
         issued = len(interned)
@@ -447,7 +449,7 @@ def immune_step(state: PopulationState) -> PopulationState:
         tail = f',"kind":"kill","pair":0,"profile":"{trace.profile}","signature":"'
         trace.write("".join(f'{{"day":{day},"id":{i}{tail}{_codes_to_str(coat)}"}}\n'
                             for i, coat in zip(state.ids[dead].tolist(), state.codes[dead])))
-    state._keep(keep)
+    state._keep(np.flatnonzero(keep))
     return state
 
 

@@ -187,6 +187,42 @@ def test_per_site_probabilities_respected():
     assert rows.size == 50 * 30
 
 
+UNIFORM_05 = MutationProfile.uniform(0.05, 120)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "sliced"])
+@pytest.mark.parametrize("mutate", [
+    lambda codes, gen: kernels.mutate_sites(codes, UNIFORM_05.runs, gen),
+    lambda codes, gen: replicate_batch(codes, UNIFORM_05, gen),
+], ids=["mutate_sites", "replicate_batch"])
+def test_any_layout_is_mutated_in_place_like_c_order(layout, mutate):
+    # reshape(-1) copies a matrix that is not C-contiguous (a Fortran-order
+    # one, or a column slice of a wider one; big[:, ::2] still flattens to a
+    # view), yet the flips must land in the caller's matrix exactly as in a
+    # C-contiguous twin
+    twin = _fresh(23)
+    if layout == "fortran":
+        big = codes = np.asfortranarray(twin)
+        cols = slice(None)
+    else:
+        cols = slice(None, None, 2) if layout == "strided" else slice(60, 180)
+        big = np.zeros((40, 240), dtype=np.uint8)
+        big[:, cols] = twin
+        codes = big[:, cols]
+    assert not codes.flags.c_contiguous
+    before = big.copy()
+    got = mutate(codes, rng.stream(23, 2))
+    want = mutate(twin, rng.stream(23, 2))
+    assert want[0].size > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(codes, twin)
+    assert not np.array_equal(big, before)
+    outside = np.ones(big.shape[1], dtype=bool)
+    outside[cols] = False
+    assert np.array_equal(big[:, outside], before[:, outside])
+
+
 def test_shape_validation():
     # the kernel trusts its input; replicate_batch is where it is checked
     codes = _fresh(19)
