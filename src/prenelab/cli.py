@@ -23,11 +23,13 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
 from .config import (
     ConfigError,
+    LogError,
     escape_config_from_text,
     parse_fraction,
     parse_pairs,
@@ -79,7 +81,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
-def _write_table(path: Path, fmt: str, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, fmt: str, header: list[str], rows: Iterable) -> None:
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
@@ -131,9 +133,8 @@ def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
         census = lifespan.simulate_census(species, args.days)
     except ValueError as exc:  # a gene number given twice (2/4 repeats 1/2)
         raise ConfigError(str(exc), key="--g") from None
-    rows = [[day, label, count] for day, label, count in census.csv_rows()]
     out = Path(args.out)
-    _write_table(out, args.format, ["day", "species_g", "alive"], rows)
+    _write_table(out, args.format, ["day", "species_g", "alive"], census.csv_rows())
     return {"days": args.days, "g": [str(g) for g in genes]}, [str(out)]
 
 
@@ -232,17 +233,10 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
 
 # registry
 
-class _LogError(Exception):
-    """A bad event log; main reports it as a log error, exit 1."""
-
-
 def _load_world(path: str):
     from . import registry
 
-    try:
-        return registry.World.from_jsonl(_read_text(path, _LogError))
-    except registry.LogError as exc:
-        raise _LogError(str(exc)) from None
+    return registry.World.from_jsonl(_read_text(path, LogError))
 
 
 def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
@@ -424,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"prene-lab: config error: {exc}", file=sys.stderr)
         return 2
-    except _LogError as exc:
+    except LogError as exc:
         print(f"prene-lab: log error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,4 +1,6 @@
-"""Line-oriented `key = value` scenario configs, keyed by the config dataclasses.
+"""Line-oriented `key = value` scenario configs, keyed by the config dataclasses,
+and the two errors for rejected outside input: ConfigError for a config or
+flag value, LogError for an event log (raised by `registry`).
 
 Grammar: UTF-8 text; blank lines and full-line `#` comments are ignored;
 every other line is `key = value` with exactly one `=`.  Keys are dotted
@@ -25,6 +27,7 @@ import re
 
 __all__ = [
     "ConfigError",
+    "LogError",
     "check_fields",
     "parse_pairs",
     "parse_fraction",
@@ -50,6 +53,10 @@ class ConfigError(ValueError):
         super().__init__(full)
         self.line = line
         self.key = key
+
+
+class LogError(ValueError):
+    """An event that the append-only log must reject."""
 
 
 def parse_pairs(text) -> list[tuple[int, str, str]]:
@@ -175,7 +182,6 @@ def soup_config_from_text(text, master_seed: int = 0):
     kwargs = {}
     free = dict(SoupConfig().initial_free)
     polymers: dict[str, int] = {}
-    saw_polymer = False
     for lineno, key, value in parse_pairs(text):
         if key.startswith("free."):
             letter = key[len("free."):]
@@ -186,14 +192,13 @@ def soup_config_from_text(text, master_seed: int = 0):
             free[letter] = _typed(value, int, lineno, key)
         elif key.startswith("polymer."):
             seq = key[len("polymer."):]
-            saw_polymer = True
             polymers[seq] = _typed(value, int, lineno, key)
         elif key in schema:
             kwargs[key] = _typed(value, schema[key], lineno, key)
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
     kwargs["initial_free"] = tuple(sorted(free.items()))
-    if saw_polymer:
+    if polymers:
         kwargs["initial_polymers"] = tuple(sorted(polymers.items()))
     return SoupConfig(master_seed=master_seed, **kwargs)
 

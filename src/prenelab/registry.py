@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .config import is_int
+from .config import LogError, is_int
 
 __all__ = [
     "SUBSTRATES",
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 SUBSTRATES = ("nucleic_acid", "brain", "computer", "document")
-
-
-class LogError(ValueError):
-    """An event that the append-only log must reject."""
 
 
 def check_substrate(substrate: str) -> str:

@@ -226,11 +226,7 @@ class MutationProfile:
         rr = [float(r) for r in rates]
         if any(b > a for a, b in zip(rr[1:], rr)):
             raise ValueError("tier rates must be non-decreasing from core to boundary")
-        p = np.empty(length, dtype=np.float64)
-        edges = [0, *bounds, length]
-        for (start, stop), rate in zip(zip(edges, edges[1:]), rr):
-            p[start:stop] = rate
-        return cls(p, kind="shells")
+        return cls(np.repeat(rr, np.diff([0, *bounds, length])), kind="shells")
 
 
 def replicate(genome: Genome, profile: MutationProfile, gen: np.random.Generator) -> Genome:
@@ -653,39 +649,25 @@ def vdj_generate(
     """n antibodies with pairwise distinct variable regions.
 
     The variable space holds 4**variable_length sequences; asking for more
-    raises SpaceExhausted.  Dense requests enumerate and shuffle the whole
-    space; sparse requests sample with rejection.
+    raises SpaceExhausted.  One draw without replacement picks the codes,
+    so variable_length is capped at 31 to keep the space in int64.
     """
     _str_to_codes(constant_region)  # validates the alphabet
     n = _index(n)
     variable_length = _index(variable_length)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if variable_length < 1:
-        raise ValueError("variable_length must be >= 1")
+    if not 1 <= variable_length <= 31:
+        raise ValueError("variable_length must lie in [1, 31]")
     space = 4**variable_length
     if n > space:
         raise SpaceExhausted(
             f"{n} distinct variable regions requested from a space of {space}"
         )
-
-    chosen: list[int] = []
-    if n > space // 2:
-        order = gen.permutation(space)
-        chosen = [int(x) for x in order[:n]]
-    else:
-        seen = set()
-        while len(chosen) < n:
-            x = int(gen.integers(0, space))
-            if x not in seen:
-                seen.add(x)
-                chosen.append(x)
-
-    out = []
-    for x in chosen:
-        codes = [(x >> (2 * k)) & 3 for k in range(variable_length)]
-        out.append(Antibody("".join(LETTERS[c] for c in codes), constant_region))
-    return out
+    return [
+        Antibody(_codes_to_str([(x >> (2 * k)) & 3 for k in range(variable_length)]), constant_region)
+        for x in gen.choice(space, n, replace=False).tolist()
+    ]
 
 
 def happiness(parent: Genome, offspring: Sequence[Genome]) -> dict[str, int]:

@@ -115,6 +115,15 @@ class TestLifespanTable:
         assert rows[0] == {"day": 0, "species_g": "1/2", "alive": 1}
         assert rows[-1] == {"day": 2, "species_g": "1/2", "alive": 2}
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "161ab9e44407105426d6b90055472ad906205370abe2616e4cbaf1c044c74c5e"),
+        (["--format", "jsonl"], "3149bb1cf1f37c772c29a709e63c43b64b5204553c2d64c3a6970cf264aedac5"),
+    ])
+    def test_thirty_day_table_bytes(self, tmp_path, flags, digest):
+        out = tmp_path / "a.csv"
+        run_cli(["lifespan", "table", "--days", "30", *flags, "--out", str(out)], tmp_path)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_lf_endings_no_crlf(self, tmp_path):
         out = tmp_path / "census.csv"
         run_cli(["lifespan", "table", "--days", "2", "--out", str(out)], tmp_path)

@@ -74,6 +74,13 @@ class TestNormalize:
         assert normalize(b"  MiXeD  ", substrate) == b"  MiXeD  "
 
 
+def test_log_error_is_the_config_modules_value_error():
+    from prenelab import config
+
+    assert registry.LogError is config.LogError
+    assert issubclass(LogError, ValueError)
+
+
 class TestWorldAppend:
     def test_duplicate_id_rejected(self):
         w = World()

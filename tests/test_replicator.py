@@ -128,6 +128,12 @@ class TestMutationProfile:
         p = MutationProfile.shells([3, 6], [0.0, 0.1, 0.3], 9)
         assert np.allclose(p.site_prob, [0, 0, 0, 0.1, 0.1, 0.1, 0.3, 0.3, 0.3])
 
+    def test_shells_zero_width_tiers_are_empty(self):
+        # the tier [3, 3) and the tier past a last boundary at the strand length hold no site
+        p = MutationProfile.shells([3, 3, 9], [0.0, 0.1, 0.2, 0.3], 9)
+        assert p.site_prob.tolist() == [0.0] * 3 + [0.2] * 6
+        assert p.runs == ((3, 6, 0.2),)
+
     def test_shells_rates_must_not_decrease_outward(self):
         with pytest.raises(ValueError):
             MutationProfile.shells([3], [0.2, 0.1], 6)
@@ -683,7 +689,7 @@ class TestVdjGenerate:
     def test_refused_variable_length_draws_nothing(self):
         gen = rng.stream(41, 7)
         position = repr(gen.bit_generator.state)
-        for length, error in [(2.5, TypeError), (True, TypeError), (0, ValueError)]:
+        for length, error in [(2.5, TypeError), (True, TypeError), (0, ValueError), (32, ValueError)]:
             with pytest.raises(error):
                 vdj_generate("ACGU", 3, gen, variable_length=length)
         assert repr(gen.bit_generator.state) == position
