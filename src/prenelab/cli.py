@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -76,13 +77,14 @@ def _fraction(text: str):
 
 # artifact writers: explicit LF endings, header always present
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
+def _write(path: str, text: str) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
-def _write_table(path: Path, fmt: str, header: list[str], rows: Iterable) -> None:
-    if fmt == "csv":
+def _write_table(args, header: list[str], rows: Iterable) -> None:
+    """Write `rows` to `args.out` in `args.format`."""
+    if args.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
     else:
@@ -92,7 +94,7 @@ def _write_table(path: Path, fmt: str, header: list[str], rows: Iterable) -> Non
             )
             for row in rows
         ]
-    _write_lines(path, lines)
+    _write(args.out, "".join(f"{line}\n" for line in lines))
 
 
 def _cell(value) -> str:
@@ -123,7 +125,7 @@ def _lambda_row(species, table, rate, *extra) -> list:
     return [g.numerator, g.denominator, rate.lambda_per_day, *extra, ";".join(ages), death]
 
 
-def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
+def _cmd_lifespan_table(args) -> dict:
     from fractions import Fraction
     from . import lifespan
 
@@ -133,24 +135,22 @@ def _cmd_lifespan_table(args) -> tuple[dict, list[str]]:
         census = lifespan.simulate_census(species, args.days)
     except ValueError as exc:  # a gene number given twice (2/4 repeats 1/2)
         raise ConfigError(str(exc), key="--g") from None
-    out = Path(args.out)
-    _write_table(out, args.format, ["day", "species_g", "alive"], census.csv_rows())
-    return {"days": args.days, "g": [str(g) for g in genes]}, [str(out)]
+    _write_table(args, ["day", "species_g", "alive"], census.csv_rows())
+    return {"days": args.days, "g": [str(g) for g in genes]}
 
 
-def _cmd_lifespan_sweep(args) -> tuple[dict, list[str]]:
+def _cmd_lifespan_sweep(args) -> dict:
     from fractions import Fraction
     from . import lifespan
 
     grid = [Fraction(i, args.steps) for i in range(args.steps + 1)]
     result = lifespan.optimality_sweep(grid)
     rows = [_lambda_row(*row) for row in result.rows]
-    out = Path(args.out)
-    _write_table(out, args.format, ["g_num", "g_den", "lambda", "birth_ages", "death_age"], rows)
-    return {"steps": args.steps, "argmax_g": [sp.label for sp in result.argmax]}, [str(out)]
+    _write_table(args, ["g_num", "g_den", "lambda", "birth_ages", "death_age"], rows)
+    return {"steps": args.steps, "argmax_g": [sp.label for sp in result.argmax]}
 
 
-def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
+def _cmd_lifespan_growth(args) -> dict:
     from . import lifespan
 
     species = lifespan.TreeSpecies(args.g)
@@ -158,14 +158,13 @@ def _cmd_lifespan_growth(args) -> tuple[dict, list[str]]:
     rate = lifespan.growth_rate(table)
     rows = [_lambda_row(species, table, rate, rate.residual)]
     header = ["g_num", "g_den", "lambda", "residual", "birth_ages", "death_age"]
-    out = Path(args.out)
-    _write_table(out, args.format, header, rows)
-    return {"g": str(species.gene_number)}, [str(out)]
+    _write_table(args, header, rows)
+    return {"g": str(species.gene_number)}
 
 
 # replicator
 
-def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
+def _cmd_replicator_run(args) -> dict:
     from . import replicator  # loads NumPy
 
     text = _read_text(args.config) if args.config else ""
@@ -182,35 +181,31 @@ def _cmd_replicator_run(args) -> tuple[dict, list[str]]:
     for o in report.outcomes:
         rows.append([o.pair_index, "hot", o.hot_extinction_day, o.hot_peak])
         rows.append([o.pair_index, "fidelity", o.fidelity_extinction_day, o.fidelity_peak])
-    out = Path(args.out)
-    _write_table(out, args.format, ["seed", "profile", "extinction_day", "peak_pop"], rows)
-    artifacts = [str(out), str(events_path)] if args.events else [str(out)]
-
+    _write_table(args, ["seed", "profile", "extinction_day", "peak_pop"], rows)
     echo = {key: value for _, key, value in parse_pairs(serialize_escape_config(config))}
     echo.update(hot_wins=report.hot_wins, fidelity_wins=report.fidelity_wins,
                 ties=report.ties, sign_test_p=repr(report.p_value))
-    return echo, artifacts
+    return echo
 
 
 # soup
 
-def _cmd_soup_run(args) -> tuple[dict, list[str]]:
+def _cmd_soup_run(args) -> dict:
     import dataclasses
     from . import rng, soup  # soup loads NumPy
 
     text = _read_text(args.config) if args.config else ""
     config = soup_config_from_text(text, master_seed=args.seed)
-    out = Path(args.out)
     echo = {key: value for _, key, value in parse_pairs(serialize_soup_config(config))}
 
     if args.experiment:
         report = soup.run_catalysis_experiment(config)
         header = [f.name for f in dataclasses.fields(soup.ReplicateOutcome)]
         rows = [dataclasses.astuple(o) for o in report.outcomes]
-        _write_table(out, args.format, header, rows)
+        _write_table(args, header, rows)
         echo.update(treatment_wins=report.treatment_wins, control_wins=report.control_wins,
                     ties=report.ties, sign_test_p=repr(report.p_value))
-        return echo, [str(out)]
+        return echo
 
     # clamped: horizon * n / n can round past the horizon (0.1 * 3 / 3)
     grid = [
@@ -226,9 +221,9 @@ def _cmd_soup_run(args) -> tuple[dict, list[str]]:
     gen = rng.stream(config.master_seed, rng.SOUP, 0)  # soup experiment replicate 0's stream
     soup.run_until(state, config.horizon, gen, grid, on_sample)
     header = ["t", "free_A", "free_C", "free_G", "free_U", "n_species", "n_P", "n_AAA_enders"]
-    _write_table(out, args.format, header, rows)
+    _write_table(args, header, rows)
     echo["samples"] = args.samples
-    return echo, [str(out)]
+    return echo
 
 
 # registry
@@ -239,13 +234,10 @@ def _load_world(path: str):
     return registry.World.from_jsonl(_read_text(path, LogError))
 
 
-def _cmd_registry_ingest(args) -> tuple[dict, list[str]]:
+def _cmd_registry_ingest(args) -> dict:
     world = _load_world(args.log)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(world.to_jsonl().encode("utf-8"))
-    echo = {"log": args.log, "events": world.now + 1, "objects": world.n_objects}
-    return echo, [str(out)]
+    _write(args.out, world.to_jsonl())
+    return {"log": args.log, "events": world.now + 1, "objects": world.n_objects}
 
 
 def _query_content(args) -> bytes:
@@ -261,7 +253,7 @@ def _query_content(args) -> bytes:
     raise ConfigError(f"query {args.what!r} needs --content or --content-b64")
 
 
-def _cmd_registry_query(args) -> tuple[dict, list[str]]:
+def _cmd_registry_query(args) -> dict:
     import base64
     from . import registry
 
@@ -295,14 +287,12 @@ def _cmd_registry_query(args) -> tuple[dict, list[str]]:
             nodes, edges = registry.lineage(world, prene)
             result = {"nodes": nodes, "edges": [list(e) for e in edges]}
 
-    artifacts = []
     line = json.dumps(result, sort_keys=True, separators=(",", ":"))
     if args.out:
-        _write_lines(Path(args.out), [line])
-        artifacts.append(args.out)
+        _write(args.out, f"{line}\n")
     else:
         print(line)
-    return {"log": args.log, "what": args.what, "at": t}, artifacts
+    return {"log": args.log, "what": args.what, "at": t}
 
 
 # parser wiring
@@ -396,10 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OUTPUTS = ("--out", "--events")
+
+
 def _refuse_shared_paths(args) -> None:
     """No output may name an input or another output: checked before any file is touched."""
     seen: dict[Path, str] = {}
-    for flag in ("--log", "--config", "--out", "--events"):
+    for flag in ("--log", "--config", *_OUTPUTS):
         path = getattr(args, flag[2:], None)
         if path:
             earlier = seen.setdefault(Path(path).resolve(), flag)
@@ -408,13 +401,26 @@ def _refuse_shared_paths(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; on success print its run report and return 0."""
+    """Run one command; on success print its run report and return 0.  The
+    report lists as artifacts the paths named by `--out` and `--events`."""
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         _refuse_shared_paths(args)
-        echo, artifacts = args.func(args)
+        echo = args.func(args)
+        from . import rng  # not at start-up: --version and --help never reach here
+        report = {
+            "tool": "prene-lab",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "rng_algorithm": rng.RNG_ALGORITHM,
+            "seed": getattr(args, "seed", None),
+            "config": echo,
+            "wall_time_s": round(time.monotonic() - started, 6),
+            "artifacts": [str(Path(p)) for f in _OUTPUTS if (p := getattr(args, f[2:], None))],
+        }
+        print(json.dumps(report, sort_keys=True), flush=True)
     except ConfigError as exc:
         print(f"prene-lab: config error: {exc}", file=sys.stderr)
         return 2
@@ -422,20 +428,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"prene-lab: log error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed: keep the exit-time flush off it
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"prene-lab: io error: {exc}", file=sys.stderr)
         return 1
-    from . import rng  # not at start-up: --version and --help never reach here
-    report = {
-        "tool": "prene-lab",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "rng_algorithm": rng.RNG_ALGORITHM,
-        "seed": getattr(args, "seed", None),
-        "config": echo,
-        "wall_time_s": round(time.monotonic() - started, 6),
-        "artifacts": artifacts,
-    }
-    print(json.dumps(report, sort_keys=True))
     return 0
 
 

@@ -137,10 +137,11 @@ def is_int(value) -> bool:
     return not isinstance(value, bool)
 
 
-def check_fields(config) -> None:
+def check_fields(config, at_least: dict[str, int]) -> None:
     """Each keyed field holds a value of its default's kind, so that the text form
     parses back: an int field an integer (not a bool), a float field a float or an
-    integer, a str field a str.  The seed is an unsigned 64-bit integer."""
+    integer, a str field a str; each field named in `at_least` (fixed per config
+    class) is at least its bound; the seed is an unsigned 64-bit integer."""
     for key, kind in {**_schema(type(config)), "master_seed": int}.items():
         value = getattr(config, key)
         if kind is int and not is_int(value):
@@ -149,6 +150,9 @@ def check_fields(config) -> None:
             raise ConfigError("must be a float or an integer", key=key)
         if kind is str and not isinstance(value, str):
             raise ConfigError("must be a string", key=key)
+    for key, low in at_least.items():
+        if getattr(config, key) < low:
+            raise ConfigError(f"must be >= {low}", key=key)
     if not 0 <= config.master_seed < 2**64:
         raise ConfigError("must be an unsigned 64-bit integer", key="master_seed")
 

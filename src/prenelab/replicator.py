@@ -367,8 +367,6 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     outcome reads them).  The day's birth lines go out in one write.
     `run_population_day` checks the count.
     """
-    if state.population == 0:
-        return
     coat_runs, body_runs = profile.split(*state.coat_span)
     batch = np.repeat(state.codes, offspring_per_virion, axis=0)
     rows, cols, _, _ = mutate_sites(batch, coat_runs, state.gen)
@@ -503,13 +501,12 @@ class EscapeConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, {"genome_length": 1, "offspring_per_virion": 1, "capacity": 1,
+                            "immune_delay": 0, "horizon": 1, "n_founders": 1, "n_pairs": 1})
         if not (isinstance(self.coat_span, tuple) and len(self.coat_span) == 2):
             raise ConfigError("must be a (start, stop) pair", key="coat_span")
         if not all(map(is_int, self.coat_span)):
             raise ConfigError("bounds must be integers", key="coat_span")
-        if self.genome_length < 1:
-            raise ConfigError("must be >= 1", key="genome_length")
         lo, hi = self.coat_span
         if not (0 <= lo < hi <= self.genome_length):
             raise ConfigError("must be a non-empty interval inside the genome", key="coat_span")
@@ -520,20 +517,8 @@ class EscapeConfig:
             raise ConfigError("hot-region rate must stay in [0, 1)", key="hot_factor")
         if not 0.0 <= self.fidelity_rate < 1.0:
             raise ConfigError("must lie in [0, 1)", key="fidelity_rate")
-        if self.offspring_per_virion < 1:
-            raise ConfigError("must be >= 1", key="offspring_per_virion")
-        if self.capacity < 1:
-            raise ConfigError("must be >= 1", key="capacity")
-        if self.immune_delay < 0:
-            raise ConfigError("must be >= 0", key="immune_delay")
         if not 0.0 <= self.kill_probability <= 1.0:
             raise ConfigError("must lie in [0, 1]", key="kill_probability")
-        if self.horizon < 1:
-            raise ConfigError("must be >= 1", key="horizon")
-        if self.n_founders < 1:
-            raise ConfigError("must be >= 1", key="n_founders")
-        if self.n_pairs < 1:
-            raise ConfigError("must be >= 1", key="n_pairs")
 
     def founder(self) -> Genome:
         return Genome(

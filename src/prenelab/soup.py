@@ -562,7 +562,7 @@ class SoupConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, {"n_replicates": 1})
         for name in ("initial_free", "initial_polymers"):
             pool = getattr(self, name)
             if not isinstance(pool, tuple) or any(
@@ -591,8 +591,6 @@ class SoupConfig:
             raise ConfigError(f"must be a non-empty string over {SOUP_LETTERS}", key="motif")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigError("must be finite and > 0", key="horizon")
-        if self.n_replicates < 1:
-            raise ConfigError("must be >= 1", key="n_replicates")
 
     def build_state(self, k_cat: Optional[float] = None) -> ReactorState:
         return ReactorState(

@@ -498,6 +498,22 @@ class TestRegistryCli:
             "prene-lab: config error: key '--at': no object is alive at t=-1 for longest-shared\n"
         )
 
+    @pytest.mark.parametrize("what", ["copy-number", "classify", "extinct", "lineage"])
+    def test_content_b64_answers_as_content_does(self, capsys, what):
+        answers = []
+        for flag, value in (("--content", "POX"), ("--content-b64", "UE9Y")):
+            args = ["registry", "query", "--log", GOLDEN_LOG, "--what", what, "--at", "3", flag, value]
+            assert main(args) == 0
+            answers.append(capsys.readouterr().out.splitlines()[0])
+        assert answers[0] == answers[1]
+
+    def test_content_b64_that_is_not_base64_exits_2(self, capsys):
+        args = ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content-b64", "QUJ"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "prene-lab: config error: --content-b64 is not valid base64\n"
+
     def test_query_without_content_exits_2(self, tmp_path):
         code, _ = run_cli(
             ["registry", "query", "--log", GOLDEN_LOG, "--what", "copy-number"],
@@ -695,6 +711,42 @@ class TestRunReport:
             "tool", "version", "subcommand", "rng_algorithm", "seed", "config",
             "wall_time_s", "artifacts",
         }
+
+    @pytest.mark.parametrize("command", [
+        ["lifespan", "table", "--days", "1"],
+        ["registry", "ingest", "--log", GOLDEN_LOG],
+        ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX"],
+    ], ids=["table", "ingest", "query"])
+    def test_artifacts_are_listed_as_normalized_paths(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        _, report = run_cli([*command, "--out", "./sub//a.out"], tmp_path)
+        assert report["artifacts"] == [str(Path("sub/a.out"))]
+        assert (tmp_path / "sub" / "a.out").is_file()
+
+
+class TestClosedStdout:
+    """A closed stdout is an io error like any other: one line, exit 1."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        ["lifespan", "table", "--days", "2", "--out", "{tmp}/t.csv"],
+        ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX"],
+    ], ids=["report", "query-result"])
+    def test_one_stderr_line_and_exit_1(self, tmp_path, command, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # closed before the child writes
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "prenelab", *(a.format(tmp=tmp_path) for a in command)]
+        try:
+            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True,
+                                  cwd=ROOT, env=env)
+        finally:
+            os.close(write)
+        assert proc.stderr == "prene-lab: io error: [Errno 32] Broken pipe\n"
+        assert proc.returncode == 1
 
 
 class TestUsageErrors:

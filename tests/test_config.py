@@ -115,6 +115,26 @@ class TestEscapeConfig:
             escape_config_from_text("kill_probability = 1.5\n")
         assert err.value.key == "kill_probability"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("genome_length", 0, "must be >= 1"),
+        ("offspring_per_virion", 0, "must be >= 1"),
+        ("capacity", 0, "must be >= 1"),
+        ("immune_delay", -1, "must be >= 0"),
+        ("horizon", 0, "must be >= 1"),
+        ("n_founders", 0, "must be >= 1"),
+        ("n_pairs", 0, "must be >= 1"),
+        ("base_rate", 1.0, "must lie in [0, 1)"),
+        ("base_rate", -1e-9, "must lie in [0, 1)"),
+        ("fidelity_rate", 1.0, "must lie in [0, 1)"),
+        ("fidelity_rate", -1e-9, "must lie in [0, 1)"),
+    ])
+    def test_each_bound_and_rate_names_its_field(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            EscapeConfig(**{key: value})
+        assert str(err.value) == f"key {key!r}: {message}"
+        if isinstance(value, int):  # the bound itself is accepted
+            assert getattr(EscapeConfig(coat_span=(0, 1), **{key: value + 1}), key) == value + 1
+
     def test_round_trip_identity(self):
         text = "capacity = 17\nhot_factor = 12.5\nn_pairs = 3\n"
         once = escape_config_from_text(text, master_seed=4)
@@ -198,6 +218,20 @@ def test_float_fields_refuse_bools_and_round_trip(config_class, values, from_tex
             assert type(getattr(parsed, key)) is float, (key, accepted)
 
 
+@pytest.mark.parametrize("config_class", [EscapeConfig, SoupConfig])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_is_refused(config_class, seed):
+    with pytest.raises(ConfigError) as err:
+        config_class(master_seed=seed)
+    assert str(err.value) == "key 'master_seed': must be an unsigned 64-bit integer"
+
+
+def test_infinite_float_value_is_refused():
+    with pytest.raises(ConfigError) as err:
+        soup_config_from_text("horizon = inf\n")
+    assert str(err.value) == "line 1, key 'horizon': bad float value 'inf' (must be finite)"
+
+
 @pytest.mark.parametrize("key", ["master_seed", "coat_span", "initial_free", "initial_polymers"])
 def test_seed_and_tuple_fields_are_not_keys(key):
     for from_text in (escape_config_from_text, soup_config_from_text):
@@ -219,6 +253,11 @@ class TestSoupConfigText:
     def test_bad_free_letter(self):
         with pytest.raises(ConfigError, match=r"'free\.X'"):
             soup_config_from_text("free.X = 3\n")
+
+    def test_foreign_free_letter_is_refused(self):
+        with pytest.raises(ConfigError) as err:
+            SoupConfig(initial_free=(("X", 1),))
+        assert str(err.value) == "key 'initial_free': letters must be among ACGU"
 
     def test_bad_polymer_sequence_names_field(self):
         with pytest.raises(ConfigError, match="initial_polymers"):

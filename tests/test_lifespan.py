@@ -131,8 +131,22 @@ class TestLifeTable:
             LifeTable((2,), 5, periodic=(4, 3))  # mortal cannot have one
         LifeTable((2, 6), 5)  # posthumous age death+1 is allowed
 
+    @pytest.mark.parametrize("ages, death, periodic, message", [
+        ((0, 2), 5, None, "birth ages must be positive"),
+        ((), None, (0, 3), "periodic tail must have positive first age and step"),
+        ((), None, (3, 0), "periodic tail must have positive first age and step"),
+        ((2, 5), None, (4, 3), "periodic tail must start after the finite prefix"),
+    ])
+    def test_each_refusal_names_its_rule(self, ages, death, periodic, message):
+        with pytest.raises(ValueError, match=message):
+            LifeTable(ages, death, periodic)
+
 
 class TestCensus:
+    def test_individuals_refuse_negative_days(self):
+        with pytest.raises(ValueError, match="days must be >= 0"):
+            simulate_individuals([GHALF], -1)
+
     def test_reference_table_exactly(self):
         table = simulate_census([G1, GHALF], 30)
         for day, row in REFERENCE_CENSUS.items():

@@ -258,6 +258,21 @@ def _founder_state(**kw):
     return PopulationState(**defaults)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Genome(np.zeros((2, 4), dtype=np.uint8)), "a genome is a 1-d strand"),
+    (lambda: MutationProfile(np.zeros((2, 4))), "site probabilities must be a 1-d vector"),
+    (lambda: _founder_state(capacity=0), "capacity must be >= 1"),
+    (lambda: _founder_state(n_founders=0), "need at least one founder"),
+    (lambda: _founder_state(immune_delay=-1), "immune delay must be >= 0"),
+    (lambda: mutant_fraction(Genome.from_string("ACGU"), MutationProfile.uniform(0.1, 4), 0,
+                             rng.stream(31, 0)), "n must be positive"),
+    (lambda: vdj_generate("ACGU", -1, rng.stream(31, 0)), "n must be >= 0"),
+], ids=["genome-2d", "profile-2d", "capacity", "founders", "delay", "mutant-n", "vdj-n"])
+def test_library_input_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestImmuneStep:
     @pytest.mark.parametrize("kill_probability", [1.5, -0.1, float("nan")])
     def test_kill_probability_checked_at_construction(self, kill_probability):
@@ -392,6 +407,18 @@ class TestPopulationCycle:
             assert state.posters[: len(before)] == before  # the board only grows
             before = list(state.posters)
         assert len(before) > 20
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_empty_day_draws_and_writes_nothing(self, traced):
+        trace, buf = _traced(31, 0) if traced else (None, io.StringIO())
+        state = _founder_state(n_founders=3, trace=trace)
+        state._keep(np.empty(0, dtype=np.intp))
+        gens = [state.gen] + ([trace.body] if traced else [])
+        before = [repr(gen.bit_generator.state) for gen in gens]  # its arrays print in full
+        run_population_day(state, MutationProfile.uniform(0.5, 8), 2)
+        assert [repr(gen.bit_generator.state) for gen in gens] == before
+        assert buf.getvalue() == ""
+        assert state.day == 1 and state.population == 0
 
     def test_single_lineage_extinct_at_delay_plus_one(self):
         state = _founder_state(capacity=1, immune_delay=1, kill_probability=1.0)
