@@ -214,8 +214,7 @@ def _cmd_soup_run(args) -> dict:
     rows = []
 
     def on_sample(t: float, state: soup.ReactorState) -> None:
-        free = [state.free_of(letter) for letter in soup.SOUP_LETTERS]
-        rows.append([t, *free, len(state.seqs), state.n_catalysts(), state.n_aaa_enders()])
+        rows.append([t, *state.free, len(state.seqs), state.n_catalysts(), state.n_aaa_enders()])
 
     state = config.build_state()
     gen = rng.stream(config.master_seed, rng.SOUP, 0)  # soup experiment replicate 0's stream

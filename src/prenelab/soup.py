@@ -26,9 +26,10 @@ An event costs O(log S) in plain Python ints, S the number of species:
   and AAA-enders is read there, and `_channel_totals` reads the three
   channel totals off `free` and the roots, with no sum over the table.
 - In-place updates.  An event makes one or two `_shift` calls (two more
-  when a vanished row is refilled from the last one).  Each walks `_all`,
-  then `_cat` or `_aaa` only for a row flagged there, and adds n times
-  the row's letter counts into the bound mass in place.
+  when a vanished row is refilled from the last one).  Each reads the
+  row's facts record, walks `_all`, then `_cat` or `_aaa` only for a row
+  flagged there, and adds n times the row's letter counts into the bound
+  mass in place.
   Besides the shifts an event reads a waiting-time uniform, a channel
   uniform and one uniform per pick (one pick for detach, two for extend
   and catalyze, plus a thinning uniform when extend pairs a pool with
@@ -140,20 +141,22 @@ def _fenwick_pick(tree: list[int], base: int, threshold: float) -> int:
 
 
 _FIRST_CAPACITY = 16
+_NO_FACTS = (0, 0, 0, 0, False, False)  # an empty row's facts record
 
 
 class ReactorState:
     """Free monomer pools plus a canonical polymer species table.
 
-    Species rows live in columns padded to a power-of-two capacity that
-    doubles when full, with one Fenwick tree per pickable weight: all
-    strands, catalysts, AAA-enders.  Each tree's root, its last node,
-    holds that weight's total.  A row whose count reaches zero is
-    removed at once by moving the last row into it, so two states with
-    the same contents compare equal regardless of the order reactions
-    happened to run in.  `free` is the four free pools as a list of ints;
-    `_add` and `_remove` keep the bound mass per letter that the
-    per-event `audit` reads.
+    Species rows live in two columns padded to a power-of-two capacity
+    that doubles when full: the count, and the facts record `(a, c, g, u,
+    is_cat, ends_aaa)` that `_facts_of` makes once per row.  One Fenwick
+    tree per pickable weight (all strands, catalysts, AAA-enders) holds
+    that weight's total at its root, its last node.  A row whose count
+    reaches zero is removed at once by moving the last row into it, so
+    two states with the same contents compare equal regardless of the
+    order reactions happened to run in.  `free` is the four free pools as
+    a list of ints; `_add` and `_remove` keep the bound mass per letter
+    that the per-event `audit` reads.
     """
 
     def __init__(
@@ -185,9 +188,7 @@ class ReactorState:
         self._row: dict[str, int] = {}
         cap = _FIRST_CAPACITY
         self._count = [0] * cap
-        self._letters = [(0, 0, 0, 0)] * cap
-        self._is_cat = [False] * cap
-        self._ends_aaa = [False] * cap
+        self._facts = [_NO_FACTS] * cap
         self._all, self._cat, self._aaa = (_fenwick([0] * cap) for _ in range(3))
         self._bound = [0, 0, 0, 0]
         for seq, n in sorted(polymers.items()):
@@ -208,30 +209,33 @@ class ReactorState:
         empty new ones, so it starts as the old root; other new nodes are 0."""
         cap = len(self._count)
         self._count += [0] * cap
-        self._letters += [(0, 0, 0, 0)] * cap
-        self._is_cat += [False] * cap
-        self._ends_aaa += [False] * cap
+        self._facts += [_NO_FACTS] * cap
         for tree in (self._all, self._cat, self._aaa):
             tree += [0] * cap
             tree[2 * cap] = tree[cap]
 
+    def _facts_of(self, seq: str) -> tuple:
+        """A row's facts record: letter counts, catalyst flag, AAA-ender flag."""
+        return (*map(seq.count, SOUP_LETTERS), self.catalyst_rule(seq), seq.endswith("AAA"))
+
     def _shift(self, row: int, n: int) -> None:
         """Add n strands of `row` to the trees and the bound mass, in place."""
+        a, c, g, u, is_cat, ends_aaa = self._facts[row]
         tree, size, i = self._all, len(self._all), row + 1
         while i < size:
             tree[i] += n
             i += i & -i
-        if self._is_cat[row]:
+        if is_cat:
             tree, i = self._cat, row + 1
             while i < size:
                 tree[i] += n
                 i += i & -i
-        if self._ends_aaa[row]:
+        if ends_aaa:
             tree, i = self._aaa, row + 1
             while i < size:
                 tree[i] += n
                 i += i & -i
-        (a, c, g, u), bound = self._letters[row], self._bound
+        bound = self._bound
         bound[0] += n * a
         bound[1] += n * c
         bound[2] += n * g
@@ -245,9 +249,7 @@ class ReactorState:
                 self._grow()
             self.seqs.append(seq)
             self._row[seq] = row
-            self._letters[row] = (seq.count("A"), seq.count("C"), seq.count("G"), seq.count("U"))
-            self._is_cat[row] = self.catalyst_rule(seq)
-            self._ends_aaa[row] = seq.endswith("AAA")
+            self._facts[row] = self._facts_of(seq)
         self._count[row] += n
         self._shift(row, n)
 
@@ -262,8 +264,7 @@ class ReactorState:
             if row != last:
                 moved, m = self.seqs[last], self._count[last]
                 self._shift(last, -m)
-                columns = (self.seqs, self._count, self._letters, self._is_cat, self._ends_aaa)
-                for column in columns:
+                for column in (self.seqs, self._count, self._facts):
                     column[row] = column[last]
                 self._row[moved] = row
                 self._shift(row, m)
@@ -304,32 +305,22 @@ class ReactorState:
             raise ConservationError(f"mass drifted: {[x + y for x, y in zip(f, b)]} != {m}")
 
     def recount(self) -> None:
-        """Full check, O(S): recount the mass, the bound mass, every row
-        column and every tree from the species names and counts."""
+        """Full check, O(S): recount the mass, the bound mass, every facts
+        record and every tree from the species names and counts."""
         n = len(self.seqs)
         count = self._count[:n]
-        is_cat = [self.catalyst_rule(s) for s in self.seqs]
-        ends_aaa = [s.endswith("AAA") for s in self.seqs]
-        cat = [k if flag else 0 for k, flag in zip(count, is_cat)]
-        aaa = [k if flag else 0 for k, flag in zip(count, ends_aaa)]
+        facts = [self._facts_of(s) for s in self.seqs]
+        cat = [k if f[4] else 0 for k, f in zip(count, facts)]
+        aaa = [k if f[5] else 0 for k, f in zip(count, facts)]
         pad = [0] * (len(self._count) - n)
         bound = self._recounted_bound()
         expected = (
-            [tuple(s.count(c) for c in SOUP_LETTERS) for s in self.seqs],
-            is_cat,
-            ends_aaa,
+            facts,
             {s: i for i, s in enumerate(self.seqs)},
             bound,
             (_fenwick(count + pad), _fenwick(cat + pad), _fenwick(aaa + pad)),
         )
-        held = (
-            self._letters[:n],
-            self._is_cat[:n],
-            self._ends_aaa[:n],
-            self._row,
-            self._bound,
-            (self._all, self._cat, self._aaa),
-        )
+        held = (self._facts[:n], self._row, self._bound, (self._all, self._cat, self._aaa))
         if held != expected or 0 in count or any(self._count[n:]):
             raise ConservationError("running totals disagree with the species table")
         mass = [f + b for f, b in zip(self.free, bound)]

@@ -112,24 +112,31 @@ class TestRecount:
     """The O(S) recount sees a species table corrupted behind the running
     totals, which the O(1) per-event audit cannot."""
 
-    @staticmethod
-    def _corrupted(how):
+    # the count, then each field of the facts record: a letter count
+    # raised by one, or the catalyst or AAA-ender flag flipped
+    _FACT = {"A": 0, "C": 1, "G": 2, "U": 3, "flag": 4, "aaa": 5}
+    _HOW = ["count", *_FACT]
+
+    @classmethod
+    def _corrupted(cls, how):
         state = ReactorState({"A": 30, "C": 30}, {"GAAG": 3, "GGAAA": 4}, 0.01, 0.2, 0.3)
-        row = state._row["GAAG"]
+        row = state._row["GGAAA" if how == "aaa" else "GAAG"]
         if how == "count":
             state._count[row] += 1
         else:
-            state._is_cat[row] = False
+            facts, i = list(state._facts[row]), cls._FACT[how]
+            facts[i] = not facts[i] if i >= 4 else facts[i] + 1
+            state._facts[row] = tuple(facts)
         return state
 
-    @pytest.mark.parametrize("how", ["count", "flag"])
+    @pytest.mark.parametrize("how", _HOW)
     def test_per_event_audit_passes_recount_fails(self, how):
         state = self._corrupted(how)
         state.audit()
         with pytest.raises(ConservationError):
             state.recount()
 
-    @pytest.mark.parametrize("how", ["count", "flag"])
+    @pytest.mark.parametrize("how", _HOW)
     def test_run_until_recounts_before_returning(self, how):
         state = self._corrupted(how)
         with pytest.raises(ConservationError):
