@@ -21,10 +21,11 @@ An event costs O(log S) in plain Python ints, S the number of species:
   the float threshold u * total.  That is the row a float cumulative sum
   and `searchsorted(..., side="right")` would pick, so every draw and
   every pick is the same as with a plain cumulative-sum search.
-- Totals from the roots.  The capacity is a power of two, so the last
-  node of each tree covers every row: the number of strands, catalysts
-  and AAA-enders is read there, and `_channel_totals` reads the three
-  channel totals off `free` and the roots, with no sum over the table.
+- Totals from the roots.  One builder, `_table`, lays the table out at
+  construction, at each doubling and for `recount`.  The capacity is a
+  power of two, so the last node of each tree covers every row: the
+  strand, catalyst and AAA-ender totals are read there, and
+  `_channel_totals` reads the channel totals off `free` and the roots.
 - In-place updates.  An event makes one or two `_shift` calls (two more
   when a vanished row is refilled from the last one).  Each reads the
   row's facts record, walks `_all`, then `_cat` or `_aaa` only for a row
@@ -43,9 +44,9 @@ An event costs O(log S) in plain Python ints, S the number of species:
   uniform with `gen.random()`, replays `run_until` event for event.
 - Two audit levels.  `audit()` runs after every event and is O(1): free
   plus running bound mass must equal the conserved mass, per letter.
-  `recount()` is O(S): it recounts the mass, every row column and every
-  tree from the species table; `run_until` calls it at each sample time
-  and before it returns.
+  `recount()` is O(S): it rebuilds the table with `_table` from the
+  species names and counts and compares every column, padding included,
+  and the mass; `run_until` calls it at each sample time and on return.
 """
 
 from __future__ import annotations
@@ -149,14 +150,15 @@ class ReactorState:
 
     Species rows live in two columns padded to a power-of-two capacity
     that doubles when full: the count, and the facts record `(a, c, g, u,
-    is_cat, ends_aaa)` that `_facts_of` makes once per row.  One Fenwick
-    tree per pickable weight (all strands, catalysts, AAA-enders) holds
-    that weight's total at its root, its last node.  A row whose count
-    reaches zero is removed at once by moving the last row into it, so
-    two states with the same contents compare equal regardless of the
-    order reactions happened to run in.  `free` is the four free pools as
-    a list of ints; `_add` and `_remove` keep the bound mass per letter
-    that the per-event `audit` reads.
+    is_cat, ends_aaa)` that `_facts_of` makes once per row; every row
+    past `len(seqs)` holds count 0 and `_NO_FACTS`, which `recount`
+    checks.  One Fenwick tree per pickable weight (all strands, catalysts,
+    AAA-enders) holds that weight's total at its root, its last node.  A
+    row whose count reaches zero is removed at once by moving the last row
+    into it, so two states with the same contents compare equal whatever
+    order reactions ran in.  `free` is the four free pools as a list of
+    ints; `_add` and `_remove` keep the bound mass per letter that the
+    per-event `audit` reads.
     """
 
     def __init__(
@@ -184,35 +186,39 @@ class ReactorState:
         self.time = 0.0
         self.n_events = 0
 
-        self.seqs: list[str] = []
-        self._row: dict[str, int] = {}
-        cap = _FIRST_CAPACITY
-        self._count = [0] * cap
-        self._facts = [_NO_FACTS] * cap
-        self._all, self._cat, self._aaa = (_fenwick([0] * cap) for _ in range(3))
-        self._bound = [0, 0, 0, 0]
-        for seq, n in sorted(polymers.items()):
+        polymers = sorted(polymers.items())
+        for seq, n in polymers:
             if len(seq) < 2:
                 raise ValueError(f"polymer {seq!r} shorter than 2; monomers go in free")
             if not set(seq) <= set(SOUP_LETTERS):
                 raise ValueError(f"polymer {seq!r} uses letters outside {SOUP_LETTERS}")
             if not _is_count(n):
                 raise ValueError(f"counts must be integers >= 0, got {n!r}")
-            if n > 0:
-                self._add(seq, operator.index(n))
+        self.seqs = [seq for seq, n in polymers if n > 0]
+        count = [operator.index(n) for _, n in polymers if n > 0]
+        capacity = max(_FIRST_CAPACITY, 1 << (len(count) - 1).bit_length())
+        self._load(count, [*map(self._facts_of, self.seqs)], capacity)
         self.conserved = self.mass_by_letter()
 
     # species table bookkeeping
 
-    def _grow(self) -> None:
-        """Double the capacity.  The new root covers the old rows and the
-        empty new ones, so it starts as the old root; other new nodes are 0."""
-        cap = len(self._count)
-        self._count += [0] * cap
-        self._facts += [_NO_FACTS] * cap
-        for tree in (self._all, self._cat, self._aaa):
-            tree += [0] * cap
-            tree[2 * cap] = tree[cap]
+    def _table(self, count: list[int], facts: list[tuple], capacity: int) -> tuple:
+        """The table of rows `seqs` with these counts and facts records, padded to `capacity`."""
+        n = len(self.seqs)
+        count = count[:n] + [0] * (capacity - n)
+        facts = facts[:n] + [_NO_FACTS] * (capacity - n)
+        return (
+            count, facts,
+            {seq: row for row, seq in enumerate(self.seqs)},
+            [sum(k * f[i] for k, f in zip(count, facts)) for i in range(4)],
+            _fenwick(count),
+            _fenwick([k if f[4] else 0 for k, f in zip(count, facts)]),
+            _fenwick([k if f[5] else 0 for k, f in zip(count, facts)]),
+        )
+
+    def _load(self, count: list[int], facts: list[tuple], capacity: int) -> None:
+        self._count, self._facts, self._row, self._bound, self._all, self._cat, self._aaa = (
+            self._table(count, facts, capacity))
 
     def _facts_of(self, seq: str) -> tuple:
         """A row's facts record: letter counts, catalyst flag, AAA-ender flag."""
@@ -246,7 +252,7 @@ class ReactorState:
         if row is None:
             row = len(self.seqs)
             if row == len(self._count):
-                self._grow()
+                self._load(self._count, self._facts, 2 * row)
             self.seqs.append(seq)
             self._row[seq] = row
             self._facts[row] = self._facts_of(seq)
@@ -268,7 +274,7 @@ class ReactorState:
                     column[row] = column[last]
                 self._row[moved] = row
                 self._shift(row, m)
-                self._count[last] = 0
+            self._count[last], self._facts[last] = 0, _NO_FACTS
             self.seqs.pop()
             del self._row[seq]
 
@@ -281,16 +287,11 @@ class ReactorState:
     def free_of(self, letter: str) -> int:
         return self.free[_LETTER_INDEX[letter]]
 
-    def _recounted_bound(self) -> list[int]:
-        return [
-            sum(n * seq.count(c) for seq, n in zip(self.seqs, self._count))
-            for c in SOUP_LETTERS
-        ]
-
     def mass_by_letter(self) -> list[int]:
         """free + bound occurrences, per letter, recounted from the species
-        table; the conserved quantity."""
-        return [f + b for f, b in zip(self.free, self._recounted_bound())]
+        names and counts; the conserved quantity."""
+        table = self._table(self._count, [*map(self._facts_of, self.seqs)], len(self._count))
+        return [f + b for f, b in zip(self.free, table[3])]
 
     def n_catalysts(self) -> int:
         return self._cat[-1]
@@ -305,25 +306,13 @@ class ReactorState:
             raise ConservationError(f"mass drifted: {[x + y for x, y in zip(f, b)]} != {m}")
 
     def recount(self) -> None:
-        """Full check, O(S): recount the mass, the bound mass, every facts
-        record and every tree from the species names and counts."""
-        n = len(self.seqs)
-        count = self._count[:n]
-        facts = [self._facts_of(s) for s in self.seqs]
-        cat = [k if f[4] else 0 for k, f in zip(count, facts)]
-        aaa = [k if f[5] else 0 for k, f in zip(count, facts)]
-        pad = [0] * (len(self._count) - n)
-        bound = self._recounted_bound()
-        expected = (
-            facts,
-            {s: i for i, s in enumerate(self.seqs)},
-            bound,
-            (_fenwick(count + pad), _fenwick(cat + pad), _fenwick(aaa + pad)),
-        )
-        held = (self._facts[:n], self._row, self._bound, (self._all, self._cat, self._aaa))
-        if held != expected or 0 in count or any(self._count[n:]):
+        """Full check, O(S): the table rebuilt from the species names and
+        counts, padding included, equals the held one, and so does the mass."""
+        table = self._table(self._count, [*map(self._facts_of, self.seqs)], len(self._count))
+        held = (self._count, self._facts, self._row, self._bound, self._all, self._cat, self._aaa)
+        if held != table or 0 in self._count[: len(self.seqs)]:
             raise ConservationError("running totals disagree with the species table")
-        mass = [f + b for f, b in zip(self.free, bound)]
+        mass = [f + b for f, b in zip(self.free, table[3])]
         if mass != self.conserved:
             raise ConservationError(f"mass drifted: {mass} != {self.conserved}")
 

@@ -219,6 +219,21 @@ def test_float_fields_refuse_bools_and_round_trip(config_class, values, from_tex
 
 
 @pytest.mark.parametrize("config_class", [EscapeConfig, SoupConfig])
+def test_int_and_str_fields_refuse_other_kinds(config_class):
+    refusals = {int: ("an integer", (True, 2.0, "2", None)), str: ("a string", (5, b"GA", None))}
+    checked = set()
+    for field in dataclasses.fields(config_class):
+        kind = type(field.default)
+        if kind in refusals:
+            checked.add(kind)
+            noun, refused = refusals[kind]
+            for value in refused:
+                with pytest.raises(ConfigError, match=f"^key '{field.name}': must be {noun}$"):
+                    config_class(**{field.name: value})
+    assert int in checked
+
+
+@pytest.mark.parametrize("config_class", [EscapeConfig, SoupConfig])
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_u64_is_refused(config_class, seed):
     with pytest.raises(ConfigError) as err:

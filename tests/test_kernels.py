@@ -158,6 +158,7 @@ def test_empirical_site_rate(p):
     )
     n_sites = codes.size
     sigma = (p * (1 - p) / n_sites) ** 0.5
+    # false-failure rate about 6.3e-5 per p (one two-sided 4-sigma normal comparison)
     assert abs(rows.size / n_sites - p) < 4 * sigma
 
 
@@ -173,6 +174,7 @@ def test_replacement_letters_uniform_over_other_three():
     for letter in (1, 2, 3):
         frac = counts[letter] / total
         sigma = (1 / 3 * 2 / 3 / total) ** 0.5
+        # false-failure rate about 1.9e-4 (3 letters x 6.3e-5 per two-sided 4-sigma comparison)
         assert abs(frac - 1 / 3) < 4 * sigma
 
 
@@ -247,9 +249,11 @@ def test_each_run_flips_at_its_own_rate():
         n_sites = 2000 * (stop - start)
         sigma = (p * (1 - p) / n_sites) ** 0.5
         rate = np.count_nonzero((cols >= start) & (cols < stop)) / n_sites
+        # false-failure rate about 1.9e-4 (3 runs x 6.3e-5 per two-sided 4-sigma comparison)
         assert abs(rate - p) < 4 * sigma, (start, rate)
     # within the p = 0.2 run, every column flips at p
     per_col = np.bincount(cols[cols >= 80] - 80, minlength=20) / 2000
+    # false-failure rate about 1.3e-3 (20 columns x 6.3e-5 per two-sided 4-sigma comparison)
     assert np.all(np.abs(per_col - 0.2) < 4 * (0.2 * 0.8 / 2000) ** 0.5)
 
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -64,6 +65,24 @@ class TestReactorState:
         with pytest.raises(ValueError):
             ReactorState({}, {"AX": 1}, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "n,capacity", [(0, 16), (16, 16), (17, 32), (32, 32), (33, 64), (100, 128)]
+    )
+    def test_table_starts_at_smallest_capacity_that_holds_it(self, n, capacity):
+        # the first n four-letter strands; from n = 28 on they include ACGU
+        polymers = dict.fromkeys(map("".join, itertools.islice(itertools.product("ACGU", repeat=4), n)), 1)
+        state = ReactorState({}, polymers, 0, 0, 0)
+        assert len(state._count) == capacity
+        assert state.species == polymers
+        state.recount()
+
+    def test_removing_more_than_present_is_refused(self):
+        state = ReactorState({"A": 1}, {"AC": 2}, 0, 0, 0)
+        with pytest.raises(ValueError, match="cannot remove 3 of 'AC', only 2 present"):
+            state._remove("AC", 3)
+        assert state.species == {"AC": 2}
+        state.recount()
+
     def test_zero_count_species_dropped(self):
         state = ReactorState({"A": 2}, {"AC": 0, "GG": 3}, 0, 0, 0)
         assert state.species == {"GG": 3}
@@ -72,6 +91,20 @@ class TestReactorState:
         a = ReactorState({"A": 1}, {"AC": 2, "GG": 1}, 0.1, 0.2, 0.3)
         b = ReactorState({"A": 1}, {"GG": 1, "AC": 2}, 0.1, 0.2, 0.3)
         assert a == b
+
+    def test_equality_sees_every_field(self):
+        a = ReactorState({"A": 1}, {"AC": 2}, 0.1, 0.2, 0.3)
+        moved = copy.deepcopy(a)
+        moved.time = 1.0
+        others = [
+            ReactorState({"A": 2}, {"AC": 2}, 0.1, 0.2, 0.3),
+            ReactorState({"A": 1}, {"AC": 3}, 0.1, 0.2, 0.3),
+            ReactorState({"A": 1}, {"AC": 2}, 0.1, 0.2, 0.4),
+            ReactorState({"A": 1}, {"AC": 2}, 0.1, 0.2, 0.3, CatalystRule("AC")),
+            moved,
+            "not a state",
+        ]
+        assert all(a != other for other in others)
 
     def test_mass_by_letter(self):
         state = ReactorState({"A": 5, "G": 1}, {"AAC": 2, "GU": 1}, 0, 0, 0)
@@ -113,9 +146,10 @@ class TestRecount:
     totals, which the O(1) per-event audit cannot."""
 
     # the count, then each field of the facts record: a letter count
-    # raised by one, or the catalyst or AAA-ender flag flipped
+    # raised by one, or the catalyst or AAA-ender flag flipped; then a
+    # real record in the last padding row of the 16-row table
     _FACT = {"A": 0, "C": 1, "G": 2, "U": 3, "flag": 4, "aaa": 5}
-    _HOW = ["count", *_FACT]
+    _HOW = ["count", *_FACT, "pad"]
 
     @classmethod
     def _corrupted(cls, how):
@@ -123,6 +157,8 @@ class TestRecount:
         row = state._row["GGAAA" if how == "aaa" else "GAAG"]
         if how == "count":
             state._count[row] += 1
+        elif how == "pad":
+            state._facts[-1] = state._facts_of("GAAG")
         else:
             facts, i = list(state._facts[row]), cls._FACT[how]
             facts[i] = not facts[i] if i >= 4 else facts[i] + 1
@@ -151,6 +187,13 @@ class TestRecount:
                 sample_times=[0.0], on_sample=lambda t, s: rows.append(t),
             )
         assert rows == []
+
+    def test_recount_checks_the_mass(self):
+        # a free pool corrupted: the table is consistent, the mass is not
+        state = ReactorState({"A": 5}, {"GGAAA": 2}, 0, 0, 0)
+        state.free[0] += 1
+        with pytest.raises(ConservationError, match=r"^mass drifted: \[12, 0, 4, 0\] != \[11, 0, 4, 0\]$"):
+            state.recount()
 
     def test_quiescent_run_still_recounts(self):
         state = ReactorState({"A": 5}, {"AC": 2}, 0, 0, 0)
