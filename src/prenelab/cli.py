@@ -11,7 +11,8 @@ version, echoed config, RNG algorithm, seed, wall time, artifact paths);
 a failed run prints only its error line to stderr.  Artifact files
 are byte-deterministic for a given command line; the report is not,
 because it carries the wall time.  CSV artifacts always have a header
-row and LF line endings.
+row and LF line endings.  Each artifact is written to its file as it is
+made, so no command holds its whole output in memory.
 
 Exit codes: 0 success; 2 usage (bad flag or config value, with the
 offender named); 1 IO or input-data failure.
@@ -25,6 +26,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -75,26 +77,28 @@ def _fraction(text: str):
     return value
 
 
-# artifact writers: explicit LF endings, header always present
+# artifact writers: explicit LF endings, header always present, each line
+# written as it is made
 
-def _write(path: str, text: str) -> None:
+def _artifact(path: str):
+    """`path` opened for UTF-8 text with LF endings, its parent directories made."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(text.encode("utf-8"))
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    with _artifact(path) as fh:
+        fh.writelines(chunks)
 
 
 def _write_table(args, header: list[str], rows: Iterable) -> None:
-    """Write `rows` to `args.out` in `args.format`."""
+    """Write `rows` to `args.out` in `args.format`, one line per row as it comes."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        lines = chain([",".join(header)], (",".join(_cell(v) for v in row) for row in rows))
     else:
-        lines = [
-            json.dumps(
-                dict(zip(header, row)), sort_keys=True, separators=(",", ":")
-            )
-            for row in rows
-        ]
-    _write(args.out, "".join(f"{line}\n" for line in lines))
+        lines = (json.dumps(dict(zip(header, row)), sort_keys=True, separators=(",", ":"))
+                 for row in rows)
+    _write(args.out, (f"{line}\n" for line in lines))
 
 
 def _cell(value) -> str:
@@ -170,9 +174,7 @@ def _cmd_replicator_run(args) -> dict:
     text = _read_text(args.config) if args.config else ""
     config = escape_config_from_text(text, master_seed=args.seed)
     if args.events:  # pair 0's event trace, written while the experiment runs it
-        events_path = Path(args.events)
-        events_path.parent.mkdir(parents=True, exist_ok=True)
-        with events_path.open("w", encoding="utf-8", newline="\n") as fh:
+        with _artifact(args.events) as fh:
             report = replicator.run_escape_experiment(config, trace=fh)
     else:
         report = replicator.run_escape_experiment(config)
@@ -235,7 +237,7 @@ def _load_world(path: str):
 
 def _cmd_registry_ingest(args) -> dict:
     world = _load_world(args.log)
-    _write(args.out, world.to_jsonl())
+    _write(args.out, world.jsonl_lines())
     return {"log": args.log, "events": world.now + 1, "objects": world.n_objects}
 
 
@@ -288,7 +290,7 @@ def _cmd_registry_query(args) -> dict:
 
     line = json.dumps(result, sort_keys=True, separators=(",", ":"))
     if args.out:
-        _write(args.out, f"{line}\n")
+        _write(args.out, [f"{line}\n"])
     else:
         print(line)
     return {"log": args.log, "what": args.what, "at": t}

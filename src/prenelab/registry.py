@@ -19,7 +19,9 @@ bytes, the substrate, the normalized bytes and the rows that store it,
 so normalization runs once per distinct content and a query runs the
 recognizer once per distinct normalized content, then filters only the
 rows of the contents it accepts.  `World.events` and `alive_objects`
-build read-only views from the columns when asked for.
+build read-only views from the columns when asked for, and
+`World.jsonl_lines` serializes the log a line at a time from the same
+columns.
 
 Queries are pure reads against the immutable log; the brute-force
 versions in the test suite rescan the whole log and must agree with the
@@ -33,7 +35,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import LogError, is_int
 
@@ -234,22 +236,24 @@ class World:
             for c in (self._content[r],)
         ]
 
+    def _records(self) -> Iterator[tuple]:
+        """Each event as an (i, kind, obj, substrate, content, src) tuple, in log order."""
+        ids, contents, sources = self._ids, self._content, self._source
+        for i, (kind, row) in enumerate(zip(self._kinds, self._rows)):
+            if kind == "destroy":
+                yield i, kind, ids[row], None, None, None
+            else:
+                c = contents[row]
+                yield i, kind, ids[row], c.substrate, c.raw if kind == "create" else None, sources[row]
+
     @property
     def events(self) -> list[tuple]:
         """The log as (i, kind, obj, substrate, content, src) tuples, built on
         each call; a field the kind does not use is None.  `now + 1` is its
-        length without building it.
+        length without building it, and `jsonl_lines` serializes it without
+        building it.
         """
-        ids, contents, sources = self._ids, self._content, self._source
-        out = []
-        for i, (kind, row) in enumerate(zip(self._kinds, self._rows)):
-            if kind == "destroy":
-                out.append((i, kind, ids[row], None, None, None))
-            else:
-                c = contents[row]
-                raw = c.raw if kind == "create" else None
-                out.append((i, kind, ids[row], c.substrate, raw, sources[row]))
-        return out
+        return list(self._records())
 
     def alive_objects(self, t: Optional[int] = None) -> list[StoredObject]:
         at = self.resolve_t(t)
@@ -257,27 +261,29 @@ class World:
 
     # serialization
 
-    def to_jsonl(self) -> str:
-        """The log as text, one line per event.
+    def jsonl_lines(self) -> Iterator[str]:
+        """The log as text, one line per event, yielded as each is made.
 
         Each line is byte for byte `json.dumps(record, separators=(",", ":"))`
         of the event's record {"i", "kind", "obj", "substrate",
-        "content_b64", "src"}.  Only the substrate string needs JSON
-        escaping; each distinct substrate and content is encoded once.
+        "content_b64", "src"}, then "\\n".  Only the substrate string needs
+        JSON escaping; each distinct substrate and content is encoded once.
         """
         quoted = {None: "null"}  # substrate -> its JSON string
         encoded = {None: "null"}  # content -> its base64 as a JSON string
-        lines = []
-        for i, kind, obj, substrate, content, src in self.events:
+        for i, kind, obj, substrate, content, src in self._records():
             sub = quoted.get(substrate) or quoted.setdefault(substrate, json.dumps(substrate))
             b64 = encoded.get(content) or encoded.setdefault(
                 content, f'"{base64.b64encode(content).decode("ascii")}"'
             )
-            lines.append(
+            yield (
                 f'{{"i":{i},"kind":"{kind}","obj":{obj},"substrate":{sub},'
                 f'"content_b64":{b64},"src":{"null" if src is None else src}}}\n'
             )
-        return "".join(lines)
+
+    def to_jsonl(self) -> str:
+        """The whole log as one string: the lines of `jsonl_lines`, joined."""
+        return "".join(self.jsonl_lines())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "World":

@@ -1,17 +1,19 @@
 """Command line contract: artifacts, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from prenelab import replicator, rng
-from prenelab.cli import build_parser, main
+from prenelab.cli import _write_table, build_parser, main
 from prenelab.config import escape_config_from_text
 from prenelab.rng import sign_test
 
@@ -120,6 +122,26 @@ class TestLifespanTable:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_tables_are_written_a_row_at_a_time(tmp_path, fmt):
+    # 50k rows, over 10 MB, from a lazy generator: the writer holds no list, string or bytes
+    out, pad = tmp_path / f"big.{fmt}", "x" * 200
+    rows = ((k, pad) for k in range(50_000))
+    tracemalloc.start()
+    try:
+        _write_table(argparse.Namespace(out=str(out), format=fmt), ["k", "pad"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert out.stat().st_size > 10**7
+    lines = out.read_text(encoding="utf-8").splitlines()
+    if fmt == "csv":
+        assert lines[0] == "k,pad" and lines[1:] == [f"{k},{pad}" for k in range(50_000)]
+    else:
+        assert [json.loads(line) for line in lines] == [{"k": k, "pad": pad} for k in range(50_000)]
 
 
 class TestLifespanSweepAndGrowth:
@@ -408,6 +430,13 @@ class TestRegistryCli:
         run_cli(["registry", "ingest", "--log", GOLDEN_LOG, "--out", str(out)], tmp_path)
         assert out.read_bytes() == open(GOLDEN_LOG, "rb").read()
 
+    def test_ingest_of_an_empty_log_writes_an_empty_file(self, tmp_path):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "canon.jsonl"
+        empty.write_bytes(b"")
+        _, report = run_cli(["registry", "ingest", "--log", str(empty), "--out", str(out)], tmp_path)
+        assert out.read_bytes() == b""
+        assert report["config"]["events"] == 0
+
     def test_ingest_echoes_event_and_object_counts(self, tmp_path):
         out = tmp_path / "canon.jsonl"
         _, report = run_cli(
@@ -673,6 +702,21 @@ class TestRunReport:
         assert captured.err == f"prene-lab: config error: key '--out': names the same file as {flag}\n"
         assert (tmp_path / "input").read_bytes() == data
         assert [p.name for p in tmp_path.iterdir()] == ["input"]
+
+    @pytest.mark.parametrize("command, code", [
+        (["lifespan", "table", "--g", "1/2", "--g", "2/4"], 2),
+        (["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX",
+          "--at", "99"], 2),
+        (["registry", "ingest", "--log", "bad.jsonl"], 1),
+        (["registry", "query", "--log", "bad.jsonl", "--what", "longest-shared"], 1),
+    ], ids=["table", "query-at", "ingest-log", "query-log"])
+    def test_refused_command_leaves_no_out_file(self, tmp_path, capsys, monkeypatch, command, code):
+        # artifacts are written as they are made, so every refusal must come before the open
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text("not json\n")
+        assert main([*command, "--out", "sub/o.out"]) == code
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
 
     def test_query_result_printed_before_the_report(self, capsys):
         args = ["registry", "query", "--log", GOLDEN_LOG, "--what", "extinct", "--content", "POX"]

@@ -177,6 +177,27 @@ class TestSerialization:
             text = w.to_jsonl()
             assert World.from_jsonl(text).to_jsonl() == text
 
+    def test_jsonl_lines_is_an_iterator_over_the_lines_of_to_jsonl(self):
+        worlds = [golden_world(), random_world(np.random.default_rng(11), 80), World()]
+        for w in worlds:
+            lines = w.jsonl_lines()
+            assert iter(lines) is lines
+            assert "".join(lines) == w.to_jsonl()
+        assert list(golden_world().jsonl_lines()) == GOLDEN.read_text().splitlines(keepends=True)
+
+    def test_jsonl_lines_holds_no_copy_of_the_log(self):
+        # each line is made when asked for: neither the event list nor the text is built
+        world = World.from_jsonl("\n".join(_long_log(2600)) + "\n")
+        size = len(world.to_jsonl())
+        tracemalloc.start()
+        try:
+            for _ in world.jsonl_lines():
+                pass
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained <= 0.1 * size, (peak - retained, size)
+
     def test_writer_escapes_substrate_names_as_json_dumps(self):
         w = World()
         names = ['other:say "hi"', "other:back\\slash", "other:caf\u00e9", "other:tab\there\x01",
@@ -252,6 +273,7 @@ def _corruptions(lines: list[str], k: int) -> dict[str, list[str]]:
         "order break": [_record(i + 5, "create", 10**6, "brain", "eA==")],
         "unknown kind": [_record(i, "vanish", 10**6)],
         "bad base64": [_record(i, "create", 10**6, "brain", "!!")],
+        "base64 in a list": [_record(i, "create", 10**6, "brain", ["eA=="])],
         "bad substrate": [_record(i, "create", 10**6, "tablet", "eA==")],
         "missing source": [_record(i, "transcribe", 10**6, "computer", src=-7)],
         "destroy missing": [_record(i, "destroy", 10**6)],
@@ -465,6 +487,22 @@ class TestLoader:
         # the bad record is line 2, with its index shifted to follow line 1
         line = line.replace('"i":0,', '"i":1,')
         assert _message(World.from_jsonl, f"{first}\n{line}\n") == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "record, missing",
+        [
+            ({"i": 1, "kind": "create", "obj": 2}, ["content_b64", "substrate"]),
+            ({"i": 1, "kind": "create", "obj": 2, "content_b64": "eA=="}, ["substrate"]),
+            ({"i": 1, "kind": "create", "obj": 2, "substrate": "brain"}, ["content_b64"]),
+            ({"i": 1, "kind": "transcribe", "obj": 2, "substrate": "computer"}, ["src"]),
+            ({"i": 1, "kind": "transcribe", "obj": 2, "src": 1}, ["substrate"]),
+        ],
+    )
+    def test_missing_kind_fields_are_named(self, record, missing):
+        # the per-line loader escapes these as a KeyError, so the messages are pinned here
+        first = _record(0, "create", 1, "brain", "eA==")
+        message = _message(World.from_jsonl, f"{first}\n{json.dumps(record)}\n")
+        assert message == f"line 2: missing fields {missing}"
 
     @pytest.mark.parametrize("canonical", [True, False])
     def test_integer_past_the_digit_limit_is_a_log_error(self, canonical):
@@ -769,6 +807,10 @@ class TestSharedSubstrings:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             longest_shared([])
+
+    def test_empty_input_is_named(self):
+        with pytest.raises(ValueError, match="^need at least one object$"):
+            longest_shared(())
 
     def test_uses_normalized_object_contents(self):
         w = World()
