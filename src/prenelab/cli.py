@@ -11,8 +11,9 @@ version, echoed config, RNG algorithm, seed, wall time, artifact paths);
 a failed run prints only its error line to stderr.  Artifact files
 are byte-deterministic for a given command line; the report is not,
 because it carries the wall time.  CSV artifacts always have a header
-row and LF line endings.  Each artifact is written to its file as it is
-made, so no command holds its whole output in memory.
+row and LF line endings.  Census counts of any size are written
+exactly.  Each artifact is written to its file as it is made, so no
+command holds its whole output in memory.
 
 Exit codes: 0 success; 2 usage (bad flag or config value, with the
 offender named); 1 IO or input-data failure.
@@ -26,6 +27,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable
+from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
 
@@ -139,7 +141,16 @@ def _cmd_lifespan_table(args) -> dict:
         census = lifespan.simulate_census(species, args.days)
     except ValueError as exc:  # a gene number given twice (2/4 repeats 1/2)
         raise ConfigError(str(exc), key="--g") from None
-    _write_table(args, ["day", "species_g", "alive"], census.csv_rows())
+    # CPython's int-to-str digit limit (3.10.7 on) guards parsing untrusted text; the
+    # census counts are the program's own exact integers, so it is lifted for their write
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write_table(args, ["day", "species_g", "alive"], census.csv_rows())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return {"days": args.days, "g": [str(g) for g in genes]}
 
 
@@ -173,11 +184,9 @@ def _cmd_replicator_run(args) -> dict:
 
     text = _read_text(args.config) if args.config else ""
     config = escape_config_from_text(text, master_seed=args.seed)
-    if args.events:  # pair 0's event trace, written while the experiment runs it
-        with _artifact(args.events) as fh:
-            report = replicator.run_escape_experiment(config, trace=fh)
-    else:
-        report = replicator.run_escape_experiment(config)
+    # pair 0's event trace, written while the experiment runs it
+    with _artifact(args.events) if args.events else nullcontext() as fh:
+        report = replicator.run_escape_experiment(config, trace=fh)
 
     rows = []
     for o in report.outcomes:

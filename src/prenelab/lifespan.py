@@ -272,11 +272,10 @@ def simulate_individuals(
     completed = -1
 
     for day in range(days + 1):
-        if day > 0:
-            for idx, sp in enumerate(species_list):
-                trees[idx].extend(
-                    Tree.newborn(sp, day) for _ in range(pending[idx])
-                )
+        for idx, sp in enumerate(species_list):
+            trees[idx].extend(
+                Tree.newborn(sp, day) for _ in range(pending[idx])
+            )
         if cap is not None and sum(len(t) for t in trees) > cap:
             cap_exceeded = True
             break
@@ -301,11 +300,7 @@ def simulate_individuals(
             columns[idx].append(censused)
         completed = day
 
-    table = CensusTable(
-        tuple(species_list),
-        completed,
-        tuple(tuple(col[: completed + 1]) for col in columns),
-    )
+    table = CensusTable(tuple(species_list), completed, tuple(map(tuple, columns)))
     return IndividualRunResult(table, [t for group in trees for t in group], cap_exceeded)
 
 

@@ -368,9 +368,9 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     `run_population_day` checks the count.
     """
     coat_runs, body_runs = profile.split(*state.coat_span)
-    batch = np.repeat(state.codes, offspring_per_virion, axis=0)
+    batch = state.codes.repeat(offspring_per_virion, axis=0)
     rows, cols, _, _ = mutate_sites(batch, coat_runs, state.gen)
-    coat = np.repeat(state.coat, offspring_per_virion)
+    coat = state.coat.repeat(offspring_per_virion)
     coat[rows] = -1
     trace = state.trace
     if trace is not None:
@@ -401,7 +401,9 @@ def immune_step(state: PopulationState) -> PopulationState:
     delay a poster can fire the day it appears.  As `posters` never
     decreases, the active posters are the ids below
     `bisect_right(posters, day)`.  Raises ValueError if `day` went back
-    below that of an earlier poster.
+    below that of an earlier poster.  No step exits early: with no
+    virion shot, `gen.random(0)` reads no bits, and with none killed,
+    every row is kept in order and no kill line is written.
 
     RNG use: interning and posting draw nothing; one uniform per virion
     whose poster is active (kill probability 0 included), drawn as one
@@ -414,7 +416,7 @@ def immune_step(state: PopulationState) -> PopulationState:
     day = state.day
     posters = state.posters
     trace = state.trace
-    unknown = np.flatnonzero(state.coat < 0)
+    unknown = (state.coat < 0).nonzero()[0]
     if unknown.size:
         activation = day + state.immune_delay
         if posters and activation < posters[-1]:
@@ -431,19 +433,15 @@ def immune_step(state: PopulationState) -> PopulationState:
             head = (f'{{"activation":{activation},"day":{day},"kind":"poster","pair":0,'
                     f'"profile":"{trace.profile}","signature":"')
             trace.write("".join(f'{head}{_codes_to_str(coat)}"}}\n' for coat in list(interned)[issued:]))
-    shot = np.flatnonzero(state.coat < bisect_right(posters, day))
-    if shot.size == 0:
-        return state
+    shot = (state.coat < bisect_right(posters, day)).nonzero()[0]
     dead = shot[state.gen.random(shot.size) < state.kill_probability]
-    if dead.size == 0:
-        return state
     keep = np.ones(state.population, dtype=bool)
     keep[dead] = False
     if trace is not None:
         tail = f',"kind":"kill","pair":0,"profile":"{trace.profile}","signature":"'
         trace.write("".join(f'{{"day":{day},"id":{i}{tail}{_codes_to_str(coat)}"}}\n'
                             for i, coat in zip(state.ids[dead].tolist(), state.codes[dead])))
-    state._keep(np.flatnonzero(keep))
+    state._keep(keep.nonzero()[0])
     return state
 
 

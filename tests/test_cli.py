@@ -116,6 +116,25 @@ class TestLifespanTable:
         assert rows[0] == {"day": 0, "species_g": "1/2", "alive": 1}
         assert rows[-1] == {"day": 2, "species_g": "1/2", "alive": 2}
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="CPython before 3.10.7 has no int-to-str digit limit")
+    def test_counts_past_the_int_digit_limit_are_written(self, tmp_path):
+        # at limit 640, day 6500's g = 1 count 2**2166 has 653 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for fmt in ("csv", "jsonl"):
+                out = tmp_path / f"census.{fmt}"
+                args = ["lifespan", "table", "--days", "6500", "--g", "1", "--format", fmt]
+                run_cli([*args, "--out", str(out)], tmp_path)
+                assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        last_csv = (tmp_path / "census.csv").read_text().splitlines()[-1]
+        last_jsonl = json.loads((tmp_path / "census.jsonl").read_text().splitlines()[-1])
+        assert last_csv == f"6500,1,{2**(6500 // 3)}"
+        assert last_jsonl == {"day": 6500, "species_g": "1", "alive": 2**(6500 // 3)}
+
     def test_lf_endings_no_crlf(self, tmp_path):
         out = tmp_path / "census.csv"
         run_cli(["lifespan", "table", "--days", "2", "--out", str(out)], tmp_path)

@@ -267,6 +267,19 @@ def test_no_site_reported_twice_and_strictly_row_major():
     assert np.all(np.diff(flat) > 0)
 
 
+def test_an_empty_run_draws_only_its_binomial():
+    # a run whose flip count is 0 draws no subset, whatever `choice(n, 0)` would read,
+    # so the stream stands where a twin that drew only the binomials and the flipping
+    # run's subset stands
+    runs = ((0, 30, 1e-9), (30, 30, 0.1))
+    gen, twin = rng.stream(23, 1), rng.stream(23, 1)
+    assert twin.binomial(500 * 30, 1e-9) == 0
+    k = twin.binomial(500 * 30, 0.1)
+    twin.choice(500 * 30, k, replace=False, shuffle=False)
+    assert kernels.flip_sites(500, 60, runs, gen).size == k > 0
+    assert gen.random() == twin.random()
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_zero_and_one_row_batches(n):
     codes = np.zeros((n, 100), dtype=np.uint8)

@@ -7,6 +7,7 @@ not against the bisection under test.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,8 @@ from prenelab.lifespan import (
     Tree,
     TreeSpecies,
     _highest_roots,
+    _residual,
+    _residual_sign,
     growth_rate,
     life_table,
     optimality_sweep,
@@ -136,6 +139,8 @@ class TestLifeTable:
         ((), None, (0, 3), "periodic tail must have positive first age and step"),
         ((), None, (3, 0), "periodic tail must have positive first age and step"),
         ((2, 5), None, (4, 3), "periodic tail must start after the finite prefix"),
+        ((3,), None, (3, 3), "periodic tail must start after the finite prefix"),
+        ((2, 7), 5, None, "birth ages may exceed death_age by at most 1"),
     ])
     def test_each_refusal_names_its_rule(self, ages, death, periodic, message):
         with pytest.raises(ValueError, match=message):
@@ -175,6 +180,24 @@ class TestCensus:
         assert res.census.days < 30
         full = simulate_census([GHALF], res.census.days)
         assert res.census.counts == full.counts
+
+    def test_cap_counts_only_a_population_above_it(self):
+        # g = 1 holds one tree on days 0-2 and two from day 3
+        res = simulate_individuals([G1], 2, cap=1)
+        assert not res.cap_exceeded and res.census.counts == ((1, 1, 1),)
+        res = simulate_individuals([G1], 5, cap=1)
+        assert res.cap_exceeded and res.census.days == 2
+        res = simulate_individuals([G1, GHALF], 5, cap=1)  # two founders: no day completes
+        assert res.cap_exceeded and res.census.days == -1 and res.census.counts == ((), ())
+
+    def test_individuals_are_born_on_the_cohort_days(self):
+        # g = 1 never dies, so the trees alive on the last day are all trees ever born
+        res = simulate_individuals([G1], 20)
+        cohort = CohortState(life_table(G1))
+        for _ in range(20):
+            cohort.step()
+        born = Counter(tree.birth_day for tree in res.final_trees)
+        assert [born[day] for day in range(21)] == cohort.births_by_day
 
     def test_csv_rows_cover_grid(self):
         table = simulate_census([G1, GHALF], 3)
@@ -308,6 +331,17 @@ class TestGrowthRate:
         r = growth_rate(LifeTable((4,), 5))
         assert r.lambda_per_day == 1.0 and r.residual == 0.0
 
+    @pytest.mark.parametrize("table", [LifeTable((2, 4, 6), 5), LifeTable((1, 2), None, (4, 3))])
+    def test_residual_slope_is_its_derivative(self, table):
+        # Newton's steps read the slope; the exact walk after them would hide a wrong one
+        h = 1e-6
+        for lam in (1.2, 1.7):
+            difference = (_residual(table, lam + h)[0] - _residual(table, lam - h)[0]) / (2 * h)
+            assert _residual(table, lam)[1] == pytest.approx(difference, rel=1e-6)
+
+    def test_periodic_residual_diverges_at_one(self):
+        assert _residual(LifeTable((), None, (3, 3)), 1.0) == (math.inf, -math.inf)
+
     def test_rate_consistent_with_long_run_census_ratio(self):
         series = simulate_census([GHALF], 80).counts[0]
         lam = growth_rate(life_table(GHALF)).lambda_per_day
@@ -358,6 +392,15 @@ class TestNearestDouble:
     def test_hand_tables(self, table):
         self._assert_nearest(table)
 
+    @pytest.mark.parametrize("num, exp", [(1, 1), (1, 0), (3, 1)])  # lam 1/2, 1 and 3/2
+    def test_exact_sign_at_and_below_one(self, num, exp):
+        lam = Fraction(num, 2**exp)
+        for ages, periodic in (((4,), None), ((2, 4), None), ((2,), (4, 3))):
+            table = LifeTable(ages, None if periodic else 9, periodic)
+            # a periodic tail diverges at lam <= 1
+            residual = 1 if periodic and lam <= 1 else euler_lotka_residual(table, lam)
+            assert _residual_sign(ages, periodic, num, exp) == (residual > 0) - (residual < 0)
+
     def test_roots_sharing_a_double_are_ordered_exactly(self):
         # x + x**2 + x**100 = 1 has the larger root, by about 1e-21
         near, nearer = ((1, 2, 100), None), ((1, 2, 101), None)
@@ -393,7 +436,7 @@ class TestSweep:
         assert len(rates) == 1
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty sweep grid$"):
             optimality_sweep([])
 
     def test_repeated_gene_number_rejected(self):
