@@ -12,8 +12,11 @@ a failed run prints only its error line to stderr.  Artifact files
 are byte-deterministic for a given command line; the report is not,
 because it carries the wall time.  CSV artifacts always have a header
 row and LF line endings.  Census counts of any size are written
-exactly.  Each artifact is written to its file as it is made, so no
-command holds its whole output in memory.
+exactly.  Each artifact is written as it is made, so no command holds
+its whole output in memory.  A failed command, Ctrl-C included, leaves
+no artifact behind and leaves a file already at an artifact path
+unchanged: each artifact is written to a temporary file next to its
+path, moved onto it only once the command has succeeded.
 
 Exit codes: 0 success; 2 usage (bad flag or config value, with the
 offender named); 1 IO or input-data failure.
@@ -22,12 +25,13 @@ offender named); 1 IO or input-data failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
-from collections.abc import Iterable
-from contextlib import nullcontext
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
 
@@ -410,15 +414,49 @@ def _refuse_shared_paths(args) -> None:
                 raise ConfigError(f"names the same file as {earlier}", key=flag)
 
 
+@contextmanager
+def _staged(args) -> Iterator[None]:
+    """Point each output flag at a temporary file `<path>.<pid>.tmp` next to
+    its path.  If the block succeeds, move each onto its path, failing first
+    if any path is a directory; on any failure, remove them.  A `_special`
+    path is written in place.
+    """
+    staged = []  # (artifact path, temporary file)
+    for flag in _OUTPUTS:
+        path = getattr(args, flag[2:], None)
+        if path and not _special(path):
+            staged.append((path, f"{path}.{os.getpid()}.tmp"))
+            setattr(args, flag[2:], staged[-1][1])
+    try:
+        yield
+        for path, _ in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, temp in staged:
+            os.replace(temp, path)
+    except BaseException:
+        for _, temp in staged:
+            Path(temp).unlink(missing_ok=True)
+        raise
+
+
+def _special(path: str) -> bool:
+    """A symlink, device or FIFO: not a file that an artifact can replace."""
+    return os.path.islink(path) or os.path.exists(path) and not (
+        os.path.isfile(path) or os.path.isdir(path))
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; on success print its run report and return 0.  The
     report lists as artifacts the paths named by `--out` and `--events`."""
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    artifacts = [str(Path(p)) for f in _OUTPUTS if (p := getattr(args, f[2:], None))]
     try:
         _refuse_shared_paths(args)
-        echo = args.func(args)
+        with _staged(args):
+            echo = args.func(args)
         from . import rng  # not at start-up: --version and --help never reach here
         report = {
             "tool": "prene-lab",
@@ -428,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": getattr(args, "seed", None),
             "config": echo,
             "wall_time_s": round(time.monotonic() - started, 6),
-            "artifacts": [str(Path(p)) for f in _OUTPUTS if (p := getattr(args, f[2:], None))],
+            "artifacts": artifacts,
         }
         print(json.dumps(report, sort_keys=True), flush=True)
     except ConfigError as exc:

@@ -45,7 +45,9 @@ def flip_sites(n, length, runs, gen):
             parts.append(sites)
     if not parts:
         return np.empty(0, np.int64)
-    return np.sort(np.concatenate(parts) if len(parts) > 1 else parts[0])
+    sites = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    sites.sort()
+    return sites
 
 
 def mutate_sites(codes: np.ndarray, runs, gen: np.random.Generator):

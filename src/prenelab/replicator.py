@@ -376,7 +376,9 @@ def replicate_population(state: PopulationState, profile: MutationProfile, offsp
     if trace is not None:
         coat_sites = rows * state.length + cols + state.coat_span[0]
         body = flip_sites(len(batch), state.length, body_runs, trace.body)
-        rows, cols = np.divmod(np.sort(np.concatenate([coat_sites, body])), state.length)
+        sites = np.concatenate([coat_sites, body])
+        sites.sort()
+        rows, cols = np.divmod(sites, state.length)
         flipped = [""] * len(batch)  # each child's flipped sites, each after a comma
         for r, c in zip(rows.tolist(), cols.tolist()):
             flipped[r] += f",{c}"
@@ -454,7 +456,8 @@ def cull_to_capacity(state: PopulationState) -> None:
     n = state.population
     if n <= state.capacity:
         return
-    keep = np.sort(state.gen.choice(n, size=state.capacity, replace=False))
+    keep = state.gen.choice(n, size=state.capacity, replace=False)
+    keep.sort()
     trace = state.trace
     if trace is not None:
         removed = ",".join(map(str, np.delete(state.ids, keep).tolist()))

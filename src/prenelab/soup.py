@@ -31,10 +31,13 @@ An event costs O(log S) in plain Python ints, S the number of species:
   row's facts record, walks `_all`, then `_cat` or `_aaa` only for a row
   flagged there, and adds n times the row's letter counts into the bound
   mass in place.
-  Besides the shifts an event reads a waiting-time uniform, a channel
-  uniform and one uniform per pick (one pick for detach, two for extend
-  and catalyze, plus a thinning uniform when extend pairs a pool with
-  itself), runs one O(1) `audit`, and builds no list.
+- One draw, one apply.  `_peek_next_time` draws a whole event and
+  `_apply_peeked` applies it, runs one O(1) `audit`, and builds no list.
+  The draws come in this order: a waiting-time uniform, a channel
+  uniform, then one uniform per pick: the strand for detach; the
+  catalyst, then the target, for catalyze; the seed, then the letter,
+  for extend, plus a thinning uniform when extend pairs a pool with
+  itself, whose rejection starts the extend picks again.
 - Uniforms from blocks.  Every variate is a uniform; the waiting time is
   the inversion -log1p(-u) / a_total (Gillespie 1977).  `run_until`
   reads its uniforms from consecutive blocks of `gen.random(_BLOCK)`,
@@ -333,39 +336,6 @@ class ReactorState:
         return extend, self.k_off * strands, self.k_cat * self._cat[-1] * self._aaa[-1]
 
 
-def _apply_extend(state: ReactorState, seed: str, letter: str) -> None:
-    free = state.free
-    if len(seed) == 1:
-        free[_LETTER_INDEX[seed]] -= 1
-    else:
-        state._remove(seed)
-    free[_LETTER_INDEX[letter]] -= 1
-    state._add(seed + letter)
-    if min(free) < 0:
-        raise ConservationError("free pool went negative")
-
-
-def _apply_detach(state: ReactorState, seq: str) -> None:
-    state._remove(seq)
-    free = state.free
-    free[_LETTER_INDEX[seq[-1]]] += 1
-    if len(seq) == 2:
-        free[_LETTER_INDEX[seq[0]]] += 1
-    else:
-        state._add(seq[:-1])
-
-
-def _apply_catalyze(state: ReactorState, catalyst: str, target: str) -> None:
-    # the catalyst is consulted, not consumed
-    if catalyst.endswith("AAA"):
-        raise AssertionError("catalyst selection produced an AAA-ender")
-    if not target.endswith("AAA"):
-        raise AssertionError("catalyze target does not end in AAA")
-    state._remove(target)
-    state._add(target[:-1])
-    state.free[_LETTER_INDEX["A"]] += 1
-
-
 def _pick_letter(free: list[int], threshold: float) -> int:
     """Smallest letter index whose cumulative free count exceeds threshold,
     or 4 if none does."""
@@ -375,25 +345,6 @@ def _pick_letter(free: list[int], threshold: float) -> int:
         if acc > threshold:
             return i
     return 4
-
-
-def _sample_extend(state: ReactorState, draw: Callable[[], float]) -> tuple[str, str]:
-    # seeds: the four free pools, then every strand row after them
-    free = state.free
-    n_free = sum(free)
-    while True:
-        threshold = draw() * float(n_free + state._all[-1])
-        si = _pick_letter(free, threshold)
-        if si == 4:
-            si += _fenwick_pick(state._all, n_free, threshold)
-        li = _pick_letter(free, draw() * float(n_free))
-        if si < 4:
-            if si == li:
-                # same-pool pair: thin free*free down to free*(free-1)
-                if draw() >= (free[si] - 1) / free[si]:
-                    continue
-            return SOUP_LETTERS[si], SOUP_LETTERS[li]
-        return state.seqs[si - 4], SOUP_LETTERS[li]
 
 
 def step(state: ReactorState, gen: np.random.Generator) -> ReactorState:
@@ -457,7 +408,7 @@ def run_until(
     The uniforms come from blocks of `gen.random`; on return, also by an
     exception, gen is left just after the last uniform used, so the same
     events follow from calling `step` on the same stream.  The event
-    drawn past the horizon is discarded and its uniforms stay used: a run
+    drawn at or past the horizon is discarded and its uniforms stay used: a run
     split into `run_until(1.0)` then `run_until(2.0)` follows the same
     law as one `run_until(2.0)` (waiting times are memoryless), but not
     the same trajectory.
@@ -506,7 +457,22 @@ def _peek_next_time(state: ReactorState, draw: Callable[[], float]) -> tuple[flo
     next_time = state.time + -math.log1p(-draw()) / a_total
     u = draw() * a_total
     if u < a_extend:
-        return next_time, "extend", _sample_extend(state, draw)
+        # seeds: the four free pools, then every strand row after them
+        free = state.free
+        n_free = sum(free)
+        while True:
+            threshold = draw() * float(n_free + state._all[-1])
+            si = _pick_letter(free, threshold)
+            if si == 4:
+                si += _fenwick_pick(state._all, n_free, threshold)
+            li = _pick_letter(free, draw() * float(n_free))
+            if si < 4:
+                if si == li:
+                    # same-pool pair: thin free*free down to free*(free-1)
+                    if draw() >= (free[si] - 1) / free[si]:
+                        continue
+                return next_time, "extend", (SOUP_LETTERS[si], SOUP_LETTERS[li])
+            return next_time, "extend", (state.seqs[si - 4], SOUP_LETTERS[li])
     if u < a_extend + a_detach:
         row = _fenwick_pick(state._all, 0, draw() * float(state._all[-1]))
         return next_time, "detach", (state.seqs[row],)
@@ -517,12 +483,35 @@ def _peek_next_time(state: ReactorState, draw: Callable[[], float]) -> tuple[flo
 
 def _apply_peeked(state: ReactorState, peeked: tuple[float, str, tuple]) -> None:
     state.time, kind, args = peeked
+    free = state.free
     if kind == "extend":
-        _apply_extend(state, *args)
+        seed, letter = args
+        if len(seed) == 1:
+            free[_LETTER_INDEX[seed]] -= 1
+        else:
+            state._remove(seed)
+        free[_LETTER_INDEX[letter]] -= 1
+        state._add(seed + letter)
+        if min(free) < 0:
+            raise ConservationError("free pool went negative")
     elif kind == "detach":
-        _apply_detach(state, *args)
+        (seq,) = args
+        state._remove(seq)
+        free[_LETTER_INDEX[seq[-1]]] += 1
+        if len(seq) == 2:
+            free[_LETTER_INDEX[seq[0]]] += 1
+        else:
+            state._add(seq[:-1])
     else:
-        _apply_catalyze(state, *args)
+        # the catalyst is consulted, not consumed
+        catalyst, target = args
+        if catalyst.endswith("AAA"):
+            raise AssertionError("catalyst selection produced an AAA-ender")
+        if not target.endswith("AAA"):
+            raise AssertionError("catalyze target does not end in AAA")
+        state._remove(target)
+        state._add(target[:-1])
+        free[_LETTER_INDEX["A"]] += 1
     state.n_events += 1
     state.audit()
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -761,6 +762,55 @@ class TestRunReport:
         _, report = run_cli([*command, "--out", "./sub//a.out"], tmp_path)
         assert report["artifacts"] == [str(Path("sub/a.out"))]
         assert (tmp_path / "sub" / "a.out").is_file()
+
+
+class TestFailedCommandLeavesNoArtifact:
+    """Artifacts go to temporary files that replace their paths only on success."""
+
+    def test_directory_out_leaves_no_events_file(self, tmp_path, capsys, monkeypatch):
+        # pair 0's whole trace is written before --out is opened
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        args = ["replicator", "run", "--seed", "1", "--events", "ev.jsonl", "--out", "outdir"]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "prene-lab: io error: [Errno 21] Is a directory: 'outdir'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+        assert not any((tmp_path / "outdir").iterdir())
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "ctrl-c"])
+    def test_row_generator_failing_halfway(self, tmp_path, capsys, monkeypatch, error, old):
+        from prenelab import lifespan
+
+        def rows(census):
+            yield from itertools.islice(real_rows(census), 3)
+            raise error
+
+        real_rows = lifespan.CensusTable.csv_rows
+        monkeypatch.setattr(lifespan.CensusTable, "csv_rows", rows)
+        monkeypatch.chdir(tmp_path)
+        if old is not None:
+            (tmp_path / "t.csv").write_bytes(old)
+        args = ["lifespan", "table", "--days", "5", "--out", "t.csv"]
+        if isinstance(error, OSError):
+            assert main(args) == 1
+            assert capsys.readouterr().err == f"prene-lab: io error: {error}\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["t.csv"])
+        if old is not None:
+            assert (tmp_path / "t.csv").read_bytes() == old
+
+    def test_symlink_out_is_written_through(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to("t.csv")
+        run_cli(["lifespan", "table", "--days", "1", "--out", "link.csv"], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "t.csv"]
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "t.csv").read_text().splitlines()[0] == "day,species_g,alive"
 
 
 class TestClosedStdout:

@@ -20,7 +20,6 @@ from prenelab.soup import (
     Quiescent,
     ReactorState,
     SoupConfig,
-    _apply_catalyze,
     _apply_peeked,
     _peek_next_time,
     run_catalysis_experiment,
@@ -336,7 +335,29 @@ class TestStep:
     def test_catalyst_assert_guards_aaa_ender(self):
         state = ReactorState({}, {"GGAAA": 2}, 0, 0, 1.0)
         with pytest.raises(AssertionError):
-            _apply_catalyze(state, "GGAAA", "GGAAA")
+            _apply_peeked(state, (state.time, "catalyze", ("GGAAA", "GGAAA")))
+
+    def test_catalyze_target_must_end_in_aaa(self):
+        # without the check the chop breaks conservation, also an AssertionError: match the message
+        state = ReactorState({}, {"GAAG": 1, "GGAAU": 1}, 0, 0, 1.0)
+        with pytest.raises(AssertionError, match="catalyze target does not end in AAA"):
+            _apply_peeked(state, (state.time, "catalyze", ("GAAG", "GGAAU")))
+
+    def test_extend_from_an_empty_pool_is_refused(self):
+        # the seed and the letter both leave free and join AC, so the audit alone sees no drift
+        state = ReactorState({"A": 1}, {}, 1.0, 0, 0)
+        with pytest.raises(ConservationError, match="free pool went negative"):
+            _apply_peeked(state, (1.0, "extend", ("A", "C")))
+
+    @pytest.mark.parametrize("polymers, k_off, k_cat, kind, args", [
+        ({"AC": 1}, 1.0, 0, "detach", ("AC",)),
+        ({"GAAG": 1, "GGAAA": 1}, 0, 1.0, "catalyze", ("GAAG", "GGAAA")),
+    ], ids=["no-extend", "no-detach"])
+    def test_zero_uniform_never_picks_a_zero_channel(self, polymers, k_off, k_cat, kind, args):
+        # gen.random() can return 0.0; the channel pick, like searchsorted(side="right"), skips
+        # every channel whose propensity is 0
+        state = ReactorState({}, polymers, 1.0, k_off, k_cat)
+        assert _peek_next_time(state, lambda: 0.0) == (0.0, kind, args)
 
 
 class TestWaitingTimes:
@@ -439,6 +460,25 @@ class TestRunUntil:
         # a repeat call at the current time is valid and runs no events
         run_until(state, 2.0, gen)
         assert state.time == 2.0 and state.n_events == events
+
+    def test_run_to_the_current_time_draws_nothing(self):
+        state, gen = SoupConfig().build_state(), rng.stream(1, 0)
+        run_until(state, 0.0, gen)
+        assert state.n_events == 0
+        assert gen.random() == rng.stream(1, 0).random()
+
+    def test_sample_at_an_event_time_follows_the_event(self):
+        first = _peek_next_time(SoupConfig().build_state(), rng.stream(1, 0).random)[0]
+        seen = []
+        run_until(SoupConfig().build_state(), 2 * first, rng.stream(1, 0), [first],
+                  lambda t, s: seen.append((t, s.n_events)))
+        assert seen == [(first, 1)]
+
+    def test_event_drawn_at_the_horizon_is_discarded(self):
+        first = _peek_next_time(SoupConfig().build_state(), rng.stream(1, 0).random)[0]
+        state = SoupConfig().build_state()
+        run_until(state, first, rng.stream(1, 0))
+        assert state.time == first and state.n_events == 0
 
 
 class TestBlockReader:
